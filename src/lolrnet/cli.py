@@ -160,8 +160,9 @@ def cmd_regions(cfg: NetworkConfig, args) -> tuple[dict, tuple[list, list]]:
     rows = []
     header = ["bank", "name", "q", "v_terminal", "threshold_log_x",
               "log_cash", "region", "note"]
+    boundaries = default_boundary(net, np.arange(net.n), net.horizon)
     for i, decision in enumerate(decisions):
-        boundary = default_boundary(net, i, net.horizon)
+        boundary = float(boundaries[i])
         log_cash = math.log(net.cash[i]) if net.cash[i] > 0 else None
         note = NET_CREDITOR_NOTE if decision.threshold_log_x is None else ""
         banks.append({"index": i + 1, "name": cfg.banks[i].name,

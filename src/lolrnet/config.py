@@ -125,6 +125,14 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    # JSON integers are unbounded; one too large for a float is not finite
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _require(condition: bool, field: str, message: str) -> None:
     if not condition:
         raise ConfigValidationError(field, message)
@@ -133,6 +141,8 @@ def _require(condition: bool, field: str, message: str) -> None:
 def _number(doc: dict, field: str, path: str) -> float:
     _require(field in doc, f"{path}.{field}", "missing")
     _require(_is_number(doc[field]), f"{path}.{field}", "must be a number")
+    _require(_is_finite(doc[field]), f"{path}.{field}",
+             "must be a finite number")
     return float(doc[field])
 
 
@@ -161,6 +171,10 @@ def _validate_banks(raw) -> tuple[BankSpec, ...]:
 def _validate_liabilities(raw, n: int) -> tuple[tuple[float, ...], ...]:
     _require(isinstance(raw, list) and len(raw) == n, "liabilities",
              f"must be a {n}x{n} array")
+    matrix = _liabilities_array(raw, n)
+    if matrix is not None:
+        return tuple(map(tuple, matrix.tolist()))
+    # the per-entry loop names the first offending cell
     rows = []
     for i, row in enumerate(raw):
         _require(isinstance(row, list) and len(row) == n,
@@ -168,6 +182,8 @@ def _validate_liabilities(raw, n: int) -> tuple[tuple[float, ...], ...]:
         for j, value in enumerate(row):
             _require(_is_number(value), f"liabilities[{i}][{j}]",
                      "must be a number")
+            _require(_is_finite(value), f"liabilities[{i}][{j}]",
+                     "must be a finite number")
             _require(value >= 0, f"liabilities[{i}][{j}]",
                      "must be non-negative")
             if i == j:
@@ -175,6 +191,25 @@ def _validate_liabilities(raw, n: int) -> tuple[tuple[float, ...], ...]:
                          "diagonal must be zero")
         rows.append(tuple(float(v) for v in row))
     return tuple(rows)
+
+
+def _liabilities_array(raw: list, n: int) -> np.ndarray | None:
+    """The liabilities as one float array, or None if any check fails.
+
+    Applies only to a square matrix of plain ints and floats, so a
+    conversion never coerces a bool or a string.
+    """
+    if not all(isinstance(row, list) and len(row) == n
+               and set(map(type, row)) <= {int, float} for row in raw):
+        return None
+    try:
+        matrix = np.array(raw, dtype=float)
+    except OverflowError:
+        return None
+    if not (np.isfinite(matrix).all() and (matrix >= 0).all()
+            and (np.diagonal(matrix) == 0).all()):
+        return None
+    return matrix
 
 
 def _validate_ranking(raw) -> RankingSpec:
@@ -189,6 +224,8 @@ def _validate_ranking(raw) -> RankingSpec:
              "c_plus + c_minus must equal 1")
     _require(0 < damping < 1, "ranking.damping",
              "must lie strictly inside (0, 1)")
+    _require(math.isfinite(epsilon), "ranking.epsilon",
+             "must be a finite number")
     _require(epsilon >= 0, "ranking.epsilon", "must be non-negative")
     return RankingSpec(c_plus=c_plus, c_minus=c_minus, damping=damping,
                        epsilon=epsilon)
@@ -235,6 +272,7 @@ def _validate_psi_cap(raw) -> float:
         return math.inf
     _require(_is_number(raw), "psi_cap",
              "must be a positive number or the string 'inf'")
+    _require(_is_finite(raw), "psi_cap", "must be a finite number")
     _require(raw > 0, "psi_cap", "must be positive")
     return float(raw)
 
@@ -307,8 +345,12 @@ def load_config(path: str | Path) -> NetworkConfig:
     liabilities = _validate_liabilities(doc.get("liabilities"), len(banks))
     _require("growth_rate" in doc and _is_number(doc["growth_rate"]),
              "growth_rate", "must be a number")
-    _require("horizon" in doc and _is_number(doc["horizon"])
-             and doc["horizon"] > 0, "horizon", "must be a positive number")
+    _require(_is_finite(doc["growth_rate"]), "growth_rate",
+             "must be a finite number")
+    _require("horizon" in doc and _is_number(doc["horizon"]), "horizon",
+             "must be a positive number")
+    _require(_is_finite(doc["horizon"]), "horizon", "must be a finite number")
+    _require(doc["horizon"] > 0, "horizon", "must be a positive number")
     ranking = _validate_ranking(doc.get("ranking"))
     policy = _validate_policy(doc.get("policy"))
     _require("psi_cap" in doc, "psi_cap", "missing")
@@ -394,8 +436,20 @@ def _write_value(value, out: list[str], indent: int, level: int) -> None:
             _write_value(item, out, indent, level + 1)
             out.append(",\n" if k < len(value) - 1 else "\n")
         out.append(f"{close_pad}}}")
+    elif (isinstance(value, np.ndarray) and value.ndim == 1 and value.size
+          and value.dtype == np.float64 and np.isfinite(value).all()):
+        # one %-format for the whole row; "%.17g" is format_number's text
+        # for every finite float
+        sep = f",\n{pad}"
+        template = f"[\n{pad}" + sep.join(["%.17g"] * value.size) \
+            + f"\n{close_pad}]"
+        out.append(template % tuple(value.tolist()))
     elif isinstance(value, (list, tuple, np.ndarray)):
-        items = value.tolist() if isinstance(value, np.ndarray) else list(value)
+        if isinstance(value, np.ndarray):
+            # a matrix recurses row by row so each row can take the path above
+            items = list(value) if value.ndim > 1 else value.tolist()
+        else:
+            items = list(value)
         if not items:
             out.append("[]")
             return

@@ -222,9 +222,10 @@ def network_decision(net: FinancialNetwork, q: np.ndarray, t: float = 0.0,
         raise ValueError(f"decision time {t} outside [0, {net.horizon})")
 
     remaining = net.horizon - t
+    boundaries = default_boundary(net, np.arange(net.n), net.horizon)
     decisions = []
     for i in range(net.n):
-        boundary = default_boundary(net, i, net.horizon)
+        boundary = float(boundaries[i])
         if boundary <= 0:
             decisions.append(_never_defaults())
             continue

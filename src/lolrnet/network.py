@@ -265,23 +265,32 @@ def net_liability_matrix(net: FinancialNetwork, payments: np.ndarray) -> np.ndar
     return net.liabilities - np.diag(payments)
 
 
-def default_boundary(net: FinancialNetwork, i: int, t: float) -> float:
+def default_boundary(net: FinancialNetwork, i: int | np.ndarray,
+                     t: float) -> float | np.ndarray:
     """Default threshold of bank ``i`` at time ``t``.
 
     The net obligation of the bank (what it owes minus what it is owed, both
     at their time-``t`` nominal values), scaled by the bank's recovery rate
     strictly before the horizon and unscaled at the horizon.  Negative for
     net creditors, which therefore cannot default.
+
+    An int ``i`` returns a float.  An integer index array returns an ndarray
+    of the same shape, e.g. ``default_boundary(net, np.arange(net.n), t)``
+    for every bank.  Either form costs one O(n^2) evaluation per call, so
+    callers that need many banks pass them all at once.
     """
-    if not 0 <= i < net.n:
-        raise IndexError(f"bank index {i} out of range for {net.n} banks")
+    index = np.asarray(i)
+    out_of_range = (index < 0) | (index >= net.n)
+    if out_of_range.any():
+        bad = index[out_of_range].flat[0]
+        raise IndexError(f"bank index {bad} out of range for {net.n} banks")
     _check_time(net, t)
     ubar = total_obligations(net, t)
     incoming = relative_liabilities(net, t).T @ ubar
-    net_obligation = float(ubar[i] - incoming[i])
+    net_obligation = ubar[index] - incoming[index]
     if t < net.horizon:
-        return float(net.recovery[i]) * net_obligation
-    return net_obligation
+        net_obligation = net.recovery[index] * net_obligation
+    return float(net_obligation) if index.ndim == 0 else net_obligation
 
 
 def build_graph_matrices(net: FinancialNetwork) -> GraphMatrices:

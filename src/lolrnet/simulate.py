@@ -255,7 +255,7 @@ def simulate_network(net: FinancialNetwork, decisions: list[ControlDecision],
         if executor is not None:
             executor.shutdown()
 
-    boundary = np.array([default_boundary(net, i, net.horizon) for i in range(n)])
+    boundary = default_boundary(net, np.arange(n), net.horizon)
     freq = (terminal < boundary[:, None]).mean(axis=1)
     halfwidth = _Z95 * np.sqrt(freq * (1.0 - freq) / cfg.paths)
     log_terminal = np.log(terminal)

@@ -10,6 +10,7 @@ import pytest
 
 import lolrnet as ln
 from lolrnet.cli import main
+from lolrnet.config import dumps_doc
 from _support import CREDITOR_TABLE, FIXTURE_EIGENVALUE, FIXTURE_RANK
 
 SCHEMA_DIR = Path(ln.__file__).parent / "schemas"
@@ -70,13 +71,26 @@ class TestConfigLoading:
         assert info.value.field == "banks[1].vol"
 
     def test_bad_liability_entry_names_cell(self, tmp_path):
-        doc = json.loads(ln.case_study_path().read_text())
-        doc["liabilities"][0][2] = -1.0
-        target = tmp_path / "badliab.json"
-        target.write_text(json.dumps(doc))
-        with pytest.raises(ln.ConfigValidationError) as info:
-            ln.load_config(target)
-        assert info.value.field == "liabilities[0][2]"
+        # (row, column or None for the whole row, value, field, message)
+        cases = [
+            (0, 2, -1.0, "liabilities[0][2]", "must be non-negative"),
+            (0, 2, True, "liabilities[0][2]", "must be a number"),
+            (0, 2, "3", "liabilities[0][2]", "must be a number"),
+            (1, 1, 2.0, "liabilities[1][1]", "diagonal must be zero"),
+            (2, None, [0.0, 1.0], "liabilities[2]", "must have 4 entries"),
+        ]
+        for row, col, value, field, message in cases:
+            doc = json.loads(ln.case_study_path().read_text())
+            if col is None:
+                doc["liabilities"][row] = value
+            else:
+                doc["liabilities"][row][col] = value
+            target = tmp_path / "badliab.json"
+            target.write_text(json.dumps(doc))
+            with pytest.raises(ln.ConfigValidationError) as info:
+                ln.load_config(target)
+            assert info.value.field == field
+            assert str(info.value) == f"{field}: {message}"
 
     def test_psi_cap_inf_sentinel(self, case_config):
         assert case_config.psi_cap is math.inf or math.isinf(
@@ -235,6 +249,18 @@ class TestDeterministicOutput:
         assert code == code2 == 0
         assert target.read_text() == out
 
+    def test_float_arrays_render_like_lists(self):
+        rng = np.random.default_rng(5)
+        special = [-0.0, 5e-324, 2.2250738585072009e-308, 1e308,
+                   0.30000000000000004, 1.2345678901234567e-5, 3.0]
+        finite = np.vstack([special, rng.normal(size=(3, len(special)))])
+        nonfinite = np.array(special + [math.inf, -math.inf, math.nan])
+        for arr in (finite, finite[0], nonfinite, nonfinite.reshape(2, 5),
+                    np.zeros((2, 0)), np.array([])):
+            doc = {"matrix": arr, "nested": [arr]}
+            plain = {"matrix": arr.tolist(), "nested": [arr.tolist()]}
+            assert dumps_doc(doc) == dumps_doc(plain)
+
     def test_numbers_round_trip_through_17_digits(self, capsys):
         _, out, _ = run_cli(capsys, "regions", "--config", "case_study.json",
                             "--format", "doc")
@@ -290,6 +316,37 @@ class TestErrorHandling:
         code, _, err = run_cli(capsys, "control", "--config", str(target))
         assert code == 1
         assert "banks[2].recovery" in err
+
+    @pytest.mark.parametrize("keys, value", [
+        (("banks", 2, "drift"), math.nan),
+        (("banks", 0, "cash"), math.inf),
+        (("growth_rate",), math.inf),
+        (("horizon",), math.inf),
+        (("psi_cap",), math.inf),
+        (("psi_cap",), math.nan),
+        (("ranking", "epsilon"), math.inf),
+        (("liabilities", 0, 1), math.inf),
+        (("liabilities", 1, 0), math.nan),
+        pytest.param(("liabilities", 3, 2), 10**400,
+                     id="('liabilities', 3, 2)-10**400"),
+    ], ids=str)
+    def test_non_finite_number_names_field(self, capsys, tmp_path, keys,
+                                           value):
+        doc = json.loads(ln.case_study_path().read_text())
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+        target = tmp_path / "nonfinite.json"
+        target.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "control", "--config", str(target))
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ConfigValidationError"
+        field = keys[0] + "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                                  for k in keys[1:])
+        assert error["message"] == f"{field}: must be a finite number"
 
     def test_unknown_command_usage_error(self):
         with pytest.raises(SystemExit) as info:

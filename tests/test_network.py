@@ -247,6 +247,20 @@ class TestDefaultBoundary:
     def test_index_out_of_range(self, case_network):
         with pytest.raises(IndexError):
             ln.default_boundary(case_network, 4, 0.0)
+        for index in ([0, 4], [-1, 2]):
+            with pytest.raises(IndexError):
+                ln.default_boundary(case_network, np.array(index), 0.0)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_index_array_matches_scalar_calls_exactly(self, case_network,
+                                                      seed):
+        for net in (case_network, random_network(np.random.default_rng(seed))):
+            for t in (0.5 * net.horizon, net.horizon):
+                batch = ln.default_boundary(net, np.arange(net.n), t)
+                assert isinstance(batch, np.ndarray)
+                assert batch.tolist() == [ln.default_boundary(net, i, t)
+                                          for i in range(net.n)]
 
 
 class TestGraphMatrices:

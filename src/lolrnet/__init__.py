@@ -7,7 +7,7 @@ Monte Carlo simulation of the controlled dynamics.
 """
 
 from .config import (NetworkConfig, case_study_path, load_config,
-                     printed_google_path, write_config)
+                     printed_google_path)
 from .control import (ControlDecision, ControlProblem, Region, classify,
                       network_decision, no_action_threshold, rho,
                       survival_probability, switching_rate, value_function)
@@ -23,8 +23,7 @@ from .ranking import (QPolicy, RankingResult, RankThresholdsPolicy,
                       assign_survival_probabilities, edge_weights,
                       google_matrix, net_positions, perron_rank, rank_network,
                       series_rank)
-from .simulate import (SimConfig, SimReport, estimate_cost, gbm_step,
-                       simulate_network)
+from .simulate import SimConfig, SimReport, estimate_cost, simulate_network
 
 __version__ = "0.1.0"
 
@@ -44,10 +43,9 @@ __all__ = [
     "survival_probability", "switching_rate", "no_action_threshold",
     "classify", "value_function", "network_decision",
     # simulate
-    "SimConfig", "SimReport", "gbm_step", "simulate_network", "estimate_cost",
+    "SimConfig", "SimReport", "simulate_network", "estimate_cost",
     # config
-    "NetworkConfig", "load_config", "write_config", "case_study_path",
-    "printed_google_path",
+    "NetworkConfig", "load_config", "case_study_path", "printed_google_path",
     # errors
     "LolrnetError", "ConfigError", "ConfigParseError", "SchemaVersionError",
     "ConfigValidationError", "ConvergenceError", "DegenerateNetworkError",

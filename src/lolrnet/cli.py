@@ -34,6 +34,9 @@ NET_CREDITOR_NOTE = "net creditor / no default possible"
 
 _DEFAULT_DUMP = "sim_paths.csv"
 
+# the simulate doc's sections, in table order
+_SCENARIOS = ("uncontrolled", "controlled")
+
 
 # ---------------------------------------------------------------------------
 # rendering
@@ -49,12 +52,25 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _table_text(header: list[str], rows: list[list]) -> str:
+def _table_text(doc: dict, header: list[str]) -> str:
+    """CSV view of a command's doc: one row per bank entry.
+
+    ``bank`` is the entry's ``index`` and ``scenario`` the name of the doc
+    section holding the entry; a column the entry lacks is read from the
+    doc's top level (``rank``'s ``eigenvalue``).
+    """
+    if doc["command"] == "simulate":
+        sections = [(scenario, doc[scenario]) for scenario in _SCENARIOS]
+    else:
+        sections = [(None, doc["banks"])]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
+    for scenario, entries in sections:
+        for entry in entries:
+            cells = {**entry, "bank": entry["index"], "scenario": scenario}
+            writer.writerow([_cell(cells[col] if col in cells else doc[col])
+                             for col in header])
     return buffer.getvalue()
 
 
@@ -69,32 +85,30 @@ def _emit(text: str, output: str | None) -> None:
 # shared pieces
 # ---------------------------------------------------------------------------
 
-def _q_targets(cfg: NetworkConfig, net) -> np.ndarray:
+def _q_targets(cfg: NetworkConfig) -> np.ndarray:
     """Survival targets from the configured policy.
 
     A uniform policy needs no rank; threshold policies run the full rank
     pipeline on the network.
     """
-    policy = cfg.policy_object()
-    if isinstance(policy, UniformPolicy):
-        return np.full(net.n, policy.q)
-    ranking = rank_network(net, cfg.rank_weights())
-    return assign_survival_probabilities(ranking.rank, policy)
+    if isinstance(cfg.policy, UniformPolicy):
+        return np.full(cfg.network.n, cfg.policy.q)
+    ranking = rank_network(cfg.network, cfg.weights)
+    return assign_survival_probabilities(ranking.rank, cfg.policy)
 
 
-def _decisions(cfg: NetworkConfig, net, t: float):
-    q = _q_targets(cfg, net)
-    return q, network_decision(net, q, t=t, psi_cap=cfg.psi_cap)
+def _decisions(cfg: NetworkConfig, t: float):
+    q = _q_targets(cfg)
+    return q, network_decision(cfg.network, q, t=t, psi_cap=cfg.psi_cap)
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_rank(cfg: NetworkConfig, args) -> tuple[dict, tuple[list, list]]:
-    net = cfg.to_network()
+def cmd_rank(cfg: NetworkConfig, args) -> tuple[dict, list[str]]:
+    net = cfg.network
     positions = net_positions(net)
-    policy = cfg.policy_object()
     if args.matrix_override:
         google = load_matrix(args.matrix_override)
         if google.shape[0] != net.n:
@@ -105,33 +119,30 @@ def cmd_rank(cfg: NetworkConfig, args) -> tuple[dict, tuple[list, list]]:
         matrices = {"google": google}
         override = True
     else:
-        result = rank_network(net, cfg.rank_weights())
+        result = rank_network(net, cfg.weights)
         eigenvalue, rank = result.eigenvalue, result.rank
         matrices = {"gamma_plus": result.gamma_plus,
                     "gamma_minus": result.gamma_minus,
                     "tau": result.tau,
                     "google": result.google}
         override = False
-    q = assign_survival_probabilities(rank, policy)
+    q = assign_survival_probabilities(rank, cfg.policy)
 
     doc = {
         "command": "rank",
         "matrix_override": override,
         "eigenvalue": eigenvalue,
         "banks": [
-            {"index": i + 1, "name": cfg.banks[i].name,
+            {"index": i + 1, "name": cfg.names[i],
              "net_position": positions[i], "rank": rank[i], "q": q[i]}
             for i in range(net.n)],
         "matrices": matrices,
     }
-    header = ["bank", "name", "net_position", "rank", "q", "eigenvalue"]
-    rows = [[i + 1, cfg.banks[i].name, positions[i], rank[i], q[i], eigenvalue]
-            for i in range(net.n)]
-    return doc, (header, rows)
+    return doc, ["bank", "name", "net_position", "rank", "q", "eigenvalue"]
 
 
-def cmd_clearing(cfg: NetworkConfig, args) -> tuple[dict, tuple[list, list]]:
-    net = cfg.to_network()
+def cmd_clearing(cfg: NetworkConfig, args) -> tuple[dict, list[str]]:
+    net = cfg.network
     result = clearing_vector(net, t=args.time)
     obligations = total_obligations(net, args.time)
     doc = {
@@ -140,65 +151,52 @@ def cmd_clearing(cfg: NetworkConfig, args) -> tuple[dict, tuple[list, list]]:
         "iterations": result.iterations,
         "residual": result.residual,
         "banks": [
-            {"index": i + 1, "name": cfg.banks[i].name,
+            {"index": i + 1, "name": cfg.names[i],
              "obligation": obligations[i], "payment": result.payments[i],
              "defaulted": bool(result.defaulted[i]),
              "value": result.values[i]}
             for i in range(net.n)],
     }
-    header = ["bank", "name", "obligation", "payment", "defaulted", "value"]
-    rows = [[i + 1, cfg.banks[i].name, obligations[i], result.payments[i],
-             bool(result.defaulted[i]), result.values[i]]
-            for i in range(net.n)]
-    return doc, (header, rows)
+    return doc, ["bank", "name", "obligation", "payment", "defaulted",
+                 "value"]
 
 
-def cmd_regions(cfg: NetworkConfig, args) -> tuple[dict, tuple[list, list]]:
-    net = cfg.to_network()
-    q, decisions = _decisions(cfg, net, args.time)
+def cmd_regions(cfg: NetworkConfig, args) -> tuple[dict, list[str]]:
+    net = cfg.network
+    q, decisions = _decisions(cfg, args.time)
     banks = []
-    rows = []
-    header = ["bank", "name", "q", "v_terminal", "threshold_log_x",
-              "log_cash", "region", "note"]
     boundaries = default_boundary(net, np.arange(net.n), net.horizon)
     for i, decision in enumerate(decisions):
         boundary = float(boundaries[i])
         log_cash = math.log(net.cash[i]) if net.cash[i] > 0 else None
         note = NET_CREDITOR_NOTE if decision.threshold_log_x is None else ""
-        banks.append({"index": i + 1, "name": cfg.banks[i].name,
+        banks.append({"index": i + 1, "name": cfg.names[i],
                       "q": q[i], "v_terminal": boundary,
                       "threshold_log_x": decision.threshold_log_x,
                       "log_cash": log_cash,
                       "region": decision.region.value, "note": note})
-        rows.append([i + 1, cfg.banks[i].name, q[i], boundary,
-                     decision.threshold_log_x, log_cash,
-                     decision.region.value, note])
     doc = {"command": "regions", "time": args.time, "psi_cap": cfg.psi_cap,
            "banks": banks}
-    return doc, (header, rows)
+    return doc, ["bank", "name", "q", "v_terminal", "threshold_log_x",
+                 "log_cash", "region", "note"]
 
 
-def cmd_control(cfg: NetworkConfig, args) -> tuple[dict, tuple[list, list]]:
-    net = cfg.to_network()
-    q, decisions = _decisions(cfg, net, args.time)
+def cmd_control(cfg: NetworkConfig, args) -> tuple[dict, list[str]]:
+    net = cfg.network
+    q, decisions = _decisions(cfg, args.time)
     total_cost = sum(d.expected_cost for d in decisions)
     banks = []
-    rows = []
-    header = ["bank", "name", "q", "region", "psi_star", "expected_cost",
-              "survival_prob_uncontrolled"]
     for i, decision in enumerate(decisions):
-        banks.append({"index": i + 1, "name": cfg.banks[i].name, "q": q[i],
+        banks.append({"index": i + 1, "name": cfg.names[i], "q": q[i],
                       "region": decision.region.value,
                       "psi_star": decision.psi_star,
                       "expected_cost": decision.expected_cost,
                       "survival_prob_uncontrolled":
                           decision.survival_prob_uncontrolled})
-        rows.append([i + 1, cfg.banks[i].name, q[i], decision.region.value,
-                     decision.psi_star, decision.expected_cost,
-                     decision.survival_prob_uncontrolled])
     doc = {"command": "control", "time": args.time, "psi_cap": cfg.psi_cap,
            "total_expected_cost": total_cost, "banks": banks}
-    return doc, (header, rows)
+    return doc, ["bank", "name", "q", "region", "psi_star", "expected_cost",
+                 "survival_prob_uncontrolled"]
 
 
 def _uncontrolled_variant(decisions):
@@ -210,11 +208,11 @@ def _uncontrolled_variant(decisions):
             for d in decisions]
 
 
-def cmd_simulate(cfg: NetworkConfig, args) -> tuple[dict, tuple[list, list]]:
+def cmd_simulate(cfg: NetworkConfig, args) -> tuple[dict, list[str]]:
     """Monte Carlo run of both scenarios: the uncontrolled baseline and the
     network under the decided lending rates."""
-    net = cfg.to_network()
-    q, decisions = _decisions(cfg, net, 0.0)
+    net = cfg.network
+    q, decisions = _decisions(cfg, 0.0)
     sim_cfg = SimConfig(paths=args.paths, steps=args.steps, seed=args.seed,
                         antithetic=args.antithetic)
     record = args.paths if args.dump_paths is not None else 0
@@ -224,24 +222,19 @@ def cmd_simulate(cfg: NetworkConfig, args) -> tuple[dict, tuple[list, list]]:
 
     for i in np.flatnonzero(report.infeasible_fallback):
         sys.stderr.write(
-            f"warning: control for {cfg.banks[i].name} is infeasible; "
+            f"warning: control for {cfg.names[i]} is infeasible; "
             "simulated uncontrolled\n")
     if args.dump_paths is not None:
-        _write_path_dump(cfg, {"uncontrolled": baseline,
-                               "controlled": report}, net.horizon, args)
+        _write_path_dump(cfg, dict(zip(_SCENARIOS, (baseline, report))),
+                         args)
 
     psi = [d.psi_star if d.psi_star is not None else 0.0 for d in decisions]
-    header = ["bank", "name", "scenario", "psi", "default_freq",
-              "default_ci_halfwidth", "mean_cost", "terminal_mean",
-              "terminal_logvar", "infeasible_fallback"]
-    rows = []
     sections = {}
-    for scenario, rep in (("uncontrolled", baseline),
-                          ("controlled", report)):
+    for scenario, rep in zip(_SCENARIOS, (baseline, report)):
         banks = []
         for i in range(net.n):
             rate = 0.0 if scenario == "uncontrolled" else psi[i]
-            entry = {"index": i + 1, "name": cfg.banks[i].name,
+            entry = {"index": i + 1, "name": cfg.names[i],
                      "psi": rate, "q": q[i],
                      "default_freq": rep.default_freq[i],
                      "default_ci_halfwidth": rep.default_ci_halfwidth[i],
@@ -250,44 +243,36 @@ def cmd_simulate(cfg: NetworkConfig, args) -> tuple[dict, tuple[list, list]]:
                      "terminal_logvar": rep.terminal_logvar[i],
                      "infeasible_fallback": bool(rep.infeasible_fallback[i])}
             banks.append(entry)
-            rows.append([i + 1, cfg.banks[i].name, scenario, rate,
-                         rep.default_freq[i], rep.default_ci_halfwidth[i],
-                         rep.mean_cost[i], rep.terminal_mean[i],
-                         rep.terminal_logvar[i],
-                         bool(rep.infeasible_fallback[i])])
         sections[scenario] = banks
     doc = {"command": "simulate", "paths_used": report.paths_used,
            "seed_used": report.seed_used, "steps": args.steps,
-           "antithetic": args.antithetic,
-           "uncontrolled": sections["uncontrolled"],
-           "controlled": sections["controlled"]}
-    return doc, (header, rows)
+           "antithetic": args.antithetic, **sections}
+    return doc, ["bank", "name", "scenario", "psi", "default_freq",
+                 "default_ci_halfwidth", "mean_cost", "terminal_mean",
+                 "terminal_logvar", "infeasible_fallback"]
 
 
-def _write_path_dump(cfg: NetworkConfig, reports: dict, horizon: float,
-                     args) -> None:
+def _write_path_dump(cfg: NetworkConfig, reports: dict, args) -> None:
     if args.dump_paths:
         target = Path(args.dump_paths)
     elif args.output:
         target = Path(str(args.output) + ".paths.csv")
     else:
         target = Path(_DEFAULT_DUMP)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["bank", "name", "scenario", "path", "step", "time",
-                     "value"])
-    for scenario, report in reports.items():
-        trajectories = report.trajectories
-        steps = trajectories.shape[2] - 1
-        dt = horizon / steps
-        for i in range(trajectories.shape[0]):
-            name = cfg.banks[i].name
-            for p in range(trajectories.shape[1]):
-                for s in range(steps + 1):
-                    writer.writerow([i + 1, name, scenario, p, s,
-                                     _cell(s * dt),
-                                     _cell(trajectories[i, p, s])])
-    target.write_text(buffer.getvalue(), encoding="utf-8")
+    with open(target, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["bank", "name", "scenario", "path", "step", "time",
+                         "value"])
+        for scenario, report in reports.items():
+            trajectories = report.trajectories
+            steps = trajectories.shape[2] - 1
+            dt = cfg.network.horizon / steps
+            for i, name in enumerate(cfg.names):
+                for p in range(trajectories.shape[1]):
+                    for s in range(steps + 1):
+                        writer.writerow([i + 1, name, scenario, p, s,
+                                         _cell(s * dt),
+                                         _cell(trajectories[i, p, s])])
 
 
 _COMMANDS = {
@@ -299,7 +284,7 @@ _COMMANDS = {
 }
 
 
-def run_command(command: str, cfg: NetworkConfig, args) -> tuple[dict, tuple[list, list]]:
+def run_command(command: str, cfg: NetworkConfig, args) -> tuple[dict, list[str]]:
     """Dispatch a command name to its implementation."""
     try:
         handler = _COMMANDS[command]
@@ -368,7 +353,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "rank" and args.matrix_override:
             args.matrix_override = resolve_input_path(args.matrix_override)
         cfg = load_config(args.config)
-        doc, (header, rows) = run_command(args.command, cfg, args)
+        doc, header = run_command(args.command, cfg, args)
     except (LolrnetError, ValueError, IndexError, OSError) as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         sys.stderr.write(dumps_doc(error) + "\n")
@@ -376,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.format == "doc":
         text = dumps_doc(doc) + "\n"
     else:
-        text = _table_text(header, rows)
+        text = _table_text(doc, header)
     _emit(text, args.output)
     return 0
 

@@ -20,17 +20,13 @@ import numpy as np
 from .errors import (ConfigError, ConfigParseError, ConfigValidationError,
                      SchemaVersionError)
 from .network import FinancialNetwork
-from .ranking import QPolicy, RankThresholdsPolicy, RankWeights, UniformPolicy
+from .ranking import (DEFAULT_DAMPING, QPolicy, RankThresholdsPolicy,
+                      RankWeights, UniformPolicy)
 
 __all__ = [
     "SCHEMA_VERSION",
-    "BankSpec",
-    "RankingSpec",
-    "PolicySpec",
     "NetworkConfig",
     "load_config",
-    "write_config",
-    "config_to_dict",
     "dumps_doc",
     "format_number",
     "load_matrix",
@@ -47,74 +43,25 @@ SCHEMA_VERSION = "1"
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BankSpec:
-    name: str
-    cash: float
-    drift: float
-    vol: float
-    recovery: float
-
-
-@dataclass(frozen=True)
-class RankingSpec:
-    c_plus: float
-    c_minus: float
-    damping: float = 0.85
-    epsilon: float = 0.0
-
-
-@dataclass(frozen=True)
-class PolicySpec:
-    kind: str
-    q: float | None = None
-    base: float | None = None
-    steps: tuple[tuple[float, float], ...] | None = None
-
-
-@dataclass(frozen=True)
 class NetworkConfig:
-    """Validated configuration document."""
+    """Validated configuration document, held as the objects the commands use.
+
+    ``names`` lists the bank names in index order; ``network``, ``weights``
+    and ``policy`` are the liabilities network, the rank coefficients and the
+    survival-target policy the document describes.
+    """
 
     schema_version: str
-    banks: tuple[BankSpec, ...]
-    liabilities: tuple[tuple[float, ...], ...]
-    growth_rate: float
-    horizon: float
-    ranking: RankingSpec
-    policy: PolicySpec
+    names: tuple[str, ...]
+    network: FinancialNetwork
+    weights: RankWeights
+    policy: QPolicy
     psi_cap: float
     comment: str | None = None
 
-    @property
-    def n(self) -> int:
-        return len(self.banks)
-
-    @property
-    def bank_names(self) -> tuple[str, ...]:
-        return tuple(bank.name for bank in self.banks)
-
     def to_network(self) -> FinancialNetwork:
-        return FinancialNetwork(
-            liabilities=[list(row) for row in self.liabilities],
-            cash=[bank.cash for bank in self.banks],
-            drift=[bank.drift for bank in self.banks],
-            vol=[bank.vol for bank in self.banks],
-            recovery=[bank.recovery for bank in self.banks],
-            growth_rate=self.growth_rate,
-            horizon=self.horizon,
-        )
-
-    def rank_weights(self) -> RankWeights:
-        return RankWeights(c_plus=self.ranking.c_plus,
-                           c_minus=self.ranking.c_minus,
-                           damping=self.ranking.damping,
-                           epsilon=self.ranking.epsilon)
-
-    def policy_object(self) -> QPolicy:
-        if self.policy.kind == "uniform":
-            return UniformPolicy(q=self.policy.q)
-        return RankThresholdsPolicy(base=self.policy.base,
-                                    steps=self.policy.steps)
+        """The liabilities network of the document."""
+        return self.network
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +85,10 @@ def _require(condition: bool, field: str, message: str) -> None:
         raise ConfigValidationError(field, message)
 
 
-def _number(doc: dict, field: str, path: str) -> float:
+def _number(doc: dict, field: str, path: str,
+            default: float | None = None) -> float:
+    if field not in doc and default is not None:
+        return default
     _require(field in doc, f"{path}.{field}", "missing")
     _require(_is_number(doc[field]), f"{path}.{field}", "must be a number")
     _require(_is_finite(doc[field]), f"{path}.{field}",
@@ -146,10 +96,12 @@ def _number(doc: dict, field: str, path: str) -> float:
     return float(doc[field])
 
 
-def _validate_banks(raw) -> tuple[BankSpec, ...]:
+def _validate_banks(raw) -> tuple[tuple[str, ...], dict[str, list[float]]]:
+    """Bank names and the ``cash``/``drift``/``vol``/``recovery`` columns."""
     _require(isinstance(raw, list) and len(raw) >= 1, "banks",
              "must be a non-empty array")
-    banks = []
+    names = []
+    columns = {"cash": [], "drift": [], "vol": [], "recovery": []}
     for k, entry in enumerate(raw):
         path = f"banks[{k}]"
         _require(isinstance(entry, dict), path, "must be an object")
@@ -163,17 +115,18 @@ def _validate_banks(raw) -> tuple[BankSpec, ...]:
         _require(vol > 0, f"{path}.vol", "must be strictly positive")
         _require(0 < recovery < 1, f"{path}.recovery",
                  "must lie strictly inside (0, 1)")
-        banks.append(BankSpec(name=entry["name"], cash=cash, drift=drift,
-                              vol=vol, recovery=recovery))
-    return tuple(banks)
+        names.append(entry["name"])
+        for field, value in zip(columns, (cash, drift, vol, recovery)):
+            columns[field].append(value)
+    return tuple(names), columns
 
 
-def _validate_liabilities(raw, n: int) -> tuple[tuple[float, ...], ...]:
+def _validate_liabilities(raw, n: int) -> np.ndarray:
     _require(isinstance(raw, list) and len(raw) == n, "liabilities",
              f"must be a {n}x{n} array")
     matrix = _liabilities_array(raw, n)
     if matrix is not None:
-        return tuple(map(tuple, matrix.tolist()))
+        return matrix
     # the per-entry loop names the first offending cell
     rows = []
     for i, row in enumerate(raw):
@@ -189,8 +142,8 @@ def _validate_liabilities(raw, n: int) -> tuple[tuple[float, ...], ...]:
             if i == j:
                 _require(value == 0, f"liabilities[{i}][{j}]",
                          "diagonal must be zero")
-        rows.append(tuple(float(v) for v in row))
-    return tuple(rows)
+        rows.append([float(v) for v in row])
+    return np.array(rows)
 
 
 def _liabilities_array(raw: list, n: int) -> np.ndarray | None:
@@ -212,32 +165,30 @@ def _liabilities_array(raw: list, n: int) -> np.ndarray | None:
     return matrix
 
 
-def _validate_ranking(raw) -> RankingSpec:
+def _validate_ranking(raw) -> RankWeights:
     _require(isinstance(raw, dict), "ranking", "must be an object")
     c_plus = _number(raw, "c_plus", "ranking")
     c_minus = _number(raw, "c_minus", "ranking")
-    damping = float(raw.get("damping", 0.85))
-    epsilon = float(raw.get("epsilon", 0.0))
+    damping = _number(raw, "damping", "ranking", default=DEFAULT_DAMPING)
+    epsilon = _number(raw, "epsilon", "ranking", default=0.0)
     _require(c_plus >= 0, "ranking.c_plus", "must be non-negative")
     _require(c_minus >= 0, "ranking.c_minus", "must be non-negative")
     _require(abs(c_plus + c_minus - 1.0) <= 1e-12, "ranking.c_minus",
              "c_plus + c_minus must equal 1")
     _require(0 < damping < 1, "ranking.damping",
              "must lie strictly inside (0, 1)")
-    _require(math.isfinite(epsilon), "ranking.epsilon",
-             "must be a finite number")
     _require(epsilon >= 0, "ranking.epsilon", "must be non-negative")
-    return RankingSpec(c_plus=c_plus, c_minus=c_minus, damping=damping,
+    return RankWeights(c_plus=c_plus, c_minus=c_minus, damping=damping,
                        epsilon=epsilon)
 
 
-def _validate_policy(raw) -> PolicySpec:
+def _validate_policy(raw) -> QPolicy:
     _require(isinstance(raw, dict), "policy", "must be an object")
     kind = raw.get("kind")
     if kind == "uniform":
         q = _number(raw, "q", "policy")
         _require(0 <= q < 1, "policy.q", "must lie in [0, 1)")
-        return PolicySpec(kind="uniform", q=q)
+        return UniformPolicy(q=q)
     if kind == "rank_thresholds":
         base = _number(raw, "base", "policy")
         _require(0 <= base < 1, "policy.base", "must lie in [0, 1)")
@@ -261,8 +212,7 @@ def _validate_policy(raw) -> PolicySpec:
             steps.append((threshold, increment))
         _require(total < 1, "policy.steps",
                  "base plus all increments must stay below 1")
-        return PolicySpec(kind="rank_thresholds", base=base,
-                          steps=tuple(steps))
+        return RankThresholdsPolicy(base=base, steps=tuple(steps))
     raise ConfigValidationError(
         "policy.kind", "must be 'uniform' or 'rank_thresholds'")
 
@@ -278,7 +228,7 @@ def _validate_psi_cap(raw) -> float:
 
 
 # ---------------------------------------------------------------------------
-# load / write
+# load
 # ---------------------------------------------------------------------------
 
 def _packaged(name: str) -> Path | None:
@@ -341,8 +291,8 @@ def load_config(path: str | Path) -> NetworkConfig:
         raise SchemaVersionError(
             f"unsupported schema_version {version!r}; expected {SCHEMA_VERSION!r}")
 
-    banks = _validate_banks(doc.get("banks"))
-    liabilities = _validate_liabilities(doc.get("liabilities"), len(banks))
+    names, columns = _validate_banks(doc.get("banks"))
+    liabilities = _validate_liabilities(doc.get("liabilities"), len(names))
     _require("growth_rate" in doc and _is_number(doc["growth_rate"]),
              "growth_rate", "must be a number")
     _require(_is_finite(doc["growth_rate"]), "growth_rate",
@@ -351,7 +301,7 @@ def load_config(path: str | Path) -> NetworkConfig:
              "must be a positive number")
     _require(_is_finite(doc["horizon"]), "horizon", "must be a finite number")
     _require(doc["horizon"] > 0, "horizon", "must be a positive number")
-    ranking = _validate_ranking(doc.get("ranking"))
+    weights = _validate_ranking(doc.get("ranking"))
     policy = _validate_policy(doc.get("policy"))
     _require("psi_cap" in doc, "psi_cap", "missing")
     psi_cap = _validate_psi_cap(doc["psi_cap"])
@@ -359,42 +309,12 @@ def load_config(path: str | Path) -> NetworkConfig:
     if comment is not None:
         _require(isinstance(comment, str), "comment", "must be a string")
 
-    return NetworkConfig(schema_version=version, banks=banks,
-                         liabilities=liabilities,
-                         growth_rate=float(doc["growth_rate"]),
-                         horizon=float(doc["horizon"]), ranking=ranking,
-                         policy=policy, psi_cap=psi_cap, comment=comment)
-
-
-def config_to_dict(cfg: NetworkConfig) -> dict:
-    """Plain-dict form of a configuration, suitable for ``dumps_doc``."""
-    doc: dict = {"schema_version": cfg.schema_version}
-    if cfg.comment is not None:
-        doc["comment"] = cfg.comment
-    doc["banks"] = [
-        {"name": b.name, "cash": b.cash, "drift": b.drift, "vol": b.vol,
-         "recovery": b.recovery} for b in cfg.banks]
-    doc["liabilities"] = [list(row) for row in cfg.liabilities]
-    doc["growth_rate"] = cfg.growth_rate
-    doc["horizon"] = cfg.horizon
-    doc["ranking"] = {"c_plus": cfg.ranking.c_plus,
-                      "c_minus": cfg.ranking.c_minus,
-                      "damping": cfg.ranking.damping,
-                      "epsilon": cfg.ranking.epsilon}
-    if cfg.policy.kind == "uniform":
-        doc["policy"] = {"kind": "uniform", "q": cfg.policy.q}
-    else:
-        doc["policy"] = {"kind": "rank_thresholds", "base": cfg.policy.base,
-                         "steps": [{"threshold": t, "increment": inc}
-                                   for t, inc in cfg.policy.steps]}
-    doc["psi_cap"] = cfg.psi_cap
-    return doc
-
-
-def write_config(cfg: NetworkConfig, path: str | Path) -> None:
-    """Write a configuration document; ``load_config`` round-trips it."""
-    Path(path).write_text(dumps_doc(config_to_dict(cfg)) + "\n",
-                          encoding="utf-8")
+    network = FinancialNetwork(liabilities=liabilities, **columns,
+                               growth_rate=doc["growth_rate"],
+                               horizon=doc["horizon"])
+    return NetworkConfig(schema_version=version, names=names,
+                         network=network, weights=weights, policy=policy,
+                         psi_cap=psi_cap, comment=comment)
 
 
 def load_matrix(path: str | Path) -> np.ndarray:

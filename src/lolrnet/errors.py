@@ -60,7 +60,8 @@ class DegenerateNetworkError(LolrnetError, ValueError):
 
     def __init__(self, vertex: int, message: str | None = None):
         super().__init__(
-            message or f"bank {vertex} has zero outgoing rank weight; "
-            "use a positive epsilon regularizer or different weight coefficients"
+            message or f"bank {vertex} (0-based index) has zero outgoing rank "
+            "weight; use a positive epsilon regularizer or different weight "
+            "coefficients"
         )
         self.vertex = vertex

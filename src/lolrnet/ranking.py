@@ -146,7 +146,9 @@ def edge_weights(net: FinancialNetwork,
     ------
     DegenerateNetworkError
         If some vertex ends up with zero outgoing weight (its row of
-        ``gamma_plus`` is all zero), naming the vertex.
+        ``gamma_plus`` is all zero), naming the vertex.  The message says
+        when the vertex has no liabilities in or out, which no ``epsilon``
+        can lift.
     """
     liab = net.liabilities
     positions = net_positions(net)
@@ -160,7 +162,12 @@ def edge_weights(net: FinancialNetwork,
     outdegree = gamma_plus.sum(axis=1)
     dead = np.flatnonzero(outdegree == 0)
     if dead.size:
-        raise DegenerateNetworkError(int(dead[0]))
+        k = int(dead[0])
+        if not (liab[k].any() or liab[:, k].any()):
+            raise DegenerateNetworkError(
+                k, f"bank {k} (0-based index) has no liabilities in or out, "
+                "so it has zero rank weight for every epsilon")
+        raise DegenerateNetworkError(k)
     return gamma_plus, gamma_plus.T.copy()
 
 

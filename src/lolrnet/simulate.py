@@ -30,7 +30,7 @@ from scipy.special import ndtri
 from .control import ControlDecision, Region
 from .network import FinancialNetwork, default_boundary
 
-__all__ = ["SimConfig", "SimReport", "gbm_step", "simulate_network", "estimate_cost"]
+__all__ = ["SimConfig", "SimReport", "simulate_network", "estimate_cost"]
 
 # raw 64-bit words produced per Philox counter increment
 _WORDS_PER_BLOCK = 4
@@ -88,20 +88,6 @@ class SimReport:
     seed_used: int
     infeasible_fallback: np.ndarray
     trajectories: np.ndarray | None = None
-
-
-def gbm_step(x, mu_eff, sigma, dt, z):
-    """Exact lognormal transition over one interval of length ``dt``.
-
-    ``x * exp((mu_eff - sigma^2 / 2) dt + sigma sqrt(dt) z)`` for a standard
-    normal draw ``z``; no discretization bias.  Accepts scalars or arrays.
-    """
-    if np.any(np.asarray(x) <= 0):
-        raise ValueError("x must be positive")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    return x * np.exp((mu_eff - 0.5 * np.square(sigma)) * dt
-                      + sigma * math.sqrt(dt) * z)
 
 
 def _blocks_per_path(steps: int) -> int:

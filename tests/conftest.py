@@ -24,6 +24,5 @@ def printed_google():
 
 @pytest.fixture(scope="session")
 def case_q(case_config, case_network):
-    result = ln.rank_network(case_network, case_config.rank_weights())
-    return ln.assign_survival_probabilities(result.rank,
-                                            case_config.policy_object())
+    result = ln.rank_network(case_network, case_config.weights)
+    return ln.assign_survival_probabilities(result.rank, case_config.policy)

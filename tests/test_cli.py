@@ -10,7 +10,7 @@ import pytest
 
 import lolrnet as ln
 from lolrnet.cli import main
-from lolrnet.config import dumps_doc
+from lolrnet.config import dumps_doc, format_number
 from _support import CREDITOR_TABLE, FIXTURE_EIGENVALUE, FIXTURE_RANK
 
 SCHEMA_DIR = Path(ln.__file__).parent / "schemas"
@@ -33,14 +33,13 @@ def parse_csv(text):
 
 class TestConfigLoading:
     def test_fixture_is_the_transposed_creditor_table(self, case_config):
-        assert case_config.n == 4
-        assert case_config.bank_names == ("Bank 1", "Bank 2", "Bank 3",
-                                          "Bank 4")
-        stored = np.array(case_config.liabilities)
-        assert np.array_equal(stored, np.array(CREDITOR_TABLE, float).T)
-        assert [b.drift for b in case_config.banks] == [0.2, 0.15, 0.3, 0.05]
-        assert [b.vol for b in case_config.banks] == [0.1, 0.25, 0.2, 0.4]
-        assert case_config.growth_rate == 0.08
+        net = case_config.to_network()
+        assert case_config.names == ("Bank 1", "Bank 2", "Bank 3", "Bank 4")
+        assert np.array_equal(net.liabilities,
+                              np.array(CREDITOR_TABLE, float).T)
+        assert net.drift.tolist() == [0.2, 0.15, 0.3, 0.05]
+        assert net.vol.tolist() == [0.1, 0.25, 0.2, 0.4]
+        assert net.growth_rate == 0.08
         assert case_config.psi_cap == math.inf
 
     def test_fixture_matches_config_schema(self):
@@ -96,10 +95,13 @@ class TestConfigLoading:
         assert case_config.psi_cap is math.inf or math.isinf(
             case_config.psi_cap)
 
-    def test_round_trip(self, tmp_path, case_config):
-        target = tmp_path / "roundtrip.json"
-        ln.write_config(case_config, target)
-        assert ln.load_config(target) == case_config
+    def test_ranking_defaults_when_absent(self, tmp_path):
+        doc = json.loads(ln.case_study_path().read_text())
+        del doc["ranking"]["damping"], doc["ranking"]["epsilon"]
+        target = tmp_path / "defaults.json"
+        target.write_text(json.dumps(doc))
+        weights = ln.load_config(target).weights
+        assert (weights.damping, weights.epsilon) == (0.85, 0.0)
 
     def test_missing_file(self):
         with pytest.raises(ln.ConfigError, match="not found"):
@@ -217,6 +219,43 @@ class TestCommandOutputs:
             assert header == expected
             # simulate emits one row per bank and scenario
             assert len(rows) == (8 if argv[0] == "simulate" else 4)
+
+    @pytest.mark.parametrize("argv", [
+        ("rank",), ("rank", "--matrix-override", "printed_gd.json"),
+        ("clearing", "--time", "0.5"), ("regions",), ("control",),
+        ("simulate", "--paths", "400", "--steps", "8"),
+    ], ids=" ".join)
+    def test_table_is_a_view_of_the_doc(self, capsys, argv):
+        def cell(value):
+            if value is None:
+                return ""
+            if isinstance(value, bool):
+                return "true" if value else "false"
+            if isinstance(value, float):
+                return format_number(value)
+            return str(value)
+
+        command = ("--config", "case_study.json", *argv[1:])
+        _, table, _ = run_cli(capsys, argv[0], *command)
+        _, text, _ = run_cli(capsys, argv[0], *command, "--format", "doc")
+        # every JSON number is a float so "-0" keeps its sign
+        doc = json.loads(text, parse_int=float)
+        if argv[0] == "simulate":
+            entries = [(s, e) for s in ("uncontrolled", "controlled")
+                       for e in doc[s]]
+        else:
+            entries = [(None, e) for e in doc["banks"]]
+        header, rows = parse_csv(table)
+        assert len(rows) == len(entries)
+        for row, (scenario, entry) in zip(rows, entries):
+            for column, text_cell in zip(header, row):
+                if column == "bank":
+                    value = entry["index"]
+                elif column == "scenario":
+                    value = scenario
+                else:
+                    value = entry[column] if column in entry else doc[column]
+                assert text_cell == cell(value), (column, entry["index"])
 
     def test_infeasible_warning_on_stderr(self, capsys, tmp_path):
         doc = json.loads(ln.case_study_path().read_text())
@@ -347,6 +386,21 @@ class TestErrorHandling:
         field = keys[0] + "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
                                   for k in keys[1:])
         assert error["message"] == f"{field}: must be a finite number"
+
+    @pytest.mark.parametrize("field", ["damping", "epsilon"])
+    @pytest.mark.parametrize("value", [None, "0.5", "abc"])
+    def test_optional_ranking_number_is_checked(self, capsys, tmp_path,
+                                                field, value):
+        doc = json.loads(ln.case_study_path().read_text())
+        doc["ranking"][field] = value
+        target = tmp_path / "ranking.json"
+        target.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "control", "--config", str(target))
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ConfigValidationError"
+        assert error["message"] == f"ranking.{field}: must be a number"
 
     def test_unknown_command_usage_error(self):
         with pytest.raises(SystemExit) as info:

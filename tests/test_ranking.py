@@ -97,6 +97,29 @@ class TestEdgeWeights:
             ln.edge_weights(case_network,
                             ln.RankWeights(c_plus=0.0, c_minus=1.0))
         assert info.value.vertex == 2
+        assert str(info.value).startswith("bank 2 (0-based index)")
+        assert "positive epsilon" in str(info.value)
+
+    def test_isolated_bank_is_not_told_to_use_epsilon(self, case_network):
+        # a fifth bank with no liabilities in or out has no edge for
+        # epsilon to lift
+        liabilities = np.zeros((5, 5))
+        liabilities[:4, :4] = case_network.liabilities
+        net = ln.FinancialNetwork(
+            liabilities=liabilities,
+            cash=[*case_network.cash, 1.0],
+            drift=[*case_network.drift, 0.1],
+            vol=[*case_network.vol, 0.2],
+            recovery=[*case_network.recovery, 0.5],
+            growth_rate=case_network.growth_rate,
+            horizon=case_network.horizon)
+        with pytest.raises(ln.DegenerateNetworkError) as info:
+            ln.edge_weights(net, ln.RankWeights(c_plus=0.5, c_minus=0.5,
+                                                epsilon=0.5))
+        assert info.value.vertex == 4
+        assert str(info.value) == (
+            "bank 4 (0-based index) has no liabilities in or out, so it has "
+            "zero rank weight for every epsilon")
 
     def test_epsilon_lifts_degeneracy(self, case_network):
         gamma_plus, _ = ln.edge_weights(
@@ -245,12 +268,12 @@ class TestPipelineReproducesFixtureMatrix:
 
     def test_google_matrix_matches_to_rounding(self, case_config,
                                                case_network, printed_google):
-        result = ln.rank_network(case_network, case_config.rank_weights())
+        result = ln.rank_network(case_network, case_config.weights)
         assert np.max(np.abs(result.google - printed_google)) < 5e-5
 
     def test_eigenpair_matches_fixture_rounding(self, case_config,
                                                   case_network):
-        result = ln.rank_network(case_network, case_config.rank_weights())
+        result = ln.rank_network(case_network, case_config.weights)
         assert result.eigenvalue == pytest.approx(FIXTURE_EIGENVALUE,
                                                   abs=1e-3)
         assert result.rank == pytest.approx(FIXTURE_RANK, abs=1e-3)

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -16,32 +14,6 @@ def uncontrolled(case_network):
 @pytest.fixture(scope="module")
 def controlled(case_network, case_q):
     return ln.network_decision(case_network, case_q)
-
-
-class TestGbmStep:
-    def test_zero_vol_is_deterministic(self):
-        assert ln.gbm_step(2.0, 0.1, 0.0, 0.5, 3.7) == pytest.approx(
-            2.0 * math.exp(0.05), abs=1e-15)
-
-    def test_median_path_is_flat(self):
-        assert ln.gbm_step(4.0, 0.02, 0.2, 1.0, 0.0) == pytest.approx(
-            4.0, abs=1e-15)  # mu_eff == sigma^2/2 cancels the drift
-
-    def test_log_moment_matches_lognormal_law(self):
-        # oracle: E[log X(T)/x] = (mu - sigma^2/2) T
-        rng = np.random.default_rng(123)
-        n, mu, sigma, horizon = 100_000, 0.23, 0.4, 1.7
-        draws = rng.standard_normal(n)
-        log_ratio = np.log(ln.gbm_step(1.0, mu, sigma, horizon, draws))
-        expected = (mu - sigma**2 / 2) * horizon
-        stderr = sigma * math.sqrt(horizon) / math.sqrt(n)
-        assert abs(log_ratio.mean() - expected) <= 4 * stderr
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            ln.gbm_step(0.0, 0.1, 0.2, 0.5, 0.0)
-        with pytest.raises(ValueError):
-            ln.gbm_step(1.0, 0.1, 0.2, 0.0, 0.0)
 
 
 class TestCounterAddressing:

@@ -12,8 +12,8 @@ from .control import (ControlDecision, ControlProblem, Region, classify,
                       network_decision, no_action_threshold, rho,
                       survival_probability, switching_rate, value_function)
 from .errors import (ConfigError, ConfigParseError, ConfigValidationError,
-                     ConvergenceError, DegenerateNetworkError, LolrnetError,
-                     SchemaVersionError)
+                     ConvergenceError, DegenerateNetworkError,
+                     InvalidValueError, LolrnetError, SchemaVersionError)
 from .network import (ClearingResult, FinancialNetwork, GraphMatrices,
                       build_graph_matrices, clearing_vector, default_boundary,
                       net_liability_matrix, relative_liabilities,
@@ -47,6 +47,7 @@ __all__ = [
     # config
     "NetworkConfig", "load_config", "case_study_path", "printed_google_path",
     # errors
-    "LolrnetError", "ConfigError", "ConfigParseError", "SchemaVersionError",
-    "ConfigValidationError", "ConvergenceError", "DegenerateNetworkError",
+    "LolrnetError", "InvalidValueError", "ConfigError", "ConfigParseError",
+    "SchemaVersionError", "ConfigValidationError", "ConvergenceError",
+    "DegenerateNetworkError",
 ]

@@ -11,17 +11,18 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (ConfigError, ConfigParseError, ConfigValidationError,
-                     SchemaVersionError)
+from .errors import (MUST_BE_FINITE, ConfigError, ConfigParseError,
+                     ConfigValidationError, InvalidValueError,
+                     SchemaVersionError, require)
 from .network import FinancialNetwork
-from .ranking import (DEFAULT_DAMPING, QPolicy, RankThresholdsPolicy,
-                      RankWeights, UniformPolicy)
+from .ranking import QPolicy, RankThresholdsPolicy, RankWeights, UniformPolicy
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -65,19 +66,20 @@ class NetworkConfig:
 
 
 # ---------------------------------------------------------------------------
-# validation helpers
+# JSON checks; the domain constructors own every value invariant
 # ---------------------------------------------------------------------------
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _is_finite(value) -> bool:
-    # JSON integers are unbounded; one too large for a float is not finite
+def _float(value) -> float:
+    # JSON integers are unbounded; one too large for a float reads as +-inf,
+    # which the domain's finiteness check then names
     try:
-        return math.isfinite(value)
+        return float(value)
     except OverflowError:
-        return False
+        return math.inf if value > 0 else -math.inf
 
 
 def _require(condition: bool, field: str, message: str) -> None:
@@ -85,15 +87,28 @@ def _require(condition: bool, field: str, message: str) -> None:
         raise ConfigValidationError(field, message)
 
 
-def _number(doc: dict, field: str, path: str,
-            default: float | None = None) -> float:
-    if field not in doc and default is not None:
-        return default
+def _number(doc: dict, field: str, path: str) -> float:
     _require(field in doc, f"{path}.{field}", "missing")
     _require(_is_number(doc[field]), f"{path}.{field}", "must be a number")
-    _require(_is_finite(doc[field]), f"{path}.{field}",
-             "must be a finite number")
-    return float(doc[field])
+    return _float(doc[field])
+
+
+def _build(doc_path, cls, **fields):
+    """``cls(**fields)``, with an invalid value reported at its document path.
+
+    ``doc_path`` maps the field path the constructor names (``vol[2]``) to
+    the one in the document (``banks[2].vol``).
+    """
+    try:
+        return cls(**fields)
+    except InvalidValueError as exc:
+        raise ConfigValidationError(doc_path(exc.field), exc.message) from exc
+
+
+def _network_path(field: str) -> str:
+    # a bank column entry vol[2] is banks[2].vol in the document
+    return re.sub(r"^(cash|drift|vol|recovery)\[(\d+)\]$", r"banks[\2].\1",
+                  field)
 
 
 def _validate_banks(raw) -> tuple[tuple[str, ...], dict[str, list[float]]]:
@@ -107,124 +122,71 @@ def _validate_banks(raw) -> tuple[tuple[str, ...], dict[str, list[float]]]:
         _require(isinstance(entry, dict), path, "must be an object")
         _require(isinstance(entry.get("name"), str) and entry["name"],
                  f"{path}.name", "must be a non-empty string")
-        cash = _number(entry, "cash", path)
-        drift = _number(entry, "drift", path)
-        vol = _number(entry, "vol", path)
-        recovery = _number(entry, "recovery", path)
-        _require(cash >= 0, f"{path}.cash", "must be non-negative")
-        _require(vol > 0, f"{path}.vol", "must be strictly positive")
-        _require(0 < recovery < 1, f"{path}.recovery",
-                 "must lie strictly inside (0, 1)")
         names.append(entry["name"])
-        for field, value in zip(columns, (cash, drift, vol, recovery)):
-            columns[field].append(value)
+        for field, column in columns.items():
+            column.append(_number(entry, field, path))
     return tuple(names), columns
 
 
-def _validate_liabilities(raw, n: int) -> np.ndarray:
-    _require(isinstance(raw, list) and len(raw) == n, "liabilities",
+def _number_matrix(raw, n: int, path: str) -> np.ndarray:
+    """An ``n`` x ``n`` JSON array of numbers as a float array."""
+    _require(isinstance(raw, list) and len(raw) == n, path,
              f"must be a {n}x{n} array")
-    matrix = _liabilities_array(raw, n)
-    if matrix is not None:
-        return matrix
-    # the per-entry loop names the first offending cell
-    rows = []
     for i, row in enumerate(raw):
         _require(isinstance(row, list) and len(row) == n,
-                 f"liabilities[{i}]", f"must have {n} entries")
-        for j, value in enumerate(row):
-            _require(_is_number(value), f"liabilities[{i}][{j}]",
-                     "must be a number")
-            _require(_is_finite(value), f"liabilities[{i}][{j}]",
-                     "must be a finite number")
-            _require(value >= 0, f"liabilities[{i}][{j}]",
-                     "must be non-negative")
-            if i == j:
-                _require(value == 0, f"liabilities[{i}][{j}]",
-                         "diagonal must be zero")
-        rows.append([float(v) for v in row])
-    return np.array(rows)
-
-
-def _liabilities_array(raw: list, n: int) -> np.ndarray | None:
-    """The liabilities as one float array, or None if any check fails.
-
-    Applies only to a square matrix of plain ints and floats, so a
-    conversion never coerces a bool or a string.
-    """
-    if not all(isinstance(row, list) and len(row) == n
-               and set(map(type, row)) <= {int, float} for row in raw):
-        return None
+                 f"{path}[{i}]", f"must have {n} entries")
+        if not set(map(type, row)) <= {int, float}:
+            for j, value in enumerate(row):
+                _require(_is_number(value), f"{path}[{i}][{j}]",
+                         "must be a number")
     try:
-        matrix = np.array(raw, dtype=float)
+        return np.array(raw, dtype=float)
     except OverflowError:
-        return None
-    if not (np.isfinite(matrix).all() and (matrix >= 0).all()
-            and (np.diagonal(matrix) == 0).all()):
-        return None
-    return matrix
+        return np.array([[_float(v) for v in row] for row in raw])
 
 
 def _validate_ranking(raw) -> RankWeights:
     _require(isinstance(raw, dict), "ranking", "must be an object")
-    c_plus = _number(raw, "c_plus", "ranking")
-    c_minus = _number(raw, "c_minus", "ranking")
-    damping = _number(raw, "damping", "ranking", default=DEFAULT_DAMPING)
-    epsilon = _number(raw, "epsilon", "ranking", default=0.0)
-    _require(c_plus >= 0, "ranking.c_plus", "must be non-negative")
-    _require(c_minus >= 0, "ranking.c_minus", "must be non-negative")
-    _require(abs(c_plus + c_minus - 1.0) <= 1e-12, "ranking.c_minus",
-             "c_plus + c_minus must equal 1")
-    _require(0 < damping < 1, "ranking.damping",
-             "must lie strictly inside (0, 1)")
-    _require(epsilon >= 0, "ranking.epsilon", "must be non-negative")
-    return RankWeights(c_plus=c_plus, c_minus=c_minus, damping=damping,
-                       epsilon=epsilon)
+    # damping and epsilon are optional; RankWeights holds their defaults
+    optional = [field for field in ("damping", "epsilon") if field in raw]
+    return _build("ranking.{}".format, RankWeights, **{
+        field: _number(raw, field, "ranking")
+        for field in ("c_plus", "c_minus", *optional)})
 
 
 def _validate_policy(raw) -> QPolicy:
     _require(isinstance(raw, dict), "policy", "must be an object")
     kind = raw.get("kind")
     if kind == "uniform":
-        q = _number(raw, "q", "policy")
-        _require(0 <= q < 1, "policy.q", "must lie in [0, 1)")
-        return UniformPolicy(q=q)
+        return _build("policy.{}".format, UniformPolicy,
+                      q=_number(raw, "q", "policy"))
     if kind == "rank_thresholds":
         base = _number(raw, "base", "policy")
-        _require(0 <= base < 1, "policy.base", "must lie in [0, 1)")
         steps_raw = raw.get("steps")
         _require(isinstance(steps_raw, list), "policy.steps",
                  "must be an array")
         steps = []
-        total = base
-        previous = -math.inf
         for k, step in enumerate(steps_raw):
             path = f"policy.steps[{k}]"
             _require(isinstance(step, dict), path, "must be an object")
-            threshold = _number(step, "threshold", path)
-            increment = _number(step, "increment", path)
-            _require(threshold > previous, f"{path}.threshold",
-                     "thresholds must be strictly ascending")
-            _require(increment >= 0, f"{path}.increment",
-                     "must be non-negative")
-            previous = threshold
-            total += increment
-            steps.append((threshold, increment))
-        _require(total < 1, "policy.steps",
-                 "base plus all increments must stay below 1")
-        return RankThresholdsPolicy(base=base, steps=tuple(steps))
+            steps.append((_number(step, "threshold", path),
+                          _number(step, "increment", path)))
+        return _build("policy.{}".format, RankThresholdsPolicy,
+                      base=base, steps=tuple(steps))
     raise ConfigValidationError(
         "policy.kind", "must be 'uniform' or 'rank_thresholds'")
 
 
 def _validate_psi_cap(raw) -> float:
+    # psi_cap reaches no constructor here, so its invariant lives here
     if raw == "inf":
         return math.inf
     _require(_is_number(raw), "psi_cap",
              "must be a positive number or the string 'inf'")
-    _require(_is_finite(raw), "psi_cap", "must be a finite number")
-    _require(raw > 0, "psi_cap", "must be positive")
-    return float(raw)
+    value = _float(raw)
+    _require(math.isfinite(value), "psi_cap", MUST_BE_FINITE)
+    _require(value > 0, "psi_cap", "must be positive")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +225,14 @@ def printed_google_path() -> Path:
     return resolve_input_path("printed_gd.json")
 
 
+def _read_json(path: str | Path) -> tuple[Path, object]:
+    resolved = resolve_input_path(path)
+    try:
+        return resolved, json.loads(resolved.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigParseError(f"{resolved}: {exc}") from exc
+
+
 def load_config(path: str | Path) -> NetworkConfig:
     """Load and validate a configuration document.
 
@@ -275,12 +245,7 @@ def load_config(path: str | Path) -> NetworkConfig:
     ConfigValidationError
         A field violates an invariant; the error names the field path.
     """
-    resolved = resolve_input_path(path)
-    text = resolved.read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigParseError(f"{resolved}: {exc}") from exc
+    resolved, doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ConfigParseError(f"{resolved}: top level must be an object")
 
@@ -292,15 +257,16 @@ def load_config(path: str | Path) -> NetworkConfig:
             f"unsupported schema_version {version!r}; expected {SCHEMA_VERSION!r}")
 
     names, columns = _validate_banks(doc.get("banks"))
-    liabilities = _validate_liabilities(doc.get("liabilities"), len(names))
+    liabilities = _number_matrix(doc.get("liabilities"), len(names),
+                                 "liabilities")
     _require("growth_rate" in doc and _is_number(doc["growth_rate"]),
              "growth_rate", "must be a number")
-    _require(_is_finite(doc["growth_rate"]), "growth_rate",
-             "must be a finite number")
     _require("horizon" in doc and _is_number(doc["horizon"]), "horizon",
              "must be a positive number")
-    _require(_is_finite(doc["horizon"]), "horizon", "must be a finite number")
-    _require(doc["horizon"] > 0, "horizon", "must be a positive number")
+    network = _build(_network_path, FinancialNetwork,
+                     liabilities=liabilities, **columns,
+                     growth_rate=_float(doc["growth_rate"]),
+                     horizon=_float(doc["horizon"]))
     weights = _validate_ranking(doc.get("ranking"))
     policy = _validate_policy(doc.get("policy"))
     _require("psi_cap" in doc, "psi_cap", "missing")
@@ -309,26 +275,27 @@ def load_config(path: str | Path) -> NetworkConfig:
     if comment is not None:
         _require(isinstance(comment, str), "comment", "must be a string")
 
-    network = FinancialNetwork(liabilities=liabilities, **columns,
-                               growth_rate=doc["growth_rate"],
-                               horizon=doc["horizon"])
     return NetworkConfig(schema_version=version, names=names,
                          network=network, weights=weights, policy=policy,
                          psi_cap=psi_cap, comment=comment)
 
 
 def load_matrix(path: str | Path) -> np.ndarray:
-    """Load a square matrix from JSON: a bare 2D array or ``{"google": ...}``."""
-    resolved = resolve_input_path(path)
-    try:
-        doc = json.loads(resolved.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigParseError(f"{resolved}: {exc}") from exc
+    """Load a square matrix from JSON: a bare 2D array or ``{"google": ...}``.
+
+    Every entry must be a finite number; an error names the file and the
+    0-based cell, e.g. ``google[1][2]``.
+    """
+    resolved, doc = _read_json(path)
     if isinstance(doc, dict):
         doc = doc.get("google")
-    matrix = np.asarray(doc, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+    if not (isinstance(doc, list) and doc):
         raise ConfigError(f"{resolved}: expected a square matrix")
+    try:
+        matrix = _number_matrix(doc, len(doc), "google")
+        require(np.isfinite(matrix), "google", MUST_BE_FINITE)
+    except InvalidValueError as exc:
+        raise ConfigError(f"{resolved}: {exc}") from exc
     return matrix
 
 

@@ -21,6 +21,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import erf, erfinv
 
+from .errors import MUST_BE_FINITE, require
 from .network import FinancialNetwork, default_boundary
 
 __all__ = [
@@ -63,16 +64,16 @@ class ControlProblem:
     psi_cap: float = math.inf
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if self.horizon_remaining <= 0:
-            raise ValueError("horizon_remaining must be positive")
-        if not 0.0 < self.q < 1.0:
-            raise ValueError("q must lie strictly inside (0, 1)")
-        if self.v_terminal <= 0:
-            raise ValueError("v_terminal must be positive")
-        if self.psi_cap <= 0:
-            raise ValueError("psi_cap must be positive (math.inf for no cap)")
+        for name in ("mu", "sigma", "v_terminal", "horizon_remaining", "q"):
+            require(math.isfinite(getattr(self, name)), name, MUST_BE_FINITE)
+        require(self.sigma > 0, "sigma", "must be strictly positive")
+        require(self.horizon_remaining > 0, "horizon_remaining",
+                "must be positive")
+        require(0.0 < self.q < 1.0, "q", "must lie strictly inside (0, 1)")
+        require(self.v_terminal > 0, "v_terminal", "must be positive")
+        # NaN fails the comparison; inf means uncapped
+        require(self.psi_cap > 0, "psi_cap",
+                "must be positive (math.inf for no cap)")
 
 
 @dataclass(frozen=True)
@@ -216,7 +217,7 @@ def network_decision(net: FinancialNetwork, q: np.ndarray, t: float = 0.0,
     q = np.asarray(q, dtype=float)
     if q.shape != (net.n,):
         raise ValueError(f"q must have length {net.n}")
-    if np.any((q <= 0) | (q >= 1)):
+    if not ((q > 0) & (q < 1)).all():
         raise ValueError("q entries must lie strictly inside (0, 1)")
     if not 0.0 <= t < net.horizon:
         raise ValueError(f"decision time {t} outside [0, {net.horizon})")

@@ -6,6 +6,7 @@ import numpy as np
 
 __all__ = [
     "LolrnetError",
+    "InvalidValueError",
     "ConfigError",
     "ConfigParseError",
     "SchemaVersionError",
@@ -17,6 +18,39 @@ __all__ = [
 
 class LolrnetError(Exception):
     """Base class for errors raised by this package."""
+
+
+MUST_BE_FINITE = "must be a finite number"
+
+
+class InvalidValueError(LolrnetError, ValueError):
+    """A value breaks an invariant of the object it describes.
+
+    ``field`` is the entry's path within that object, e.g. ``vol[2]``,
+    ``liabilities[0][3]`` or ``steps[1].increment``; ``message`` says why.
+    """
+
+    def __init__(self, field: str, message: str):
+        super().__init__(f"{field}: {message}")
+        self.field = field
+        self.message = message
+
+
+def require(ok, field: str, message: str) -> None:
+    """Raise :class:`InvalidValueError` unless ``ok`` holds everywhere.
+
+    ``ok`` is a bool or a bool array; for an array the index of its first
+    false entry is appended to ``field`` (``vol`` -> ``vol[2]``).  NaN
+    compares false, so a range mask such as ``vol > 0`` rejects NaN too.
+    """
+    if isinstance(ok, np.ndarray):
+        if ok.all():
+            return
+        index = np.unravel_index(np.argmin(ok), ok.shape)
+        field += "".join(f"[{k}]" for k in index)
+    elif ok:
+        return
+    raise InvalidValueError(field, message)
 
 
 class ConfigError(LolrnetError, ValueError):
@@ -31,15 +65,12 @@ class SchemaVersionError(ConfigError):
     """The configuration declares an unsupported schema version."""
 
 
-class ConfigValidationError(ConfigError):
+class ConfigValidationError(ConfigError, InvalidValueError):
     """A configuration value violates an invariant.
 
-    ``field`` holds the path of the offending entry, e.g. ``banks[2].vol``.
+    ``field`` holds the path of the offending entry in the document, e.g.
+    ``banks[2].vol``.
     """
-
-    def __init__(self, field: str, message: str):
-        super().__init__(f"{field}: {message}")
-        self.field = field
 
 
 class ConvergenceError(LolrnetError, RuntimeError):

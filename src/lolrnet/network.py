@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import MUST_BE_FINITE, ConvergenceError, require
 
 __all__ = [
     "FinancialNetwork",
@@ -92,37 +92,25 @@ class FinancialNetwork:
         n = liab.shape[0]
         if n < 1:
             raise ValueError("network needs at least one bank")
-        if np.any(liab < 0):
-            raise ValueError("liabilities entries must be non-negative")
-        if np.any(np.diag(liab) != 0):
-            raise ValueError("liabilities must have a zero diagonal")
-
-        cash = _frozen(self.cash)
-        drift = _frozen(self.drift)
-        vol = _frozen(self.vol)
-        recovery = _frozen(self.recovery)
-        for name, vec in (("cash", cash), ("drift", drift),
-                          ("vol", vol), ("recovery", recovery)):
+        object.__setattr__(self, "liabilities", liab)
+        for name in ("cash", "drift", "vol", "recovery"):
+            vec = _frozen(getattr(self, name))
             if vec.shape != (n,):
                 raise ValueError(f"{name} must have length {n}")
-        if np.any(cash < 0):
-            raise ValueError("cash entries must be non-negative")
-        if np.any(vol <= 0):
-            raise ValueError("vol entries must be strictly positive")
-        if np.any((recovery <= 0) | (recovery >= 1)):
-            raise ValueError("recovery entries must lie strictly inside (0, 1)")
-        if not math.isfinite(self.growth_rate):
-            raise ValueError("growth_rate must be finite")
-        if not (self.horizon > 0 and math.isfinite(self.horizon)):
-            raise ValueError("horizon must be positive and finite")
-
-        object.__setattr__(self, "liabilities", liab)
-        object.__setattr__(self, "cash", cash)
-        object.__setattr__(self, "drift", drift)
-        object.__setattr__(self, "vol", vol)
-        object.__setattr__(self, "recovery", recovery)
-        object.__setattr__(self, "growth_rate", float(self.growth_rate))
-        object.__setattr__(self, "horizon", float(self.horizon))
+            require(np.isfinite(vec), name, MUST_BE_FINITE)
+            object.__setattr__(self, name, vec)
+        require(self.cash >= 0, "cash", "must be non-negative")
+        require(self.vol > 0, "vol", "must be strictly positive")
+        require((self.recovery > 0) & (self.recovery < 1), "recovery",
+                "must lie strictly inside (0, 1)")
+        require(np.isfinite(liab), "liabilities", MUST_BE_FINITE)
+        require(liab >= 0, "liabilities", "must be non-negative")
+        require((liab == 0) | ~np.eye(n, dtype=bool), "liabilities",
+                "diagonal must be zero")
+        for name in ("growth_rate", "horizon"):
+            require(math.isfinite(getattr(self, name)), name, MUST_BE_FINITE)
+            object.__setattr__(self, name, float(getattr(self, name)))
+        require(self.horizon > 0, "horizon", "must be a positive number")
 
     @property
     def n(self) -> int:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateNetworkError
+from .errors import (MUST_BE_FINITE, ConvergenceError, DegenerateNetworkError,
+                     require)
 from .network import FinancialNetwork
 
 __all__ = [
@@ -57,14 +58,15 @@ class RankWeights:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if self.c_plus < 0 or self.c_minus < 0:
-            raise ValueError("weight coefficients must be non-negative")
-        if abs(self.c_plus + self.c_minus - 1.0) > _COEFF_SUM_TOL:
-            raise ValueError("c_plus + c_minus must equal 1")
-        if not 0.0 < self.damping < 1.0:
-            raise ValueError("damping must lie strictly inside (0, 1)")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
+        for name in ("c_plus", "c_minus", "damping", "epsilon"):
+            require(math.isfinite(getattr(self, name)), name, MUST_BE_FINITE)
+        require(self.c_plus >= 0, "c_plus", "must be non-negative")
+        require(self.c_minus >= 0, "c_minus", "must be non-negative")
+        require(abs(self.c_plus + self.c_minus - 1.0) <= _COEFF_SUM_TOL,
+                "c_minus", "c_plus + c_minus must equal 1")
+        require(0.0 < self.damping < 1.0, "damping",
+                "must lie strictly inside (0, 1)")
+        require(self.epsilon >= 0, "epsilon", "must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -74,8 +76,8 @@ class UniformPolicy:
     q: float
 
     def __post_init__(self):
-        if not 0.0 <= self.q < 1.0:
-            raise ValueError("q must lie in [0, 1)")
+        require(math.isfinite(self.q), "q", MUST_BE_FINITE)
+        require(0.0 <= self.q < 1.0, "q", "must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -91,18 +93,23 @@ class RankThresholdsPolicy:
     steps: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "steps",
-            tuple((float(t), float(inc)) for t, inc in self.steps))
-        if not 0.0 <= self.base < 1.0:
-            raise ValueError("base must lie in [0, 1)")
-        thresholds = [t for t, _ in self.steps]
-        if thresholds != sorted(thresholds) or len(set(thresholds)) != len(thresholds):
-            raise ValueError("step thresholds must be strictly ascending")
-        if any(inc < 0 for _, inc in self.steps):
-            raise ValueError("step increments must be non-negative")
-        if self.base + sum(inc for _, inc in self.steps) >= 1.0:
-            raise ValueError("base plus all increments must stay below 1")
+        steps = tuple((float(t), float(inc)) for t, inc in self.steps)
+        object.__setattr__(self, "steps", steps)
+        require(math.isfinite(self.base), "base", MUST_BE_FINITE)
+        require(0.0 <= self.base < 1.0, "base", "must lie in [0, 1)")
+        ceiling = self.base
+        previous = -math.inf
+        for k, (threshold, increment) in enumerate(steps):
+            path = f"steps[{k}]"
+            require(math.isfinite(threshold), f"{path}.threshold", MUST_BE_FINITE)
+            require(math.isfinite(increment), f"{path}.increment", MUST_BE_FINITE)
+            require(threshold > previous, f"{path}.threshold",
+                    "thresholds must be strictly ascending")
+            require(increment >= 0, f"{path}.increment", "must be non-negative")
+            previous = threshold
+            ceiling += increment
+        require(ceiling < 1.0, "steps",
+                "base plus all increments must stay below 1")
 
 
 QPolicy = UniformPolicy | RankThresholdsPolicy
@@ -211,8 +218,7 @@ def perron_rank(google: np.ndarray, tol: float = DEFAULT_TOL,
     google = np.asarray(google, dtype=float)
     if google.ndim != 2 or google.shape[0] != google.shape[1]:
         raise ValueError("google matrix must be square")
-    if np.any(google <= 0):
-        raise ValueError("google matrix must be strictly positive")
+    require(google > 0, "google", "must be strictly positive")
     n = google.shape[0]
     vec = np.full(n, 1.0 / math.sqrt(n))
     eigenvalue = 0.0

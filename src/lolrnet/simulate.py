@@ -120,7 +120,11 @@ def _resolve_threads(threads: int | None) -> int:
         return max(1, int(threads))
     env = os.environ.get("LOLRNET_THREADS")
     if env:
-        return max(1, int(env))
+        count = int(env) if env.strip().isdecimal() else 0
+        if count < 1:
+            raise ValueError(
+                f"LOLRNET_THREADS must be a positive integer, got {env!r}")
+        return count
     return os.cpu_count() or 1
 
 

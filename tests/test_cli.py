@@ -61,13 +61,50 @@ class TestConfigLoading:
             ln.load_config(target)
 
     def test_invariant_violation_names_field(self, tmp_path):
-        doc = json.loads(ln.case_study_path().read_text())
-        doc["banks"][1]["vol"] = -0.25
-        target = tmp_path / "badvol.json"
-        target.write_text(json.dumps(doc))
-        with pytest.raises(ln.ConfigValidationError) as info:
-            ln.load_config(target)
-        assert info.value.field == "banks[1].vol"
+        # one row per value invariant: (keys to the value, value, error);
+        # the liabilities cells have their own test below
+        cases = [
+            (("banks", 0, "cash"), -1.0,
+             "banks[0].cash: must be non-negative"),
+            (("banks", 1, "vol"), -0.25,
+             "banks[1].vol: must be strictly positive"),
+            (("banks", 2, "recovery"), 1.5,
+             "banks[2].recovery: must lie strictly inside (0, 1)"),
+            (("horizon",), 0.0, "horizon: must be a positive number"),
+            (("ranking", "c_plus"), -0.5,
+             "ranking.c_plus: must be non-negative"),
+            (("ranking", "c_minus"), -1.0,
+             "ranking.c_minus: must be non-negative"),
+            (("ranking", "c_minus"), 0.5,
+             "ranking.c_minus: c_plus + c_minus must equal 1"),
+            (("ranking", "damping"), 1.0,
+             "ranking.damping: must lie strictly inside (0, 1)"),
+            (("ranking", "epsilon"), -0.5,
+             "ranking.epsilon: must be non-negative"),
+            (("policy",), {"kind": "uniform", "q": 1.0},
+             "policy.q: must lie in [0, 1)"),
+            (("policy", "base"), 1.0, "policy.base: must lie in [0, 1)"),
+            (("policy", "steps", 1, "threshold"), 0.5,
+             "policy.steps[1].threshold: thresholds must be strictly "
+             "ascending"),
+            (("policy", "steps", 0, "increment"), -0.01,
+             "policy.steps[0].increment: must be non-negative"),
+            (("policy", "steps", 1, "increment"), 0.1,
+             "policy.steps: base plus all increments must stay below 1"),
+            (("psi_cap",), 0.0, "psi_cap: must be positive"),
+        ]
+        for keys, value, error in cases:
+            doc = json.loads(ln.case_study_path().read_text())
+            parent = doc
+            for key in keys[:-1]:
+                parent = parent[key]
+            parent[keys[-1]] = value
+            target = tmp_path / "invariant.json"
+            target.write_text(json.dumps(doc))
+            with pytest.raises(ln.ConfigValidationError) as info:
+                ln.load_config(target)
+            assert str(info.value) == error
+            assert info.value.field == error.split(": ")[0]
 
     def test_bad_liability_entry_names_cell(self, tmp_path):
         # (row, column or None for the whole row, value, field, message)
@@ -148,6 +185,24 @@ class TestCommandOutputs:
         assert doc["eigenvalue"] == pytest.approx(1.2892, abs=1e-3)
         assert [b["rank"] for b in doc["banks"]] == pytest.approx(
             FIXTURE_RANK, abs=1e-3)
+
+    @pytest.mark.parametrize("value, message", [
+        (math.nan, "google[1][2]: must be a finite number"),
+        ("a", "google[1][2]: must be a number"),
+        (True, "google[1][2]: must be a number"),
+    ])
+    def test_rank_matrix_override_bad_entry(self, capsys, tmp_path, value,
+                                            message):
+        rows = json.loads(ln.printed_google_path().read_text())["google"]
+        rows[1][2] = value
+        target = tmp_path / "override.json"
+        target.write_text(json.dumps(rows))
+        code, out, err = run_cli(capsys, "rank", "--config", "case_study.json",
+                                 "--matrix-override", str(target))
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ConfigError", "message": f"{target}: {message}"}
 
     def test_clearing_doc_schema(self, capsys):
         code, out, _ = run_cli(capsys, "clearing", "--config",

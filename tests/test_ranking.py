@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -200,8 +202,10 @@ class TestPerronRank:
         assert info.value.residual > 0
 
     def test_rejects_nonpositive_matrix(self):
-        with pytest.raises(ValueError, match="strictly positive"):
-            ln.perron_rank(np.array([[1.0, 0.0], [1.0, 1.0]]))
+        for bad in (0.0, math.nan):
+            with pytest.raises(ValueError, match="strictly positive") as info:
+                ln.perron_rank(np.array([[1.0, bad], [1.0, 1.0]]))
+            assert info.value.field == "google[0][1]"
 
 
 class TestSeriesRank:

@@ -58,6 +58,17 @@ class TestDeterminism:
         assert report_equal(
             base, ln.simulate_network(case_network, controlled, cfg))
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+    def test_env_variable_must_be_positive_integer(self, case_network,
+                                                   controlled, monkeypatch,
+                                                   value):
+        monkeypatch.setenv("LOLRNET_THREADS", value)
+        cfg = ln.SimConfig(paths=10, steps=2, seed=5)
+        with pytest.raises(ValueError) as info:
+            ln.simulate_network(case_network, controlled, cfg)
+        assert str(info.value) == (
+            f"LOLRNET_THREADS must be a positive integer, got {value!r}")
+
 
 class TestStatisticalAgreement:
     def test_case_study_default_frequencies(self, case_network, uncontrolled,

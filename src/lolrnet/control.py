@@ -113,9 +113,9 @@ def survival_probability(p: ControlProblem, x: float, psi: float) -> float:
     Closed form for lognormal dynamics with drift ``mu + psi``; strictly
     increasing in both ``x`` and ``psi``.
     """
-    if x <= 0:
+    if not x > 0:
         raise ValueError("current value x must be positive")
-    if psi < 0 or psi > p.psi_cap:
+    if not 0 <= psi <= p.psi_cap:
         raise ValueError(f"psi must lie in [0, {p.psi_cap}]")
     tau = p.horizon_remaining
     d = (math.log(p.v_terminal / x) - (p.mu + psi - p.sigma**2 / 2.0) * tau) \
@@ -130,7 +130,7 @@ def switching_rate(p: ControlProblem, x: float) -> float:
     the constraint.  For results inside ``[0, psi_cap]`` the round trip
     ``survival_probability(p, x, switching_rate(p, x)) == q`` holds.
     """
-    if x <= 0:
+    if not x > 0:
         raise ValueError("current value x must be positive")
     tau = p.horizon_remaining
     return (p.sigma**2 / 2.0 - p.mu) + math.log(p.v_terminal / x) / tau \
@@ -159,10 +159,10 @@ def value_function(p: ControlProblem, x: float, psi: float) -> float:
     with the removable singularity at ``c == 0`` evaluated as
     ``0.5 * psi^2 * x^2 * tau``.  Zero exactly when ``psi`` is zero.
     """
-    if x <= 0:
+    if not x > 0:
         raise ValueError("current value x must be positive")
-    if psi < 0:
-        raise ValueError("psi must be non-negative")
+    if not 0 <= psi < math.inf:
+        raise ValueError("psi must be finite and non-negative")
     tau = p.horizon_remaining
     c = 2.0 * (p.mu + psi) + p.sigma**2
     if c == 0.0:

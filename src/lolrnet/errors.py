@@ -36,6 +36,11 @@ class InvalidValueError(LolrnetError, ValueError):
         self.message = message
 
 
+def is_int(value) -> bool:
+    """True for a Python or numpy integer; False for bool, float and NaN."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def require(ok, field: str, message: str) -> None:
     """Raise :class:`InvalidValueError` unless ``ok`` holds everywhere.
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MUST_BE_FINITE, ConvergenceError, require
+from .errors import MUST_BE_FINITE, ConvergenceError, is_int, require
 
 __all__ = [
     "FinancialNetwork",
@@ -208,7 +208,7 @@ def clearing_vector(net: FinancialNetwork, t: float = 0.0,
     tol : float
         Sup-norm fixed-point tolerance; must be positive.
     max_iter : int
-        Iteration cap; at least 1.
+        Iteration cap; an integer of at least 1.
 
     Returns
     -------
@@ -220,10 +220,11 @@ def clearing_vector(net: FinancialNetwork, t: float = 0.0,
         If the residual is still above ``tol`` after ``max_iter`` steps; the
         error carries the last iterate and residual.
     """
-    if tol <= 0:
+    # written so that NaN fails
+    if not tol > 0:
         raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    if not (is_int(max_iter) and max_iter >= 1):
+        raise ValueError("max_iter must be an integer of at least 1")
     ubar = total_obligations(net, t)
     pi_t = relative_liabilities(net, t).T
     inflow = net.cash

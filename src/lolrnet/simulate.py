@@ -15,6 +15,13 @@ size.  Normals come from inverting uniforms, one word per draw, so the value
 consumed at ``(seed, bank, path, step)`` never depends on chunking or thread
 count, and a fixed seed yields bit-identical reports at any parallelism
 level.  Reductions run over full path-indexed arrays in index order.
+
+Paths run in chunks of ``_CHUNK``.  The chunk size is not part of the draw
+contract: every report field is bit-identical at any chunk size.  A chunk's
+path arithmetic runs in place on the one array that received its uniforms,
+so each worker holds one chunk buffer (``_CHUNK`` x steps x 8 bytes, 26 MB
+at 200 steps; antithetic runs add the half-size buffer of shared draws) at a
+time, and simulation time is dominated by drawing the normals.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .control import ControlDecision, Region
+from .errors import MUST_BE_FINITE, is_int, require
 from .network import FinancialNetwork, default_boundary
 
 __all__ = ["SimConfig", "SimReport", "simulate_network", "estimate_cost"]
@@ -59,6 +67,10 @@ class SimConfig:
     antithetic: bool = False
 
     def __post_init__(self):
+        for name in ("paths", "steps", "seed"):
+            if not is_int(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.paths < 1:
             raise ValueError("paths must be at least 1")
         if self.steps < 1:
@@ -96,7 +108,11 @@ def _blocks_per_path(steps: int) -> int:
 
 def _normals(seed: int, stream: int, lo: int, hi: int, steps: int,
              antithetic: bool) -> np.ndarray:
-    """Standard normal draws for paths ``[lo, hi)``, shape (hi - lo, steps)."""
+    """Standard normal draws for paths ``[lo, hi)``, shape (hi - lo, steps).
+
+    The result is a writable view of a buffer owned by the caller alone, so
+    the path arithmetic can run in place on it.
+    """
     bpp = _blocks_per_path(steps)
     if antithetic:
         base_lo, base_hi = lo // 2, (hi - 1) // 2 + 1
@@ -105,19 +121,24 @@ def _normals(seed: int, stream: int, lo: int, hi: int, steps: int,
     n_base = base_hi - base_lo
     key = np.array([seed, stream], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key, counter=base_lo * bpp))
-    uniforms = gen.random(n_base * bpp * _WORDS_PER_BLOCK)
-    np.maximum(uniforms, _U_FLOOR, out=uniforms)
-    z = ndtri(uniforms.reshape(n_base, bpp * _WORDS_PER_BLOCK)[:, :steps])
+    buffer = gen.random(n_base * bpp * _WORDS_PER_BLOCK)
+    np.maximum(buffer, _U_FLOOR, out=buffer)
+    z = buffer.reshape(n_base, bpp * _WORDS_PER_BLOCK)[:, :steps]
+    ndtri(z, out=z)
     if not antithetic:
         return z
-    indices = np.arange(lo, hi)
-    signs = np.where(indices % 2 == 0, 1.0, -1.0)
-    return z[indices // 2 - base_lo] * signs[:, None]
+    z = z[np.arange(lo, hi) // 2 - base_lo]
+    mirrored = z[(lo + 1) % 2::2]  # paths with an odd global index
+    np.negative(mirrored, out=mirrored)
+    return z
 
 
 def _resolve_threads(threads: int | None) -> int:
     if threads is not None:
-        return max(1, int(threads))
+        if not (is_int(threads) and threads >= 1):
+            raise ValueError(
+                f"threads must be a positive integer, got {threads!r}")
+        return int(threads)
     env = os.environ.get("LOLRNET_THREADS")
     if env:
         count = int(env) if env.strip().isdecimal() else 0
@@ -138,25 +159,30 @@ def _run_bank_chunk(x0: float, mu_eff: float, sigma: float, psi: float,
                     stream: int, lo: int, hi: int,
                     terminal_out: np.ndarray, cost_out: np.ndarray | None,
                     record_out: np.ndarray | None, record_limit: int) -> None:
+    # one working array per chunk: every step below overwrites ``z``, and
+    # each is the same IEEE operation on the same operands as the textbook
+    # ``log x0 + cumsum((mu - sigma^2/2) dt + sigma sqrt(dt) z)``
     dt = horizon / steps_eff
     z = _normals(cfg.seed, stream, lo, hi, steps_eff, cfg.antithetic)
-    increments = (mu_eff - 0.5 * sigma**2) * dt + sigma * math.sqrt(dt) * z
-    log_path = np.cumsum(increments, axis=1) + math.log(x0)
-    terminal_out[lo:hi] = np.exp(log_path[:, -1])
+    z *= sigma * math.sqrt(dt)
+    z += (mu_eff - 0.5 * sigma**2) * dt
+    np.cumsum(z, axis=1, out=z)
+    z += math.log(x0)
+    np.exp(z[:, -1], out=terminal_out[lo:hi])
 
     need_record = record_out is not None and lo < record_limit
     if cost_out is None and not need_record:
         return
-    values = np.exp(log_path)
-    if cost_out is not None:
-        squares = np.square(values)
-        interior = squares[:, :-1].sum(axis=1)
-        cost_out[lo:hi] = 0.5 * psi**2 * dt * (
-            0.5 * x0**2 + interior + 0.5 * squares[:, -1])
+    np.exp(z, out=z)
     if need_record:
         take = min(hi, record_limit) - lo
         record_out[lo:lo + take, 0] = x0
-        record_out[lo:lo + take, 1:] = values[:take]
+        record_out[lo:lo + take, 1:] = z[:take]
+    if cost_out is not None:
+        np.square(z, out=z)
+        interior = z[:, :-1].sum(axis=1)
+        cost_out[lo:hi] = 0.5 * psi**2 * dt * (
+            0.5 * x0**2 + interior + 0.5 * z[:, -1])
 
 
 def _simulate_bank(x0: float, mu_eff: float, sigma: float, psi: float,
@@ -270,8 +296,8 @@ def estimate_cost(net: FinancialNetwork, i: int, psi: float, cfg: SimConfig,
     """
     if not 0 <= i < net.n:
         raise IndexError(f"bank index {i} out of range for {net.n} banks")
-    if psi < 0:
-        raise ValueError("psi must be non-negative")
+    require(math.isfinite(psi), "psi", MUST_BE_FINITE)
+    require(psi >= 0, "psi", "must be non-negative")
     workers = _resolve_threads(threads)
     executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:

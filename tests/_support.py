@@ -1,14 +1,18 @@
 """Shared test helpers: reference tables and independent oracles.
 
-Oracles here are deliberately written in plain Python (lists and loops, no
-numpy) so they cannot share a code path with the library.
+The closed-form oracles are deliberately written in plain Python (lists and
+loops, no numpy) so they cannot share a code path with the library.  The
+simulation reference needs numpy's generator and operations to be bitwise
+comparable, but it shares no code with the engine's chunked, in-place kernel.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
+from scipy.special import ndtri
 
 import lolrnet as ln
 
@@ -134,9 +138,73 @@ def two_sample_z(p1, n1, p2, n2):
 
 
 def report_equal(a: ln.SimReport, b: ln.SimReport) -> bool:
-    """Bitwise equality of two simulation reports."""
-    fields = ("default_freq", "default_ci_halfwidth", "mean_cost",
-              "terminal_mean", "terminal_logvar")
-    if a.paths_used != b.paths_used or a.seed_used != b.seed_used:
-        return False
-    return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in fields)
+    """Bitwise equality of every field of two simulation reports."""
+    for field in dataclasses.fields(ln.SimReport):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            if not (isinstance(x, np.ndarray) and isinstance(y, np.ndarray)
+                    and x.shape == y.shape and np.array_equal(x, y)):
+                return False
+        elif x != y:
+            return False
+    return True
+
+
+def reference_simulation(net: ln.FinancialNetwork, decisions, cfg: ln.SimConfig,
+                         record_paths: int = 0) -> ln.SimReport:
+    """Unfused reference for ``simulate_network``: one chunk per bank.
+
+    Draws follow the documented counter layout (``ceil(steps / 4)`` Philox
+    blocks per path, one word per normal, antithetic pairs sharing the draws
+    of path ``p // 2``), and the path arithmetic is the textbook expression
+    on fresh arrays.  It must agree with the engine bit for bit.
+    """
+    n, paths = net.n, cfg.paths
+    psi = np.array([d.psi_star if d.region is ln.Region.ACTION else 0.0
+                    for d in decisions])
+    terminal = np.empty((n, paths))
+    cost = np.zeros((n, paths))
+    recorded = []
+    for i in range(n):
+        x0, sigma, rate = float(net.cash[i]), float(net.vol[i]), float(psi[i])
+        mu_eff = float(net.drift[i] + psi[i])
+        steps = cfg.steps if (rate > 0 or record_paths > 0) else 1
+        dt = net.horizon / steps
+        blocks = -(-steps // 4)
+        base = -(-paths // 2) if cfg.antithetic else paths
+        key = np.array([cfg.seed, i], dtype=np.uint64)
+        uniforms = np.random.Generator(np.random.Philox(key=key)).random(
+            base * blocks * 4)
+        uniforms = np.maximum(uniforms, 2.0**-54)
+        z = ndtri(uniforms.reshape(base, blocks * 4)[:, :steps])
+        if cfg.antithetic:
+            signs = np.where(np.arange(paths) % 2 == 0, 1.0, -1.0)
+            z = z[np.arange(paths) // 2] * signs[:, None]
+        increments = (mu_eff - 0.5 * sigma**2) * dt + sigma * math.sqrt(dt) * z
+        log_path = np.cumsum(increments, axis=1) + math.log(x0)
+        terminal[i] = np.exp(log_path[:, -1])
+        values = np.exp(log_path)
+        if rate > 0:
+            squares = np.square(values)
+            cost[i] = 0.5 * rate**2 * dt * (
+                0.5 * x0**2 + squares[:, :-1].sum(axis=1)
+                + 0.5 * squares[:, -1])
+        if record_paths > 0:
+            take = min(record_paths, paths)
+            rows = np.empty((take, steps + 1))
+            rows[:, 0] = x0
+            rows[:, 1:] = values[:take]
+            recorded.append(rows)
+    boundary = ln.default_boundary(net, np.arange(n), net.horizon)
+    freq = (terminal < boundary[:, None]).mean(axis=1)
+    logvar = (np.log(terminal).var(axis=1, ddof=1) if paths > 1
+              else np.zeros(n))
+    return ln.SimReport(
+        default_freq=freq,
+        default_ci_halfwidth=1.959963984540054 * np.sqrt(
+            freq * (1.0 - freq) / paths),
+        mean_cost=cost.mean(axis=1), terminal_mean=terminal.mean(axis=1),
+        terminal_logvar=logvar, paths_used=paths, seed_used=cfg.seed,
+        infeasible_fallback=np.array(
+            [d.region is ln.Region.INFEASIBLE for d in decisions]),
+        trajectories=np.stack(recorded) if record_paths > 0 else None)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import lolrnet as ln
+import lolrnet.simulate as engine
 from lolrnet.cli import main
 from lolrnet.config import dumps_doc, format_number
 from _support import CREDITOR_TABLE, FIXTURE_EIGENVALUE, FIXTURE_RANK
@@ -382,6 +383,23 @@ class TestPathDump:
         assert float(first[6]) == 5.2
         scenarios = {row[2] for row in rows}
         assert scenarios == {"uncontrolled", "controlled"}
+
+    def test_dump_and_doc_do_not_depend_on_thread_count(self, capsys,
+                                                        tmp_path,
+                                                        monkeypatch):
+        # a small chunk gives the second worker chunks to run
+        monkeypatch.setattr(engine, "_CHUNK", 8)
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("LOLRNET_THREADS", threads)
+            dump = tmp_path / f"paths-{threads}.csv"
+            code, out, err = run_cli(
+                capsys, "simulate", "--config", "case_study.json", "--paths",
+                "37", "--steps", "7", "--antithetic", "--format", "doc",
+                "--dump-paths", str(dump))
+            assert code == 0 and err == ""
+            outputs.append((out, dump.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_bare_flag_writes_sibling_of_output(self, capsys, tmp_path):
         target = tmp_path / "report.csv"

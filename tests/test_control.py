@@ -237,6 +237,22 @@ class TestValueFunction:
         assert np.all(np.diff(values) > 0)
 
 
+class TestNanInputs:
+    @pytest.mark.parametrize("call", [
+        lambda: ln.survival_probability(BANK3, math.nan, 0.0),
+        lambda: ln.survival_probability(BANK3, 13.0, math.nan),
+        lambda: ln.switching_rate(BANK3, math.nan),
+        lambda: ln.value_function(BANK3, math.nan, B3_PSI_STAR),
+        lambda: ln.value_function(BANK3, 13.0, math.nan),
+        lambda: ln.value_function(BANK3, 13.0, math.inf),
+        lambda: ln.classify(BANK3, math.nan),
+    ], ids=["survival-x", "survival-psi", "switching-x", "value-x",
+            "value-psi", "value-psi-inf", "classify-x"])
+    def test_rejected(self, call):
+        with pytest.raises(ValueError):
+            call()
+
+
 class TestRoundTripProperty:
     @given(st.floats(-0.5, 0.8), st.floats(0.05, 1.0), st.floats(0.1, 50.0),
            st.floats(0.05, 4.0), st.floats(0.01, 0.99), st.floats(0.01, 5.0))

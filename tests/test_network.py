@@ -130,6 +130,15 @@ class TestClearingVector:
         with pytest.raises(ValueError):
             ln.clearing_vector(case_network, max_iter=0)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(tol=math.nan), dict(max_iter=math.nan), dict(max_iter=2.5),
+        dict(max_iter=math.inf), dict(max_iter=True),
+    ], ids=["tol-nan", "max_iter-nan", "max_iter-2.5", "max_iter-inf",
+            "max_iter-bool"])
+    def test_nan_and_non_integer_parameters(self, case_network, kwargs):
+        with pytest.raises(ValueError):
+            ln.clearing_vector(case_network, **kwargs)
+
     def test_near_full_payment_not_flagged(self):
         # shortfall below the relative flag tolerance
         net = tiny_net([[0, 1], [0, 0]], [1.0 - 1e-12, 0.0])

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 import lolrnet as ln
+import lolrnet.simulate as engine
 from _support import (B1_SURVIVAL_UNCONTROLLED, B3_PSI_STAR,
-                      B3_SURVIVAL_UNCONTROLLED, report_equal, two_sample_z)
+                      B3_SURVIVAL_UNCONTROLLED, reference_simulation,
+                      report_equal, two_sample_z)
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +72,43 @@ class TestDeterminism:
             ln.simulate_network(case_network, controlled, cfg)
         assert str(info.value) == (
             f"LOLRNET_THREADS must be a positive integer, got {value!r}")
+
+    @pytest.mark.parametrize("value", [0, -3, 2.5, True, "2"])
+    def test_explicit_threads_must_be_positive_integer(self, case_network,
+                                                       controlled, value):
+        cfg = ln.SimConfig(paths=10, steps=2, seed=5)
+        with pytest.raises(ValueError) as info:
+            ln.simulate_network(case_network, controlled, cfg, threads=value)
+        assert str(info.value) == (
+            f"threads must be a positive integer, got {value!r}")
+
+
+class TestKernelMatchesReference:
+    """The chunked in-place kernel equals the one-chunk unfused reference.
+
+    Chunk size is not part of the draw contract, so every field must agree
+    bit for bit at any chunk size and thread count.
+    """
+
+    @pytest.mark.parametrize("chunk", [engine._CHUNK, 6, 5])
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("paths,steps,antithetic,record", [
+        (37, 7, False, 0),
+        (37, 7, True, 5),
+        (33, 8, True, 40),
+        (20, 1, False, 3),
+        (31, 13, False, 12),
+    ])
+    def test_every_field_equal(self, case_network, controlled, monkeypatch,
+                               chunk, threads, paths, steps, antithetic,
+                               record):
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
+        cfg = ln.SimConfig(paths=paths, steps=steps, seed=17,
+                           antithetic=antithetic)
+        got = ln.simulate_network(case_network, controlled, cfg,
+                                  threads=threads, record_paths=record)
+        assert report_equal(got, reference_simulation(
+            case_network, controlled, cfg, record_paths=record))
 
 
 class TestStatisticalAgreement:
@@ -145,6 +186,12 @@ class TestStatisticalAgreement:
 
 
 class TestCostEstimation:
+    @pytest.mark.parametrize("psi", [math.nan, math.inf, -0.1])
+    def test_rejects_bad_rate(self, case_network, psi):
+        with pytest.raises(ValueError):
+            ln.estimate_cost(case_network, 0, psi,
+                             ln.SimConfig(paths=10, steps=2), threads=1)
+
     def test_zero_rate_costs_exactly_zero(self, case_network):
         mean, halfwidth = ln.estimate_cost(case_network, 2, 0.0,
                                            ln.SimConfig(paths=2_000, seed=1),
@@ -232,3 +279,18 @@ class TestReportShape:
             ln.SimConfig(paths=1, steps=0)
         with pytest.raises(ValueError):
             ln.SimConfig(paths=1, seed=-1)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(paths=math.nan), dict(paths=2.5), dict(paths=True),
+        dict(paths=10, steps=math.inf), dict(paths=10, steps=2.0),
+        dict(paths=10, seed=1.5), dict(paths=10, seed=None),
+    ], ids=["paths-nan", "paths-2.5", "paths-bool", "steps-inf",
+            "steps-float", "seed-float", "seed-none"])
+    def test_config_requires_integers(self, kwargs):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ln.SimConfig(**kwargs)
+
+    def test_config_accepts_numpy_integers(self):
+        cfg = ln.SimConfig(paths=np.int64(3), steps=np.int32(2),
+                           seed=np.uint64(2**64 - 1))
+        assert cfg.seed == 2**64 - 1

@@ -310,6 +310,52 @@ def format_number(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _write_float_array(value: np.ndarray, out: list[str], indent: int,
+                       level: int) -> None:
+    """Write a non-empty, finite float64 array with one %-format per row.
+
+    ``"%.17g"`` is :func:`format_number`'s text for every finite float and
+    never contains ``%``.  When the array's most frequent value (by bit
+    pattern, which keeps ``-0.0`` apart from ``0.0``) fills more than half
+    of it, as 0 and the teleport term fill the rank matrices, that value is
+    formatted once and enters the templates of the rows that hold it as
+    literal text, so ``%`` converts only the other cells.  Below that
+    share, building a row's own template costs more than it saves, so
+    every row shares one template.
+    """
+    bits = value.view(np.uint64)
+    distinct, counts = np.unique(bits, return_counts=True)
+    top = np.argmax(counts)
+    is_mode = bits == distinct[top]
+    if 2 * counts[top] <= bits.size:
+        is_mode[...] = False
+    pieces = np.array(["%.17g", "%.17g" % distinct[top].view(np.float64)],
+                      dtype=object)
+    leaf = level + value.ndim - 1
+    pad = " " * (indent * (leaf + 1))
+    sep = f",\n{pad}"
+    head, tail = f"[\n{pad}", f"\n{' ' * (indent * leaf)}]"
+    plain = head + sep.join(["%.17g"] * value.shape[-1]) + tail
+
+    def write(sub: np.ndarray, mask: np.ndarray, lvl: int) -> None:
+        if sub.ndim > 1:
+            row_pad = " " * (indent * (lvl + 1))
+            out.append("[\n")
+            for k in range(len(sub)):
+                out.append(row_pad)
+                write(sub[k], mask[k], lvl + 1)
+                out.append(",\n" if k < len(sub) - 1 else "\n")
+            out.append(f"{' ' * (indent * lvl)}]")
+        elif mask.any():
+            cells = pieces[mask.view(np.uint8)].tolist()
+            template = head + sep.join(cells) + tail
+            out.append(template % tuple(sub[~mask].tolist()))
+        else:
+            out.append(plain % tuple(sub.tolist()))
+
+    write(value, is_mode, level)
+
+
 def _write_value(value, out: list[str], indent: int, level: int) -> None:
     pad = " " * (indent * (level + 1))
     close_pad = " " * (indent * level)
@@ -323,17 +369,13 @@ def _write_value(value, out: list[str], indent: int, level: int) -> None:
             _write_value(item, out, indent, level + 1)
             out.append(",\n" if k < len(value) - 1 else "\n")
         out.append(f"{close_pad}}}")
-    elif (isinstance(value, np.ndarray) and value.ndim == 1 and value.size
+    elif (isinstance(value, np.ndarray) and value.ndim and value.size
           and value.dtype == np.float64 and np.isfinite(value).all()):
-        # one %-format for the whole row; "%.17g" is format_number's text
-        # for every finite float
-        sep = f",\n{pad}"
-        template = f"[\n{pad}" + sep.join(["%.17g"] * value.size) \
-            + f"\n{close_pad}]"
-        out.append(template % tuple(value.tolist()))
+        _write_float_array(value, out, indent, level)
     elif isinstance(value, (list, tuple, np.ndarray)):
         if isinstance(value, np.ndarray):
-            # a matrix recurses row by row so each row can take the path above
+            # a matrix with a non-finite entry recurses row by row, so each
+            # finite row can still take the float-array path
             items = list(value) if value.ndim > 1 else value.tolist()
         else:
             items = list(value)
@@ -371,7 +413,8 @@ def dumps_doc(doc, indent: int = 2) -> str:
 
     Finite floats use 17 significant digits; infinities become the strings
     ``"inf"`` / ``"-inf"``.  Key order is preserved, so equal inputs always
-    produce byte-identical text.
+    produce byte-identical text.  A float array's dominant value is
+    formatted once and reused; the text is the same as for its list.
     """
     out: list[str] = []
     _write_value(doc, out, indent, 0)

@@ -41,6 +41,17 @@ def is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def require_solver_limits(tol, max_iter) -> None:
+    """Raise ``ValueError`` unless ``tol > 0`` and ``max_iter`` is an int >= 1.
+
+    Written so that a NaN ``tol`` fails; a float ``max_iter`` fails too.
+    """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if not (is_int(max_iter) and max_iter >= 1):
+        raise ValueError("max_iter must be an integer of at least 1")
+
+
 def require(ok, field: str, message: str) -> None:
     """Raise :class:`InvalidValueError` unless ``ok`` holds everywhere.
 

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MUST_BE_FINITE, ConvergenceError, is_int, require
+from .errors import (MUST_BE_FINITE, ConvergenceError, require,
+                     require_solver_limits)
 
 __all__ = [
     "FinancialNetwork",
@@ -220,11 +221,7 @@ def clearing_vector(net: FinancialNetwork, t: float = 0.0,
         If the residual is still above ``tol`` after ``max_iter`` steps; the
         error carries the last iterate and residual.
     """
-    # written so that NaN fails
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if not (is_int(max_iter) and max_iter >= 1):
-        raise ValueError("max_iter must be an integer of at least 1")
+    require_solver_limits(tol, max_iter)
     ubar = total_obligations(net, t)
     pi_t = relative_liabilities(net, t).T
     inflow = net.cash

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (MUST_BE_FINITE, ConvergenceError, DegenerateNetworkError,
-                     require)
+                     require, require_solver_limits)
 from .network import FinancialNetwork
 
 __all__ = [
@@ -212,9 +212,12 @@ def perron_rank(google: np.ndarray, tol: float = DEFAULT_TOL,
 
     Raises
     ------
+    ValueError
+        If ``tol`` is not positive or ``max_iter`` is not an integer >= 1.
     ConvergenceError
         If the residual does not reach ``tol`` within ``max_iter`` steps.
     """
+    require_solver_limits(tol, max_iter)
     google = np.asarray(google, dtype=float)
     if google.ndim != 2 or google.shape[0] != google.shape[1]:
         raise ValueError("google matrix must be square")
@@ -243,6 +246,7 @@ def series_rank(google: np.ndarray, damping: float,
     term drops to ``tol``.  Returns the raw series sum and a 2-norm-normalized
     copy.
     """
+    require_solver_limits(tol, max_iter)
     google = np.asarray(google, dtype=float)
     if not 0.0 < damping < 1.0:
         raise ValueError("damping must lie strictly inside (0, 1)")
@@ -268,8 +272,10 @@ def assign_survival_probabilities(rank: np.ndarray, policy: QPolicy) -> np.ndarr
     """Per-bank survival-probability targets from the rank vector.
 
     Non-decreasing in rank by construction; every target lies in [0, 1).
+    A non-finite rank raises :class:`InvalidValueError` naming its entry.
     """
     rank = np.asarray(rank, dtype=float)
+    require(np.isfinite(rank), "rank", MUST_BE_FINITE)
     if isinstance(policy, UniformPolicy):
         return np.full(rank.shape, policy.q)
     if isinstance(policy, RankThresholdsPolicy):

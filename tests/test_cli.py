@@ -350,11 +350,52 @@ class TestDeterministicOutput:
                    0.30000000000000004, 1.2345678901234567e-5, 3.0]
         finite = np.vstack([special, rng.normal(size=(3, len(special)))])
         nonfinite = np.array(special + [math.inf, -math.inf, math.nan])
+        # a value filling more than half of an array is written once, as
+        # literal text; -0.0 and 0.0 count apart, and `tie` has no such value
+        sparse = np.where(rng.random((6, 5)) < 0.8, 0.0,
+                          rng.normal(size=(6, 5)))
+        signed_zeros = np.full((3, 4), -0.0)
+        signed_zeros[1, 2] = signed_zeros[2, 0] = 0.0
+        tau = rng.random((5, 5)) * (rng.random((5, 5)) < 0.3)
+        google = (1 - 0.85) / 5 + 0.85 * tau
+        tie = np.array([[1.5, 2.5, 1.5], [2.5, 0.1, 7.0]])
+        inf_row = rng.normal(size=(3, 4))
+        inf_row[1, 2] = math.inf
         for arr in (finite, finite[0], nonfinite, nonfinite.reshape(2, 5),
-                    np.zeros((2, 0)), np.array([])):
+                    np.zeros((2, 0)), np.array([]), sparse, signed_zeros,
+                    google, np.full((3, 3), 0.1), tie, np.array([[2.0]]),
+                    sparse.reshape(2, 3, 5), inf_row):
             doc = {"matrix": arr, "nested": [arr]}
             plain = {"matrix": arr.tolist(), "nested": [arr.tolist()]}
             assert dumps_doc(doc) == dumps_doc(plain)
+
+    def test_rank_doc_matrices_render_like_lists(self, capsys, tmp_path):
+        rng = np.random.default_rng(11)
+        n = 60
+        liabilities = np.where(rng.random((n, n)) < 0.1,
+                               rng.uniform(1, 100, (n, n)), 0.0)
+        liabilities[np.arange(n), (np.arange(n) + 1) % n] = 5.0
+        np.fill_diagonal(liabilities, 0.0)
+        config = {
+            "schema_version": "1",
+            "banks": [{"name": f"B{i}", "cash": float(c), "drift": 0.1,
+                       "vol": 0.2, "recovery": 0.5}
+                      for i, c in enumerate(rng.uniform(1, 50, n))],
+            "liabilities": liabilities.tolist(),
+            "growth_rate": 0.05, "horizon": 1.0,
+            "ranking": {"c_plus": 0.7, "c_minus": 0.3},
+            "policy": {"kind": "uniform", "q": 0.9}, "psi_cap": "inf"}
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps(config))
+        code, out, _ = run_cli(capsys, "rank", "--config", str(path),
+                               "--format", "doc")
+        assert code == 0
+        cfg = ln.load_config(path)
+        result = ln.rank_network(cfg.to_network(), cfg.weights)
+        doc = json.loads(out)
+        doc["matrices"] = {name: getattr(result, name).tolist()
+                           for name in doc["matrices"]}
+        assert dumps_doc(doc) + "\n" == out
 
     def test_numbers_round_trip_through_17_digits(self, capsys):
         _, out, _ = run_cli(capsys, "regions", "--config", "case_study.json",

@@ -201,6 +201,26 @@ class TestPerronRank:
             ln.perron_rank(printed_google, tol=1e-16, max_iter=1)
         assert info.value.residual > 0
 
+    @pytest.mark.parametrize("solver", ["perron_rank", "rank_network",
+                                        "series_rank"])
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(tol=math.nan), "tol must be positive"),
+        (dict(tol=-1.0), "tol must be positive"),
+        (dict(max_iter=0), "max_iter must be an integer of at least 1"),
+        (dict(max_iter=2.5), "max_iter must be an integer of at least 1"),
+    ], ids=["tol-nan", "tol-negative", "max_iter-0", "max_iter-2.5"])
+    def test_rejects_bad_solver_limits(self, solver, kwargs, message,
+                                       printed_google, case_config):
+        calls = {
+            "perron_rank": lambda: ln.perron_rank(printed_google, **kwargs),
+            "rank_network": lambda: ln.rank_network(
+                case_config.to_network(), case_config.weights, **kwargs),
+            "series_rank": lambda: ln.series_rank(printed_google, 0.85,
+                                                  **kwargs),
+        }
+        with pytest.raises(ValueError, match=message):
+            calls[solver]()
+
     def test_rejects_nonpositive_matrix(self):
         for bad in (0.0, math.nan):
             with pytest.raises(ValueError, match="strictly positive") as info:
@@ -248,6 +268,12 @@ class TestAssignSurvivalProbabilities:
         q = ln.assign_survival_probabilities(np.array(FIXTURE_RANK),
                                              ln.UniformPolicy(q=0.9))
         assert np.array_equal(q, np.full(4, 0.9))
+
+    def test_nan_rank_rejected(self):
+        policy = ln.RankThresholdsPolicy(base=0.9, steps=((0.5, 0.09),))
+        with pytest.raises(ln.InvalidValueError) as info:
+            ln.assign_survival_probabilities(np.array([math.nan, 0.9]), policy)
+        assert info.value.field == "rank[0]"
 
     def test_ceiling_must_stay_below_one(self):
         with pytest.raises(ValueError, match="below 1"):

@@ -90,10 +90,10 @@ class ConfigValidationError(ConfigError, InvalidValueError):
 
 
 class ConvergenceError(LolrnetError, RuntimeError):
-    """An iterative solver hit its iteration limit.
+    """A rank solver (power iteration or series) hit its iteration limit.
 
-    Carries the last iterate and the fixed-point (or eigen) residual so
-    callers can inspect how close the run got.
+    Carries the last iterate and its eigen or series residual so callers can
+    inspect how close the run got.
     """
 
     def __init__(self, message: str, last_iterate: np.ndarray, residual: float):

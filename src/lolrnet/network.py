@@ -9,10 +9,10 @@ Clearing payments follow the classic fixed point
 
     u = ubar ∧ (Pi^T u + F)
 
-(every bank pays the minimum of what it owes and what it has), computed by
-monotone Picard iteration started from full payment.  Iterating from ``ubar``
-converges to the greatest clearing vector; the map is monotone, so the
-iterates decrease componentwise at every step.
+(every bank pays the minimum of what it owes and what it has).  The greatest
+clearing vector is computed exactly, up to the rounding of one linear solve,
+by the fictitious-default algorithm of Eisenberg & Noe (2001): it has no
+tolerance and no iteration cap, and it ends after at most n + 1 rounds.
 
 All types are immutable after construction and every operation is a pure
 function of its inputs, so concurrent use needs no locking.
@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (MUST_BE_FINITE, ConvergenceError, require,
-                     require_solver_limits)
+from .errors import MUST_BE_FINITE, require
 
 __all__ = [
     "FinancialNetwork",
@@ -39,9 +38,6 @@ __all__ = [
     "default_boundary",
     "build_graph_matrices",
 ]
-
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 10_000
 
 # relative slack before a shortfall flags a bank as defaulted
 DEFAULT_FLAG_RTOL = 1e-8
@@ -148,9 +144,11 @@ class ClearingResult:
     """Fixed point of the clearing map and the resulting bank values.
 
     ``payments`` is the greatest clearing vector, ``defaulted`` flags banks
-    that could not pay in full, ``values`` holds post-clearing bank values
-    (positive part), and ``iterations``/``residual`` report solver effort and
-    the final sup-norm fixed-point residual.
+    that could not pay in full, and ``values`` holds post-clearing bank
+    values (positive part).  ``iterations`` counts fictitious-default rounds
+    (at most n + 1), and ``residual`` is the sup norm of
+    ``payments - ubar ∧ (Pi^T payments + F)``, evaluated on the returned
+    vector.
     """
 
     payments: np.ndarray
@@ -190,15 +188,21 @@ def relative_liabilities(net: FinancialNetwork, t: float) -> np.ndarray:
     return pi
 
 
-def _clearing_map(u: np.ndarray, ubar: np.ndarray, pi_t: np.ndarray,
-                  inflow: np.ndarray) -> np.ndarray:
-    return np.minimum(ubar, pi_t @ u + inflow)
+def clearing_vector(net: FinancialNetwork, t: float = 0.0) -> ClearingResult:
+    """Greatest clearing vector at time ``t`` by the fictitious-default algorithm.
 
+    Every bank starts solvent, paying ``ubar`` in full.  Each round adds to
+    the default set D every solvent bank whose assets ``Pi^T u + F`` fall
+    short of ``ubar``, then solves the clearing equations on D exactly,
 
-def clearing_vector(net: FinancialNetwork, t: float = 0.0,
-                    tol: float = DEFAULT_TOL,
-                    max_iter: int = DEFAULT_MAX_ITER) -> ClearingResult:
-    """Greatest clearing vector at time ``t`` by Picard iteration from ``ubar``.
+        (I - Pi_DD^T) u_D = F_D + Pi_SD^T ubar_S,
+
+    with the solvent set S still paying in full.  Payments only fall from
+    round to round, so a bank that joins D stays in default, and the
+    algorithm stops at the first round in which no bank joins (Eisenberg &
+    Noe 2001; Rogers & Veraart 2013).  D only holds banks that default at the greatest clearing
+    vector, and no closed class of banks can default there, so every solve
+    is nonsingular.
 
     Parameters
     ----------
@@ -206,41 +210,36 @@ def clearing_vector(net: FinancialNetwork, t: float = 0.0,
     t : float
         Evaluation time in ``[0, horizon]``.  Liabilities carry their growth
         factor; the exogenous inflow equals the network's cash vector.
-    tol : float
-        Sup-norm fixed-point tolerance; must be positive.
-    max_iter : int
-        Iteration cap; an integer of at least 1.
 
     Returns
     -------
     ClearingResult
-
-    Raises
-    ------
-    ConvergenceError
-        If the residual is still above ``tol`` after ``max_iter`` steps; the
-        error carries the last iterate and residual.
     """
-    require_solver_limits(tol, max_iter)
     ubar = total_obligations(net, t)
     pi_t = relative_liabilities(net, t).T
     inflow = net.cash
 
     u = ubar.copy()
-    residual = math.inf
-    for iteration in range(1, max_iter + 1):
-        nxt = _clearing_map(u, ubar, pi_t, inflow)
-        residual = float(np.max(np.abs(u - nxt))) if len(u) else 0.0
-        u = nxt
-        if residual <= tol:
+    insolvent = np.zeros(net.n, dtype=bool)
+    rounds = 0
+    while True:
+        rounds += 1
+        assets = pi_t @ u + inflow
+        joining = ~insolvent & (assets < ubar)
+        if not joining.any():
             break
-    else:
-        raise ConvergenceError("clearing iteration did not converge", u, residual)
+        insolvent |= joining
+        solvent = ~insolvent
+        u[insolvent] = np.linalg.solve(
+            np.eye(np.count_nonzero(insolvent))
+            - pi_t[np.ix_(insolvent, insolvent)],
+            inflow[insolvent] + pi_t[np.ix_(insolvent, solvent)] @ ubar[solvent])
 
+    residual = float(np.max(np.abs(u - np.minimum(ubar, assets))))
     defaulted = (ubar - u) > DEFAULT_FLAG_RTOL * np.maximum(1.0, ubar)
-    values = np.maximum(pi_t @ u + inflow - ubar, 0.0)
+    values = np.maximum(assets - ubar, 0.0)
     return ClearingResult(payments=u, defaulted=defaulted, values=values,
-                          iterations=iteration, residual=residual)
+                          iterations=rounds, residual=residual)
 
 
 def net_liability_matrix(net: FinancialNetwork, payments: np.ndarray) -> np.ndarray:

@@ -187,7 +187,7 @@ def _run_bank_chunk(x0: float, mu_eff: float, sigma: float, psi: float,
 
 def _simulate_bank(x0: float, mu_eff: float, sigma: float, psi: float,
                    horizon: float, cfg: SimConfig, stream: int,
-                   executor: ThreadPoolExecutor | None, record_paths: int
+                   executor: ThreadPoolExecutor, record_paths: int
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     # zero-rate banks cost nothing on any grid; one exact step suffices
     # unless the caller wants the trajectory on the full grid
@@ -198,19 +198,12 @@ def _simulate_bank(x0: float, mu_eff: float, sigma: float, psi: float,
     if record_paths > 0:
         record = np.empty((min(record_paths, cfg.paths), steps_eff + 1))
 
-    tasks = [(lo, hi) for lo, hi in _chunks(cfg.paths)]
-    if executor is None:
-        for lo, hi in tasks:
-            _run_bank_chunk(x0, mu_eff, sigma, psi, horizon, steps_eff, cfg,
-                            stream, lo, hi, terminal, cost, record,
-                            record_paths)
-    else:
-        futures = [executor.submit(_run_bank_chunk, x0, mu_eff, sigma, psi,
-                                   horizon, steps_eff, cfg, stream, lo, hi,
-                                   terminal, cost, record, record_paths)
-                   for lo, hi in tasks]
-        for future in futures:
-            future.result()
+    futures = [executor.submit(_run_bank_chunk, x0, mu_eff, sigma, psi,
+                               horizon, steps_eff, cfg, stream, lo, hi,
+                               terminal, cost, record, record_paths)
+               for lo, hi in _chunks(cfg.paths)]
+    for future in futures:
+        future.result()
     if cost is None:
         cost = np.zeros(cfg.paths)
     return terminal, cost, record
@@ -253,12 +246,10 @@ def simulate_network(net: FinancialNetwork, decisions: list[ControlDecision],
         elif decision.region is Region.INFEASIBLE:
             infeasible[i] = True
 
-    workers = _resolve_threads(threads)
-    executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        terminal = np.empty((n, cfg.paths))
-        cost = np.empty((n, cfg.paths))
-        recorded = []
+    terminal = np.empty((n, cfg.paths))
+    cost = np.empty((n, cfg.paths))
+    recorded = []
+    with ThreadPoolExecutor(max_workers=_resolve_threads(threads)) as executor:
         for i in range(n):
             term_i, cost_i, rec_i = _simulate_bank(
                 float(net.cash[i]), float(net.drift[i] + psi_eff[i]),
@@ -267,9 +258,6 @@ def simulate_network(net: FinancialNetwork, decisions: list[ControlDecision],
             terminal[i] = term_i
             cost[i] = cost_i
             recorded.append(rec_i)
-    finally:
-        if executor is not None:
-            executor.shutdown()
 
     boundary = default_boundary(net, np.arange(n), net.horizon)
     freq = (terminal < boundary[:, None]).mean(axis=1)
@@ -298,16 +286,11 @@ def estimate_cost(net: FinancialNetwork, i: int, psi: float, cfg: SimConfig,
         raise IndexError(f"bank index {i} out of range for {net.n} banks")
     require(math.isfinite(psi), "psi", MUST_BE_FINITE)
     require(psi >= 0, "psi", "must be non-negative")
-    workers = _resolve_threads(threads)
-    executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
+    with ThreadPoolExecutor(max_workers=_resolve_threads(threads)) as executor:
         _, cost, _ = _simulate_bank(
             float(net.cash[i]), float(net.drift[i] + psi), float(net.vol[i]),
             float(psi), net.horizon, cfg, stream=i, executor=executor,
             record_paths=0)
-    finally:
-        if executor is not None:
-            executor.shutdown()
     mean = float(cost.mean())
     if cfg.paths > 1:
         halfwidth = _Z95 * float(cost.std(ddof=1)) / math.sqrt(cfg.paths)

@@ -142,8 +142,10 @@ def test_criterion_7_property_suites(case_network, decisions):
     failures = []
 
     # clearing lattice bounds and monotonicity on 200 random networks,
-    # against a plain-Python double-start Picard oracle
+    # against a plain-Python double-start Picard oracle, at t = 0 and at a
+    # random t in [0, horizon]
     rng = np.random.default_rng(2024)
+    t_rng = np.random.default_rng(2025)
     for trial in range(200):
         net = random_network(rng)
         res = ln.clearing_vector(net)
@@ -174,6 +176,25 @@ def test_criterion_7_property_suites(case_network, decisions):
         if np.any(ln.clearing_vector(richer).payments
                   < res.payments - 1e-9):
             failures.append(f"monotonicity violated on trial {trial}")
+
+        # the same network at a random time: payments, round count and the
+        # reported residual
+        t = float(t_rng.uniform(0.0, net.horizon))
+        res_t = ln.clearing_vector(net, t)
+        oracle_t = clearing_oracle(net.liabilities.tolist(), net.cash.tolist(),
+                                   net.growth_rate, t)
+        if max(abs(a - b) for a, b in zip(res_t.payments, oracle_t)) > 1e-9:
+            failures.append(f"oracle mismatch at t={t:.3f} on trial {trial}")
+        if not 1 <= res_t.iterations <= net.n + 1:
+            failures.append(f"{res_t.iterations} rounds on trial {trial}")
+        ubar_t = ln.total_obligations(net, t)
+        residual_t = float(np.max(np.abs(res_t.payments - np.minimum(
+            ubar_t, ln.relative_liabilities(net, t).T @ res_t.payments
+            + net.cash))))
+        if abs(res_t.residual - residual_t) \
+                > 1e-12 * max(1.0, float(ubar_t.max())):
+            failures.append(f"reported residual {res_t.residual:.2e} != "
+                            f"{residual_t:.2e} on trial {trial}")
 
         # relative liabilities row-stochasticity on the same networks
         sums = ln.relative_liabilities(net, 0.0).sum(axis=1)
@@ -231,9 +252,9 @@ def test_criterion_7_property_suites(case_network, decisions):
 
     _verdict("criterion 7 property suites", not failures,
              "; ".join(failures) if failures else
-             "200 clearing networks, 1000 round trips, rho antisymmetry, "
-             "row stochasticity, gamma antisymmetry, google floor, "
-             "thread-count reproducibility")
+             "200 clearing networks at t = 0 and a random t, 1000 round "
+             "trips, rho antisymmetry, row stochasticity, gamma "
+             "antisymmetry, google floor, thread-count reproducibility")
 
 
 def test_criterion_8_fixture_derivation_disclosure(printed_google):

@@ -94,11 +94,12 @@ class TestRelativeLiabilities:
 
 class TestClearingVector:
     def test_mutual_debts_pay_in_full(self):
-        # one Picard step verifies 1 ^ (1 + 0.5) = 1
+        # the first round finds both banks solvent: 1 ^ (1 + 0.5) = 1
         net = tiny_net([[0, 1], [1, 0]], [0.5, 0.5])
         res = ln.clearing_vector(net)
         assert res.payments == pytest.approx([1.0, 1.0], abs=1e-12)
         assert not res.defaulted.any()
+        assert res.iterations == 1
 
     def test_no_inflow_nothing_payable(self):
         net = tiny_net([[0, 1], [0, 0]], [0.0, 0.0])
@@ -117,27 +118,18 @@ class TestClearingVector:
         assert res.values == pytest.approx(expected, abs=1e-12)
         assert np.all(res.values >= 0)
 
-    def test_iteration_limit_error_carries_state(self):
-        net = tiny_net([[0, 1], [0, 0]], [0.0, 0.0])
-        with pytest.raises(ln.ConvergenceError) as info:
-            ln.clearing_vector(net, max_iter=1)
-        assert info.value.residual > 0
-        assert info.value.last_iterate.shape == (2,)
-
-    def test_parameter_validation(self, case_network):
-        with pytest.raises(ValueError):
-            ln.clearing_vector(case_network, tol=0.0)
-        with pytest.raises(ValueError):
-            ln.clearing_vector(case_network, max_iter=0)
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(tol=math.nan), dict(max_iter=math.nan), dict(max_iter=2.5),
-        dict(max_iter=math.inf), dict(max_iter=True),
-    ], ids=["tol-nan", "max_iter-nan", "max_iter-2.5", "max_iter-inf",
-            "max_iter-bool"])
-    def test_nan_and_non_integer_parameters(self, case_network, kwargs):
-        with pytest.raises(ValueError):
-            ln.clearing_vector(case_network, **kwargs)
+    @pytest.mark.parametrize("leak", [0.01, 0.001])
+    def test_leaky_zero_cash_ring_pays_nothing(self, leak):
+        # ten cashless banks each owe 1 - leak to the next and leak to a
+        # sink; a step-size stopping rule stops short of 0 or runs out here
+        liab = np.zeros((11, 11))
+        for i in range(10):
+            liab[i, (i + 1) % 10] = 1.0 - leak
+            liab[i, 10] = leak
+        res = ln.clearing_vector(tiny_net(liab, [0.0] * 11))
+        assert np.all(res.payments == 0.0)
+        assert res.residual == 0.0
+        assert res.defaulted.tolist() == [True] * 10 + [False]
 
     def test_near_full_payment_not_flagged(self):
         # shortfall below the relative flag tolerance

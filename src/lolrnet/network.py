@@ -10,9 +10,10 @@ Clearing payments follow the classic fixed point
     u = ubar ∧ (Pi^T u + F)
 
 (every bank pays the minimum of what it owes and what it has).  The greatest
-clearing vector is computed exactly, up to the rounding of one linear solve,
-by the fictitious-default algorithm of Eisenberg & Noe (2001): it has no
-tolerance and no iteration cap, and it ends after at most n + 1 rounds.
+clearing vector is computed by the fictitious-default algorithm of Eisenberg
+& Noe (2001), one exact linear solve per round: it has no stopping tolerance
+and no iteration cap, and it ends after at most n + 1 rounds.  A bank whose
+shortfall stays within ``DEFAULT_FLAG_RTOL`` of its obligation pays in full.
 
 All types are immutable after construction and every operation is a pure
 function of its inputs, so concurrent use needs no locking.
@@ -39,7 +40,7 @@ __all__ = [
     "build_graph_matrices",
 ]
 
-# relative slack before a shortfall flags a bank as defaulted
+# relative slack before a shortfall puts a bank into default
 DEFAULT_FLAG_RTOL = 1e-8
 
 
@@ -143,12 +144,13 @@ class GraphMatrices:
 class ClearingResult:
     """Fixed point of the clearing map and the resulting bank values.
 
-    ``payments`` is the greatest clearing vector, ``defaulted`` flags banks
-    that could not pay in full, and ``values`` holds post-clearing bank
-    values (positive part).  ``iterations`` counts fictitious-default rounds
-    (at most n + 1), and ``residual`` is the sup norm of
-    ``payments - ubar ∧ (Pi^T payments + F)``, evaluated on the returned
-    vector.
+    ``payments`` is the greatest clearing vector, except that a bank whose
+    shortfall stays within ``DEFAULT_FLAG_RTOL * max(1, ubar)`` pays in
+    full; ``defaulted`` flags the banks that pay less, and ``values`` holds
+    post-clearing bank values (positive part).  ``iterations`` counts
+    fictitious-default rounds (at most n + 1), and ``residual`` is the sup
+    norm of ``payments - ubar ∧ (Pi^T payments + F)``, evaluated on the
+    returned vector.
     """
 
     payments: np.ndarray
@@ -189,20 +191,23 @@ def relative_liabilities(net: FinancialNetwork, t: float) -> np.ndarray:
 
 
 def clearing_vector(net: FinancialNetwork, t: float = 0.0) -> ClearingResult:
-    """Greatest clearing vector at time ``t`` by the fictitious-default algorithm.
+    """Greatest clearing vector at time ``t``, by fictitious default.
 
     Every bank starts solvent, paying ``ubar`` in full.  Each round adds to
-    the default set D every solvent bank whose assets ``Pi^T u + F`` fall
-    short of ``ubar``, then solves the clearing equations on D exactly,
+    the default set D every solvent bank whose shortfall ``ubar - (Pi^T u +
+    F)`` exceeds ``DEFAULT_FLAG_RTOL * max(1, ubar)``, then solves the
+    clearing equations on D exactly,
 
         (I - Pi_DD^T) u_D = F_D + Pi_SD^T ubar_S,
 
     with the solvent set S still paying in full.  Payments only fall from
     round to round, so a bank that joins D stays in default, and the
     algorithm stops at the first round in which no bank joins (Eisenberg &
-    Noe 2001; Rogers & Veraart 2013).  D only holds banks that default at the greatest clearing
-    vector, and no closed class of banks can default there, so every solve
-    is nonsingular.
+    Noe 2001; Rogers & Veraart 2013).  No closed class of banks can default
+    at the greatest clearing vector, but a cashless closed class has a bank
+    that pays in full with zero equity, and rounding alone would push it
+    into D and make the solve singular.  The slack, far above that
+    rounding, keeps it solvent, and D is exactly the set of defaulted banks.
 
     Parameters
     ----------
@@ -218,6 +223,7 @@ def clearing_vector(net: FinancialNetwork, t: float = 0.0) -> ClearingResult:
     ubar = total_obligations(net, t)
     pi_t = relative_liabilities(net, t).T
     inflow = net.cash
+    slack = DEFAULT_FLAG_RTOL * np.maximum(1.0, ubar)
 
     u = ubar.copy()
     insolvent = np.zeros(net.n, dtype=bool)
@@ -225,7 +231,7 @@ def clearing_vector(net: FinancialNetwork, t: float = 0.0) -> ClearingResult:
     while True:
         rounds += 1
         assets = pi_t @ u + inflow
-        joining = ~insolvent & (assets < ubar)
+        joining = ~insolvent & (ubar - assets > slack)
         if not joining.any():
             break
         insolvent |= joining
@@ -233,12 +239,12 @@ def clearing_vector(net: FinancialNetwork, t: float = 0.0) -> ClearingResult:
         u[insolvent] = np.linalg.solve(
             np.eye(np.count_nonzero(insolvent))
             - pi_t[np.ix_(insolvent, insolvent)],
-            inflow[insolvent] + pi_t[np.ix_(insolvent, solvent)] @ ubar[solvent])
+            inflow[insolvent]
+            + pi_t[np.ix_(insolvent, solvent)] @ ubar[solvent])
 
     residual = float(np.max(np.abs(u - np.minimum(ubar, assets))))
-    defaulted = (ubar - u) > DEFAULT_FLAG_RTOL * np.maximum(1.0, ubar)
     values = np.maximum(assets - ubar, 0.0)
-    return ClearingResult(payments=u, defaulted=defaulted, values=values,
+    return ClearingResult(payments=u, defaulted=insolvent, values=values,
                           iterations=rounds, residual=residual)
 
 

@@ -131,6 +131,42 @@ class TestClearingVector:
         assert res.residual == 0.0
         assert res.defaulted.tolist() == [True] * 10 + [False]
 
+    # cashless closed classes: the star balances every bank's inflow and
+    # outflow, so all pay in full; in the chain B owes 0.3 but receives 0.2
+    # at most, and C is paid exactly what it owes, so C stays solvent
+    @pytest.mark.parametrize("liab, growth, t, defaulted", [
+        ([[0, 0.1, 0.3], [0.1, 0, 0], [0.3, 0, 0]], 0.1, 0.0, [False] * 3),
+        ([[0, 0.1, 0.3], [0.1, 0, 0], [0.3, 0, 0]], 0.1, 0.5, [False] * 3),
+        ([[0, 0.1, 0.3], [0.1, 0, 0], [0.3, 0, 0]], 0.1, 1.0, [False] * 3),
+        ([[0, 0.1, 0], [0.1, 0, 0.2], [0, 0.1, 0]], 0.0, 0.0,
+         [True, True, False]),
+        ([[0, 0.1, 0], [0.1, 0, 0.2], [0, 0.1, 0]], 0.05, 1.0,
+         [True, True, False]),
+    ])
+    def test_zero_cash_closed_class_keeps_zero_equity_banks_solvent(
+            self, liab, growth, t, defaulted):
+        net = tiny_net(liab, [0.0] * 3, growth=growth)
+        res = ln.clearing_vector(net, t)
+        assert res.payments == pytest.approx(
+            clearing_oracle(liab, [0.0] * 3, growth, t), abs=1e-12)
+        assert res.defaulted.tolist() == defaulted
+
+    def test_zero_cash_strongly_connected_networks_match_oracle(self):
+        # a closed class without cash has a solvent bank with zero equity
+        # at the greatest clearing vector; rounding must not default it
+        rng = np.random.default_rng(23)
+        for _ in range(100):
+            n = int(rng.integers(2, 7))
+            liab = np.round(rng.uniform(0.01, 1.0, (n, n))
+                            * (rng.random((n, n)) < 0.5), 2)
+            np.fill_diagonal(liab, 0.0)
+            liab[np.arange(n), (np.arange(n) + 1) % n] += 0.1
+            growth, t = float(rng.uniform(0.0, 0.2)), float(rng.uniform(0, 1))
+            res = ln.clearing_vector(tiny_net(liab, [0.0] * n, growth), t)
+            oracle = clearing_oracle(liab.tolist(), [0.0] * n, growth, t)
+            assert res.payments == pytest.approx(oracle, abs=1e-9)
+            assert not res.defaulted.all()
+
     def test_near_full_payment_not_flagged(self):
         # shortfall below the relative flag tolerance
         net = tiny_net([[0, 1], [0, 0]], [1.0 - 1e-12, 0.0])

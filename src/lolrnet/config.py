@@ -303,6 +303,10 @@ def load_matrix(path: str | Path) -> np.ndarray:
 # deterministic document serialization
 # ---------------------------------------------------------------------------
 
+# spaces per nesting level of a serialized document
+_INDENT = 2
+
+
 def format_number(value: float) -> str:
     """17-significant-digit decimal form; round-trips float64 exactly."""
     if math.isinf(value):
@@ -310,8 +314,7 @@ def format_number(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _write_float_array(value: np.ndarray, out: list[str], indent: int,
-                       level: int) -> None:
+def _write_float_array(value: np.ndarray, out: list[str], level: int) -> None:
     """Write a non-empty, finite float64 array with one %-format per row.
 
     ``"%.17g"`` is :func:`format_number`'s text for every finite float and
@@ -332,20 +335,20 @@ def _write_float_array(value: np.ndarray, out: list[str], indent: int,
     pieces = np.array(["%.17g", "%.17g" % distinct[top].view(np.float64)],
                       dtype=object)
     leaf = level + value.ndim - 1
-    pad = " " * (indent * (leaf + 1))
+    pad = " " * (_INDENT * (leaf + 1))
     sep = f",\n{pad}"
-    head, tail = f"[\n{pad}", f"\n{' ' * (indent * leaf)}]"
+    head, tail = f"[\n{pad}", f"\n{' ' * (_INDENT * leaf)}]"
     plain = head + sep.join(["%.17g"] * value.shape[-1]) + tail
 
     def write(sub: np.ndarray, mask: np.ndarray, lvl: int) -> None:
         if sub.ndim > 1:
-            row_pad = " " * (indent * (lvl + 1))
+            row_pad = " " * (_INDENT * (lvl + 1))
             out.append("[\n")
             for k in range(len(sub)):
                 out.append(row_pad)
                 write(sub[k], mask[k], lvl + 1)
                 out.append(",\n" if k < len(sub) - 1 else "\n")
-            out.append(f"{' ' * (indent * lvl)}]")
+            out.append(f"{' ' * (_INDENT * lvl)}]")
         elif mask.any():
             cells = pieces[mask.view(np.uint8)].tolist()
             template = head + sep.join(cells) + tail
@@ -356,9 +359,9 @@ def _write_float_array(value: np.ndarray, out: list[str], indent: int,
     write(value, is_mode, level)
 
 
-def _write_value(value, out: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+def _write_value(value, out: list[str], level: int) -> None:
+    pad = " " * (_INDENT * (level + 1))
+    close_pad = " " * (_INDENT * level)
     if isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -366,12 +369,12 @@ def _write_value(value, out: list[str], indent: int, level: int) -> None:
         out.append("{\n")
         for k, (key, item) in enumerate(value.items()):
             out.append(f"{pad}{json.dumps(key)}: ")
-            _write_value(item, out, indent, level + 1)
+            _write_value(item, out, level + 1)
             out.append(",\n" if k < len(value) - 1 else "\n")
         out.append(f"{close_pad}}}")
     elif (isinstance(value, np.ndarray) and value.ndim and value.size
           and value.dtype == np.float64 and np.isfinite(value).all()):
-        _write_float_array(value, out, indent, level)
+        _write_float_array(value, out, level)
     elif isinstance(value, (list, tuple, np.ndarray)):
         if isinstance(value, np.ndarray):
             # a matrix with a non-finite entry recurses row by row, so each
@@ -385,7 +388,7 @@ def _write_value(value, out: list[str], indent: int, level: int) -> None:
         out.append("[\n")
         for k, item in enumerate(items):
             out.append(pad)
-            _write_value(item, out, indent, level + 1)
+            _write_value(item, out, level + 1)
             out.append(",\n" if k < len(items) - 1 else "\n")
         out.append(f"{close_pad}]")
     elif isinstance(value, bool) or isinstance(value, np.bool_):
@@ -408,14 +411,15 @@ def _write_value(value, out: list[str], indent: int, level: int) -> None:
         raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def dumps_doc(doc, indent: int = 2) -> str:
+def dumps_doc(doc) -> str:
     """Serialize to JSON text with deterministic float formatting.
 
-    Finite floats use 17 significant digits; infinities become the strings
-    ``"inf"`` / ``"-inf"``.  Key order is preserved, so equal inputs always
-    produce byte-identical text.  A float array's dominant value is
-    formatted once and reused; the text is the same as for its list.
+    Nesting is indented by two spaces per level.  Finite floats use 17
+    significant digits; infinities become the strings ``"inf"`` /
+    ``"-inf"``.  Key order is preserved, so equal inputs always produce
+    byte-identical text.  A float array's dominant value is formatted once
+    and reused; the text is the same as for its list.
     """
     out: list[str] = []
-    _write_value(doc, out, indent, 0)
+    _write_value(doc, out, 0)
     return "".join(out)

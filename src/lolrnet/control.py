@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import erf, erfinv
 
 from .errors import MUST_BE_FINITE, require
-from .network import FinancialNetwork, default_boundary
+from .network import _LOG_FLOAT_MAX, FinancialNetwork, default_boundary
 
 __all__ = [
     "Region",
@@ -157,18 +157,27 @@ def value_function(p: ControlProblem, x: float, psi: float) -> float:
         0.5 * psi^2 * x^2 * (exp(c * tau) - 1) / c,   c = 2 (mu + psi) + sigma^2
 
     with the removable singularity at ``c == 0`` evaluated as
-    ``0.5 * psi^2 * x^2 * tau``.  Zero exactly when ``psi`` is zero.
+    ``0.5 * psi^2 * x^2 * tau``.  Zero exactly when ``psi`` is zero.  Where
+    ``exp(c * tau)`` overflows, a tiny ``x`` can still keep the cost finite,
+    so ``x^2 * exp(c * tau)`` is formed in log space there; ``math.inf``
+    means the cost itself exceeds the largest float.
     """
     if not x > 0:
         raise ValueError("current value x must be positive")
     if not 0 <= psi < math.inf:
         raise ValueError("psi must be finite and non-negative")
+    if psi == 0:
+        return 0.0
     tau = p.horizon_remaining
     c = 2.0 * (p.mu + psi) + p.sigma**2
-    if c == 0.0:
-        integral = tau
-    else:
-        integral = math.expm1(c * tau) / c
+    try:
+        integral = tau if c == 0.0 else math.expm1(c * tau) / c
+    except OverflowError:
+        # c * tau > 709, where expm1(c * tau) equals exp(c * tau) to far
+        # below one ulp
+        log_cost = (2.0 * (math.log(psi) + math.log(x)) + c * tau
+                    - math.log(2.0 * c))
+        return math.exp(log_cost) if log_cost <= _LOG_FLOAT_MAX else math.inf
     return 0.5 * psi**2 * x**2 * integral
 
 
@@ -223,7 +232,7 @@ def network_decision(net: FinancialNetwork, q: np.ndarray, t: float = 0.0,
         raise ValueError(f"decision time {t} outside [0, {net.horizon})")
 
     remaining = net.horizon - t
-    boundaries = default_boundary(net, np.arange(net.n), net.horizon)
+    boundaries = default_boundary(net, net.horizon)
     decisions = []
     for i in range(net.n):
         boundary = float(boundaries[i])

@@ -41,17 +41,6 @@ def is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def require_solver_limits(tol, max_iter) -> None:
-    """Raise ``ValueError`` unless ``tol > 0`` and ``max_iter`` is an int >= 1.
-
-    Written so that a NaN ``tol`` fails; a float ``max_iter`` fails too.
-    """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if not (is_int(max_iter) and max_iter >= 1):
-        raise ValueError("max_iter must be an integer of at least 1")
-
-
 def require(ok, field: str, message: str) -> None:
     """Raise :class:`InvalidValueError` unless ``ok`` holds everywhere.
 
@@ -90,10 +79,11 @@ class ConfigValidationError(ConfigError, InvalidValueError):
 
 
 class ConvergenceError(LolrnetError, RuntimeError):
-    """A rank solver (power iteration or series) hit its iteration limit.
+    """Power iteration hit its fixed step limit before its fixed tolerance.
 
-    Carries the last iterate and its eigen or series residual so callers can
-    inspect how close the run got.
+    Raised by ``perron_rank`` (and through it ``rank_network`` and
+    ``series_rank``) on a slowly mixing matrix.  Carries the last iterate and
+    its eigen residual so callers can inspect how close the run got.
     """
 
     def __init__(self, message: str, last_iterate: np.ndarray, residual: float):

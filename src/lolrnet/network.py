@@ -22,6 +22,7 @@ function of its inputs, so concurrent use needs no locking.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,9 @@ __all__ = [
 
 # relative slack before a shortfall puts a bank into default
 DEFAULT_FLAG_RTOL = 1e-8
+
+# largest exponent whose exp is a finite float
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _frozen(values, dtype=float) -> np.ndarray:
@@ -71,6 +75,8 @@ class FinancialNetwork:
         boundary before the terminal time.
     growth_rate : float
         Common per-year exponential growth rate of all liabilities.
+        ``growth_rate * horizon`` may not exceed ``log`` of the largest
+        float, so every growth factor ``exp(growth_rate * t)`` is finite.
     horizon : float
         Terminal time T in years; must be positive.
     """
@@ -109,6 +115,9 @@ class FinancialNetwork:
             require(math.isfinite(getattr(self, name)), name, MUST_BE_FINITE)
             object.__setattr__(self, name, float(getattr(self, name)))
         require(self.horizon > 0, "horizon", "must be a positive number")
+        require(self.growth_rate * self.horizon <= _LOG_FLOAT_MAX,
+                "growth_rate", "growth_rate * horizon must not exceed "
+                f"log(largest float) = {_LOG_FLOAT_MAX:.2f}")
 
     @property
     def n(self) -> int:
@@ -160,29 +169,24 @@ class ClearingResult:
     residual: float
 
 
-def _check_time(net: FinancialNetwork, t: float) -> None:
-    if not (0.0 <= t <= net.horizon):
-        raise ValueError(f"time {t} outside [0, {net.horizon}]")
-
-
 def total_obligations(net: FinancialNetwork, t: float) -> np.ndarray:
     """Total nominal obligation of every bank at time ``t``.
 
     Row sums of the liabilities matrix scaled by the common exponential
     growth factor ``exp(growth_rate * t)``.
     """
-    _check_time(net, t)
+    if not (0.0 <= t <= net.horizon):
+        raise ValueError(f"time {t} outside [0, {net.horizon}]")
     return net.liabilities.sum(axis=1) * math.exp(net.growth_rate * t)
 
 
-def relative_liabilities(net: FinancialNetwork, t: float) -> np.ndarray:
-    """Row-normalized liabilities matrix Pi at time ``t``.
+def relative_liabilities(net: FinancialNetwork) -> np.ndarray:
+    """Row-normalized liabilities matrix Pi.
 
     Entry ``(i, j)`` is the fraction of bank ``i``'s total debt owed to bank
     ``j``; rows of banks with no obligations are zero.  Uniform exponential
-    growth cancels in the ratio, so the result is the same for every ``t``.
+    growth cancels in the ratio, so Pi is the same at every time.
     """
-    _check_time(net, t)
     ubar = net.liabilities.sum(axis=1)
     pi = np.zeros_like(net.liabilities)
     pos = ubar > 0
@@ -221,7 +225,7 @@ def clearing_vector(net: FinancialNetwork, t: float = 0.0) -> ClearingResult:
     ClearingResult
     """
     ubar = total_obligations(net, t)
-    pi_t = relative_liabilities(net, t).T
+    pi_t = relative_liabilities(net).T
     inflow = net.cash
     slack = DEFAULT_FLAG_RTOL * np.maximum(1.0, ubar)
 
@@ -256,32 +260,20 @@ def net_liability_matrix(net: FinancialNetwork, payments: np.ndarray) -> np.ndar
     return net.liabilities - np.diag(payments)
 
 
-def default_boundary(net: FinancialNetwork, i: int | np.ndarray,
-                     t: float) -> float | np.ndarray:
-    """Default threshold of bank ``i`` at time ``t``.
+def default_boundary(net: FinancialNetwork, t: float) -> np.ndarray:
+    """Default threshold of every bank at time ``t``.
 
-    The net obligation of the bank (what it owes minus what it is owed, both
-    at their time-``t`` nominal values), scaled by the bank's recovery rate
-    strictly before the horizon and unscaled at the horizon.  Negative for
-    net creditors, which therefore cannot default.
-
-    An int ``i`` returns a float.  An integer index array returns an ndarray
-    of the same shape, e.g. ``default_boundary(net, np.arange(net.n), t)``
-    for every bank.  Either form costs one O(n^2) evaluation per call, so
-    callers that need many banks pass them all at once.
+    Entry ``i`` is the net obligation of bank ``i`` (what it owes minus what
+    it is owed, both at their time-``t`` nominal values), scaled by the
+    bank's recovery rate strictly before the horizon and unscaled at the
+    horizon.  Negative for net creditors, which therefore cannot default.
+    One call costs one O(n^2) evaluation for all banks.
     """
-    index = np.asarray(i)
-    out_of_range = (index < 0) | (index >= net.n)
-    if out_of_range.any():
-        bad = index[out_of_range].flat[0]
-        raise IndexError(f"bank index {bad} out of range for {net.n} banks")
-    _check_time(net, t)
     ubar = total_obligations(net, t)
-    incoming = relative_liabilities(net, t).T @ ubar
-    net_obligation = ubar[index] - incoming[index]
+    net_obligation = ubar - relative_liabilities(net).T @ ubar
     if t < net.horizon:
-        net_obligation = net.recovery[index] * net_obligation
-    return float(net_obligation) if index.ndim == 0 else net_obligation
+        net_obligation = net.recovery * net_obligation
+    return net_obligation
 
 
 def build_graph_matrices(net: FinancialNetwork) -> GraphMatrices:

@@ -3,8 +3,9 @@
 Builds directed edge weights from the liabilities matrix and each bank's net
 position, normalizes them into a column-indexed transition matrix, damps it
 into an everywhere-positive Google matrix, and extracts the dominant
-eigenvector by power iteration.  A geometric-series variant of the rank is
-provided as a secondary diagnostic.  Survival-probability targets are then
+eigenvector by power iteration with fixed limits.  A geometric-series
+variant of the rank is provided as a secondary diagnostic; its series is
+summed exactly by one linear solve.  Survival-probability targets are then
 assigned from the rank, either uniformly (max-liquidity style) or through
 increasing rank thresholds (systemic-importance-driven style).
 """
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (MUST_BE_FINITE, ConvergenceError, DegenerateNetworkError,
-                     require, require_solver_limits)
+                     require)
 from .network import FinancialNetwork
 
 __all__ = [
@@ -36,8 +37,10 @@ __all__ = [
 ]
 
 DEFAULT_DAMPING = 0.85
-DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 10_000
+
+# power-iteration stopping residual and step limit
+_TOL = 1e-12
+_MAX_ITER = 10_000
 
 _COEFF_SUM_TOL = 1e-12
 
@@ -202,22 +205,19 @@ def google_matrix(gamma_plus: np.ndarray,
     return tau, google
 
 
-def perron_rank(google: np.ndarray, tol: float = DEFAULT_TOL,
-                max_iter: int = DEFAULT_MAX_ITER) -> tuple[float, np.ndarray]:
+def perron_rank(google: np.ndarray) -> tuple[float, np.ndarray]:
     """Dominant eigenvalue and strictly positive unit eigenvector.
 
     Power iteration with 2-norm renormalization on a strictly positive
-    matrix; stops once ``||G r - lambda r||_2 <= tol`` with the eigenvalue
+    matrix; stops once ``||G r - lambda r||_2 <= 1e-12`` with the eigenvalue
     estimated by the Rayleigh quotient.
 
     Raises
     ------
-    ValueError
-        If ``tol`` is not positive or ``max_iter`` is not an integer >= 1.
     ConvergenceError
-        If the residual does not reach ``tol`` within ``max_iter`` steps.
+        If the residual does not reach 1e-12 within 10,000 steps, as on a
+        slowly mixing matrix.
     """
-    require_solver_limits(tol, max_iter)
     google = np.asarray(google, dtype=float)
     if google.ndim != 2 or google.shape[0] != google.shape[1]:
         raise ValueError("google matrix must be square")
@@ -226,27 +226,26 @@ def perron_rank(google: np.ndarray, tol: float = DEFAULT_TOL,
     vec = np.full(n, 1.0 / math.sqrt(n))
     eigenvalue = 0.0
     residual = math.inf
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         image = google @ vec
         eigenvalue = float(vec @ image)
         residual = float(np.linalg.norm(image - eigenvalue * vec))
-        if residual <= tol:
+        if residual <= _TOL:
             return eigenvalue, vec
         vec = image / np.linalg.norm(image)
     raise ConvergenceError("power iteration did not converge", vec, residual)
 
 
-def series_rank(google: np.ndarray, damping: float,
-                tol: float = DEFAULT_TOL,
-                max_iter: int = 1_000_000) -> tuple[np.ndarray, np.ndarray]:
+def series_rank(google: np.ndarray,
+                damping: float) -> tuple[np.ndarray, np.ndarray]:
     """Geometric-series rank ``d * sum_k (1-d)^k G^k 1``.
 
     Requires ``(1 - damping) * spectral_radius(G) < 1`` (checked through
-    ``perron_rank``); terms are accumulated until the sup norm of the next
-    term drops to ``tol``.  Returns the raw series sum and a 2-norm-normalized
-    copy.
+    ``perron_rank``).  The series then sums to ``d * (I - (1-d) G)^{-1} 1``,
+    which one linear solve gives exactly (Langville & Meyer, *Google's
+    PageRank and Beyond*, 2006).  Returns the raw series sum and a
+    2-norm-normalized copy.
     """
-    require_solver_limits(tol, max_iter)
     google = np.asarray(google, dtype=float)
     if not 0.0 < damping < 1.0:
         raise ValueError("damping must lie strictly inside (0, 1)")
@@ -255,16 +254,9 @@ def series_rank(google: np.ndarray, damping: float,
         raise ValueError(
             f"series diverges: (1 - d) * lambda = "
             f"{(1.0 - damping) * spectral_radius:.6g} >= 1")
-    term = np.full(google.shape[0], damping)
-    total = term.copy()
-    for _ in range(max_iter):
-        if np.max(np.abs(term)) <= tol:
-            break
-        term = (1.0 - damping) * (google @ term)
-        total += term
-    else:
-        raise ConvergenceError("series accumulation did not converge",
-                               total, float(np.max(np.abs(term))))
+    n = google.shape[0]
+    total = damping * np.linalg.solve(np.eye(n) - (1.0 - damping) * google,
+                                      np.ones(n))
     return total, total / np.linalg.norm(total)
 
 
@@ -286,13 +278,11 @@ def assign_survival_probabilities(rank: np.ndarray, policy: QPolicy) -> np.ndarr
     raise TypeError(f"unsupported policy type {type(policy).__name__}")
 
 
-def rank_network(net: FinancialNetwork, w: RankWeights,
-                 tol: float = DEFAULT_TOL,
-                 max_iter: int = DEFAULT_MAX_ITER) -> RankingResult:
+def rank_network(net: FinancialNetwork, w: RankWeights) -> RankingResult:
     """Full rank pipeline: weights, transition matrix, dominant eigenpair."""
     gamma_plus, gamma_minus = edge_weights(net, w)
     tau, google = google_matrix(gamma_plus, w.damping)
-    eigenvalue, rank = perron_rank(google, tol=tol, max_iter=max_iter)
+    eigenvalue, rank = perron_rank(google)
     return RankingResult(gamma_plus=gamma_plus, gamma_minus=gamma_minus,
                          tau=tau, google=google, eigenvalue=eigenvalue,
                          rank=rank, net_positions=net_positions(net))

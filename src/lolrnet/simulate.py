@@ -259,7 +259,7 @@ def simulate_network(net: FinancialNetwork, decisions: list[ControlDecision],
             cost[i] = cost_i
             recorded.append(rec_i)
 
-    boundary = default_boundary(net, np.arange(n), net.horizon)
+    boundary = default_boundary(net, net.horizon)
     freq = (terminal < boundary[:, None]).mean(axis=1)
     halfwidth = _Z95 * np.sqrt(freq * (1.0 - freq) / cfg.paths)
     log_terminal = np.log(terminal)

@@ -113,6 +113,23 @@ def google_oracle(gamma, damping):
     return google
 
 
+def series_rank_oracle(google, damping):
+    """Plain-Python partial sums of ``d * sum_k (1-d)^k G^k 1``.
+
+    Adds terms until the next one falls below 1e-18 of the sum, which for
+    a ratio ``(1 - d) * lambda <= 0.9`` leaves a tail far below 1e-12 of it.
+    """
+    n = len(google)
+    term = [damping] * n
+    total = list(term)
+    while max(term) > 1e-18 * max(total):
+        term = [(1.0 - damping) * sum(google[i][j] * term[j]
+                                      for j in range(n))
+                for i in range(n)]
+        total = [a + b for a, b in zip(total, term)]
+    return total
+
+
 def random_network(rng, max_banks=6, min_banks=2):
     """Small random network with a sparse positive liabilities matrix."""
     n = int(rng.integers(min_banks, max_banks + 1))
@@ -195,7 +212,7 @@ def reference_simulation(net: ln.FinancialNetwork, decisions, cfg: ln.SimConfig,
             rows[:, 0] = x0
             rows[:, 1:] = values[:take]
             recorded.append(rows)
-    boundary = ln.default_boundary(net, np.arange(n), net.horizon)
+    boundary = ln.default_boundary(net, net.horizon)
     freq = (terminal < boundary[:, None]).mean(axis=1)
     logvar = (np.log(terminal).var(axis=1, ddof=1) if paths > 1
               else np.zeros(n))

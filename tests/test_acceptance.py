@@ -52,8 +52,8 @@ def test_criterion_1_switching_thresholds(case_config):
 
 def test_criterion_2_closed_form_default_probabilities(case_network, case_q):
     start = time.perf_counter()
-    boundary1 = ln.default_boundary(case_network, 0, 1.0)
-    boundary3 = ln.default_boundary(case_network, 2, 1.0)
+    boundary1 = ln.default_boundary(case_network, 1.0)[0]
+    boundary3 = ln.default_boundary(case_network, 1.0)[2]
     bank1 = ln.ControlProblem(mu=0.2, sigma=0.1, v_terminal=boundary1,
                               horizon_remaining=1.0, q=float(case_q[0]))
     bank3 = ln.ControlProblem(mu=0.3, sigma=0.2, v_terminal=boundary3,
@@ -125,7 +125,7 @@ def test_criterion_5_policy_mapping():
 
 def test_criterion_6_value_function_oracle(case_network):
     psi = 0.40837
-    boundary3 = ln.default_boundary(case_network, 2, 1.0)
+    boundary3 = ln.default_boundary(case_network, 1.0)[2]
     problem = ln.ControlProblem(mu=0.3, sigma=0.2, v_terminal=boundary3,
                                 horizon_remaining=1.0, q=0.99)
     closed = ln.value_function(problem, 13.0, psi)
@@ -153,7 +153,7 @@ def test_criterion_7_property_suites(case_network, decisions):
         if not (np.all(res.payments >= -1e-12)
                 and np.all(res.payments <= ubar + 1e-12)):
             failures.append(f"lattice bound violated on trial {trial}")
-        mapped = np.minimum(ubar, ln.relative_liabilities(net, 0.0).T
+        mapped = np.minimum(ubar, ln.relative_liabilities(net).T
                             @ res.payments + net.cash)
         if np.max(np.abs(res.payments - mapped)) > 1e-9:
             failures.append(f"fixed-point residual too large on trial {trial}")
@@ -189,7 +189,7 @@ def test_criterion_7_property_suites(case_network, decisions):
             failures.append(f"{res_t.iterations} rounds on trial {trial}")
         ubar_t = ln.total_obligations(net, t)
         residual_t = float(np.max(np.abs(res_t.payments - np.minimum(
-            ubar_t, ln.relative_liabilities(net, t).T @ res_t.payments
+            ubar_t, ln.relative_liabilities(net).T @ res_t.payments
             + net.cash))))
         if abs(res_t.residual - residual_t) \
                 > 1e-12 * max(1.0, float(ubar_t.max())):
@@ -197,7 +197,7 @@ def test_criterion_7_property_suites(case_network, decisions):
                             f"{residual_t:.2e} on trial {trial}")
 
         # relative liabilities row-stochasticity on the same networks
-        sums = ln.relative_liabilities(net, 0.0).sum(axis=1)
+        sums = ln.relative_liabilities(net).sum(axis=1)
         if not np.all((np.abs(sums - 1.0) <= 1e-12) | (sums == 0.0)):
             failures.append(f"row stochasticity violated on trial {trial}")
 

@@ -72,6 +72,9 @@ class TestConfigLoading:
             (("banks", 2, "recovery"), 1.5,
              "banks[2].recovery: must lie strictly inside (0, 1)"),
             (("horizon",), 0.0, "horizon: must be a positive number"),
+            (("growth_rate",), 800.0,
+             "growth_rate: growth_rate * horizon must not exceed "
+             "log(largest float) = 709.78"),
             (("ranking", "c_plus"), -0.5,
              "ranking.c_plus: must be non-negative"),
             (("ranking", "c_minus"), -1.0,
@@ -224,6 +227,22 @@ class TestCommandOutputs:
         assert regions == ["no_action", "no_action", "action", "no_action"]
         assert doc["banks"][2]["psi_star"] == pytest.approx(0.40837,
                                                             abs=1e-5)
+
+    def test_tiny_cash_has_finite_cost(self, capsys, tmp_path):
+        # psi* = 693.61 gives c * tau = 1387.9, beyond exp's range, but
+        # x^2 = 1e-600 keeps the cost finite (value checked with mpmath)
+        doc = json.loads(ln.case_study_path().read_text())
+        doc["banks"][2]["cash"] = 1e-300
+        target = tmp_path / "tiny_cash.json"
+        target.write_text(json.dumps(doc))
+        for command in ("regions", "control"):
+            code, out, _ = run_cli(capsys, command, "--config", str(target),
+                                   "--format", "doc")
+            assert code == 0
+        bank3 = json.loads(out)["banks"][2]
+        assert bank3["region"] == "action"
+        assert bank3["expected_cost"] == pytest.approx(95721.648425116,
+                                                       rel=1e-9)
 
     def test_simulate_doc_schema(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--config",

@@ -213,6 +213,18 @@ class TestValueFunction:
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(31.844615022035097, abs=1e-9)
 
+    def test_overflowing_exponential(self):
+        # c * tau = 1387.9: exp(c * tau) overflows, x^2 * exp(c * tau) need
+        # not; expected value from mpmath at 50 digits
+        psi = 693.6125488247062
+        assert ln.value_function(BANK3, 1e-300, psi) == pytest.approx(
+            95721.64842512815, rel=1e-12)
+        assert ln.value_function(BANK3, 1.0, psi) == math.inf
+        # a zero rate costs nothing even where exp(c * tau) overflows
+        fast = ln.ControlProblem(mu=400.0, sigma=0.2, v_terminal=1.0,
+                                 horizon_remaining=1.0, q=0.5)
+        assert ln.value_function(fast, 1.0, 0.0) == 0.0
+
     def test_removable_singularity_branch(self):
         # dyadic values make c = 2(mu + psi) + sigma^2 == 0 exactly
         p = ln.ControlProblem(mu=-0.625, sigma=0.5, v_terminal=1.0,
@@ -307,7 +319,8 @@ class TestNetworkDecision:
                 p = ln.ControlProblem(
                     mu=float(case_network.drift[i]),
                     sigma=float(case_network.vol[i]),
-                    v_terminal=ln.default_boundary(case_network, i, 1.0),
+                    v_terminal=float(
+                        ln.default_boundary(case_network, 1.0)[i]),
                     horizon_remaining=1.0, q=float(case_q[i]))
                 per_bank.append(ln.value_function(
                     p, float(case_network.cash[i]), d.psi_star))

@@ -72,23 +72,19 @@ class TestTotalObligations:
 class TestRelativeLiabilities:
     def test_zero_matrix(self):
         net = tiny_net([[0, 0], [0, 0]], [1, 1])
-        assert np.array_equal(ln.relative_liabilities(net, 0.0),
+        assert np.array_equal(ln.relative_liabilities(net),
                               np.zeros((2, 2)))
 
     def test_case_study_bank1_row(self, case_network):
         # bank 1 owes 5 and 10 out of 15
-        row = ln.relative_liabilities(case_network, 0.0)[0]
+        row = ln.relative_liabilities(case_network)[0]
         assert row == pytest.approx([0.0, 1/3, 0.0, 2/3], abs=1e-15)
-
-    def test_growth_cancels(self, case_network):
-        assert np.array_equal(ln.relative_liabilities(case_network, 0.0),
-                              ln.relative_liabilities(case_network, 1.0))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_rows_sum_to_one_or_zero(self, seed):
         net = random_network(np.random.default_rng(seed))
-        sums = ln.relative_liabilities(net, 0.0).sum(axis=1)
+        sums = ln.relative_liabilities(net).sum(axis=1)
         assert np.all((np.abs(sums - 1.0) <= 1e-12) | (sums == 0.0))
 
 
@@ -114,7 +110,7 @@ class TestClearingVector:
         res = ln.clearing_vector(net)
         ubar = ln.total_obligations(net, 0.0)
         assert np.array_equal(res.payments, ubar)
-        expected = net.cash + ln.relative_liabilities(net, 0.0).T @ ubar - ubar
+        expected = net.cash + ln.relative_liabilities(net).T @ ubar - ubar
         assert res.values == pytest.approx(expected, abs=1e-12)
         assert np.all(res.values >= 0)
 
@@ -183,7 +179,7 @@ class TestClearingVector:
             assert np.all(res.payments >= -1e-12)
             assert np.all(res.payments <= ubar + 1e-12)
             mapped = np.minimum(
-                ubar, ln.relative_liabilities(net, t).T @ res.payments + net.cash)
+                ubar, ln.relative_liabilities(net).T @ res.payments + net.cash)
             assert np.max(np.abs(res.payments - mapped)) <= 1e-9
 
     def test_matches_double_start_oracle_and_monotone_in_cash(self):
@@ -214,7 +210,7 @@ class TestClearingVector:
         for _ in range(20):
             net = random_network(rng)
             ubar = ln.total_obligations(net, 0.0)
-            pi_t = ln.relative_liabilities(net, 0.0).T
+            pi_t = ln.relative_liabilities(net).T
             u = ubar.copy()
             for _ in range(50):
                 nxt = np.minimum(ubar, pi_t @ u + net.cash)
@@ -245,24 +241,25 @@ class TestNetLiabilityMatrix:
 class TestDefaultBoundary:
     def test_case_study_bank3_at_horizon(self, case_network):
         # nobody owes bank 3, so the boundary is its full grown obligation
-        assert ln.default_boundary(case_network, 2, 1.0) == pytest.approx(
+        assert ln.default_boundary(case_network, 1.0)[2] == pytest.approx(
             B3_OBLIGATION_T1, abs=1e-12)
 
     def test_case_study_bank1_at_horizon(self, case_network):
         # owes 15, is owed 10, grown by exp(0.08)
-        assert ln.default_boundary(case_network, 0, 1.0) == pytest.approx(
+        assert ln.default_boundary(case_network, 1.0)[0] == pytest.approx(
             B1_BOUNDARY_T1, abs=1e-12)
 
     def test_net_creditors_have_negative_boundary(self, case_network):
-        assert ln.default_boundary(case_network, 1, 1.0) < 0
-        assert ln.default_boundary(case_network, 3, 1.0) < 0
+        boundary = ln.default_boundary(case_network, 1.0)
+        assert boundary[1] < 0
+        assert boundary[3] < 0
 
     def test_recovery_scales_pre_horizon_boundary(self, case_network):
         # recovery 0.5 in the fixture: half the unscaled net obligation
         ubar = ln.total_obligations(case_network, 0.4)
-        incoming = ln.relative_liabilities(case_network, 0.4).T @ ubar
+        incoming = ln.relative_liabilities(case_network).T @ ubar
         unscaled = ubar[0] - incoming[0]
-        assert ln.default_boundary(case_network, 0, 0.4) == pytest.approx(
+        assert ln.default_boundary(case_network, 0.4)[0] == pytest.approx(
             0.5 * unscaled, abs=1e-12)
 
     def test_linear_in_recovery_before_horizon(self):
@@ -271,33 +268,15 @@ class TestDefaultBoundary:
         scaled = ln.FinancialNetwork(
             liabilities=base.liabilities, cash=base.cash, drift=base.drift,
             vol=base.vol, recovery=[0.8, 0.8], growth_rate=0.0, horizon=1.0)
-        v_half = ln.default_boundary(base, 0, 0.3)
-        v_08 = ln.default_boundary(scaled, 0, 0.3)
+        v_half = ln.default_boundary(base, 0.3)[0]
+        v_08 = ln.default_boundary(scaled, 0.3)[0]
         assert v_08 == pytest.approx(v_half * 0.8 / 0.5, abs=1e-12)
 
     def test_continuous_in_time_before_horizon(self, case_network):
         times = np.linspace(0.0, 0.999, 200)
-        values = [ln.default_boundary(case_network, 0, t) for t in times]
+        values = [ln.default_boundary(case_network, t)[0] for t in times]
         diffs = np.abs(np.diff(values))
         assert diffs.max() < 1e-2  # smooth exponential, no jumps before T
-
-    def test_index_out_of_range(self, case_network):
-        with pytest.raises(IndexError):
-            ln.default_boundary(case_network, 4, 0.0)
-        for index in ([0, 4], [-1, 2]):
-            with pytest.raises(IndexError):
-                ln.default_boundary(case_network, np.array(index), 0.0)
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_index_array_matches_scalar_calls_exactly(self, case_network,
-                                                      seed):
-        for net in (case_network, random_network(np.random.default_rng(seed))):
-            for t in (0.5 * net.horizon, net.horizon):
-                batch = ln.default_boundary(net, np.arange(net.n), t)
-                assert isinstance(batch, np.ndarray)
-                assert batch.tolist() == [ln.default_boundary(net, i, t)
-                                          for i in range(net.n)]
 
 
 class TestGraphMatrices:

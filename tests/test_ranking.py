@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import lolrnet as ln
 from _support import (CASE_CASH, CREDITOR_TABLE, FIXTURE_EIGENVALUE,
                       FIXTURE_RANK, gamma_oracle, google_oracle,
-                      random_network)
+                      random_network, series_rank_oracle)
 
 
 def as_network(table, cash):
@@ -190,36 +190,19 @@ class TestPerronRank:
         assert rank_b == pytest.approx(rank_a[perm], abs=1e-9)
 
     def test_residual_bound_and_positivity(self, printed_google):
-        eigenvalue, rank = ln.perron_rank(printed_google, tol=1e-13)
+        eigenvalue, rank = ln.perron_rank(printed_google)
         residual = np.linalg.norm(printed_google @ rank - eigenvalue * rank)
-        assert residual <= 1e-13
+        assert residual <= 1e-12
         assert np.all(rank > 0)
         assert np.linalg.norm(rank) == pytest.approx(1.0, abs=1e-12)
 
-    def test_iteration_limit(self, printed_google):
+    def test_iteration_limit(self):
+        # eigenvalues 1 +- 2e-9: the second eigencomponent decays by a
+        # factor 1 - 4e-9 per step, far too slowly for 10,000 steps
         with pytest.raises(ln.ConvergenceError) as info:
-            ln.perron_rank(printed_google, tol=1e-16, max_iter=1)
-        assert info.value.residual > 0
-
-    @pytest.mark.parametrize("solver", ["perron_rank", "rank_network",
-                                        "series_rank"])
-    @pytest.mark.parametrize("kwargs, message", [
-        (dict(tol=math.nan), "tol must be positive"),
-        (dict(tol=-1.0), "tol must be positive"),
-        (dict(max_iter=0), "max_iter must be an integer of at least 1"),
-        (dict(max_iter=2.5), "max_iter must be an integer of at least 1"),
-    ], ids=["tol-nan", "tol-negative", "max_iter-0", "max_iter-2.5"])
-    def test_rejects_bad_solver_limits(self, solver, kwargs, message,
-                                       printed_google, case_config):
-        calls = {
-            "perron_rank": lambda: ln.perron_rank(printed_google, **kwargs),
-            "rank_network": lambda: ln.rank_network(
-                case_config.to_network(), case_config.weights, **kwargs),
-            "series_rank": lambda: ln.series_rank(printed_google, 0.85,
-                                                  **kwargs),
-        }
-        with pytest.raises(ValueError, match=message):
-            calls[solver]()
+            ln.perron_rank(np.array([[1.0, 1e-9], [4e-9, 1.0]]))
+        assert info.value.residual > 1e-12
+        assert info.value.last_iterate.shape == (2,)
 
     def test_rejects_nonpositive_matrix(self):
         for bad in (0.0, math.nan):
@@ -243,8 +226,22 @@ class TestSeriesRank:
         assert np.linalg.norm(unit) == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_matrix_equal_components(self):
+        # G 1 = 1, so every term is d (1-d)^k and the sum is exactly 1
         raw, _ = ln.series_rank(np.full((4, 4), 0.25), 0.85)
-        assert np.ptp(raw) <= 1e-12
+        assert raw == pytest.approx(np.ones(4), rel=0, abs=1e-15)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_truncated_series_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        google = rng.uniform(0.01, 1.0, (n, n))
+        # column sums bound the spectral radius: (1 - d) * lambda <= 0.9
+        google *= rng.uniform(0.5, 1.5) / google.sum(axis=0).max()
+        damping = float(rng.uniform(0.4, 0.95))
+        raw, _ = ln.series_rank(google, damping)
+        oracle = series_rank_oracle(google.tolist(), damping)
+        assert raw == pytest.approx(np.array(oracle), rel=1e-12, abs=0)
 
     def test_divergence_rejected(self):
         # spectral radius 4 with damping 0.1: 0.9 * 4 >= 1

@@ -204,8 +204,8 @@ class TestCostEstimation:
         mean, halfwidth = ln.estimate_cost(case_network, 2, B3_PSI_STAR, cfg,
                                            threads=1)
         p = ln.ControlProblem(mu=0.3, sigma=0.2,
-                              v_terminal=ln.default_boundary(case_network, 2,
-                                                             1.0),
+                              v_terminal=float(
+                                  ln.default_boundary(case_network, 1.0)[2]),
                               horizon_remaining=1.0, q=0.99)
         closed = ln.value_function(p, 13.0, B3_PSI_STAR)
         assert abs(mean - closed) <= 3 * halfwidth

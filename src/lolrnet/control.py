@@ -10,6 +10,12 @@ expected cost of holding a constant rate is likewise closed form.
 
 Per-bank problems are independent, so network-level decisions are the
 concatenation of single-bank decisions and their costs add.
+
+Both closed forms need only the Gaussian tail and its inverse, which the
+standard library supplies: survival probabilities are ``0.5 * math.erfc(d)``,
+exact to a few ulp deep in the tail where ``1 - erf(d)`` cancels, and the
+quantile factor ``rho`` is ``statistics.NormalDist().inv_cdf``, Wichura's
+AS 241 algorithm (Applied Statistics 37(3), 1988).
 """
 
 from __future__ import annotations
@@ -17,9 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import erf, erfinv
 
 from .errors import MUST_BE_FINITE, require
 from .network import _LOG_FLOAT_MAX, FinancialNetwork, default_boundary
@@ -36,6 +42,8 @@ __all__ = [
     "value_function",
     "network_decision",
 ]
+
+_normal_quantile = NormalDist().inv_cdf
 
 
 class Region(str, Enum):
@@ -98,13 +106,14 @@ def rho(q: float) -> float:
     normal quantile of ``q``.
 
     Evaluated on the lower half and mirrored, so the antisymmetry
-    ``rho(q) == -rho(1 - q)`` is exact whenever ``1 - q`` is.
+    ``rho(q) == -rho(1 - q)`` is exact whenever ``1 - q`` is.  ``rho(0.5)``
+    is ``+0.0``, never ``-0.0``.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie strictly inside (0, 1)")
     if q <= 0.5:
-        return math.sqrt(2.0) * float(erfinv(1.0 - 2.0 * q))
-    return -math.sqrt(2.0) * float(erfinv(1.0 - 2.0 * (1.0 - q)))
+        return -_normal_quantile(q) + 0.0
+    return _normal_quantile(1.0 - q) + 0.0
 
 
 def survival_probability(p: ControlProblem, x: float, psi: float) -> float:
@@ -120,7 +129,7 @@ def survival_probability(p: ControlProblem, x: float, psi: float) -> float:
     tau = p.horizon_remaining
     d = (math.log(p.v_terminal / x) - (p.mu + psi - p.sigma**2 / 2.0) * tau) \
         / math.sqrt(2.0 * p.sigma**2 * tau)
-    return 0.5 * (1.0 - float(erf(d)))
+    return 0.5 * math.erfc(d)
 
 
 def switching_rate(p: ControlProblem, x: float) -> float:

@@ -76,7 +76,8 @@ class FinancialNetwork:
     growth_rate : float
         Common per-year exponential growth rate of all liabilities.
         ``growth_rate * horizon`` may not exceed ``log`` of the largest
-        float, so every growth factor ``exp(growth_rate * t)`` is finite.
+        float, so every growth factor ``exp(growth_rate * t)`` is finite,
+        and every grown obligation must stay finite too.
     horizon : float
         Terminal time T in years; must be positive.
     """
@@ -118,6 +119,15 @@ class FinancialNetwork:
         require(self.growth_rate * self.horizon <= _LOG_FLOAT_MAX,
                 "growth_rate", "growth_rate * horizon must not exceed "
                 f"log(largest float) = {_LOG_FLOAT_MAX:.2f}")
+        # the largest grown obligation, formed as ``total_obligations``
+        # forms it, so the check is exact at the overflow edge
+        with np.errstate(over="ignore"):
+            peak = float(liab.sum(axis=1).max())
+        require(math.isfinite(peak), "liabilities",
+                "row sums must stay below the largest float")
+        peak *= math.exp(max(self.growth_rate, 0.0) * self.horizon)
+        require(math.isfinite(peak), "growth_rate",
+                "grown obligations must stay below the largest float")
 
     @property
     def n(self) -> int:

@@ -32,7 +32,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .control import ControlDecision, Region
 from .errors import MUST_BE_FINITE, is_int, require
@@ -113,6 +112,9 @@ def _normals(seed: int, stream: int, lo: int, hi: int, steps: int,
     The result is a writable view of a buffer owned by the caller alone, so
     the path arithmetic can run in place on it.
     """
+    # scipy is the slowest import in the package and only the draws need it
+    from scipy.special import ndtri
+
     bpp = _blocks_per_path(steps)
     if antithetic:
         base_lo, base_hi = lo // 2, (hi - 1) // 2 + 1

@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import jsonschema
@@ -75,6 +78,10 @@ class TestConfigLoading:
             (("growth_rate",), 800.0,
              "growth_rate: growth_rate * horizon must not exceed "
              "log(largest float) = 709.78"),
+            # exp(709) is finite, 15 * exp(709) is not
+            (("growth_rate",), 709.0,
+             "growth_rate: grown obligations must stay below the largest "
+             "float"),
             (("ranking", "c_plus"), -0.5,
              "ranking.c_plus: must be non-negative"),
             (("ranking", "c_minus"), -1.0,
@@ -470,6 +477,36 @@ class TestPathDump:
         assert (tmp_path / "report.csv.paths.csv").exists()
 
 
+class TestStartup:
+    def test_only_simulate_imports_scipy(self):
+        # a fresh interpreter, since this one has scipy loaded already
+        script = textwrap.dedent("""
+            import contextlib
+            import io
+            import sys
+
+            import lolrnet
+            import lolrnet.cli
+
+            def run(*argv):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    return lolrnet.cli.main(
+                        [*argv, "--config", "case_study.json"])
+
+            for command in ("rank", "clearing", "regions", "control"):
+                assert run(command) == 0, command
+            loaded = sorted(name for name in sys.modules
+                            if name.split(".")[0] == "scipy")
+            assert not loaded, loaded
+            assert run("simulate", "--paths", "1000") == 0
+            assert "scipy.special" in sys.modules
+        """)
+        src = Path(ln.__file__).resolve().parents[1]
+        result = subprocess.run([sys.executable, "-c", script], cwd=src,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+
+
 class TestErrorHandling:
     def test_missing_config_exits_one_with_error_doc(self, capsys):
         code, out, err = run_cli(capsys, "regions", "--config",
@@ -539,6 +576,21 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as info:
             main(["transmogrify", "--config", "case_study.json"])
         assert info.value.code == 2
+
+    def test_overflowing_grown_obligations_name_growth_rate(self, capsys,
+                                                             tmp_path):
+        doc = json.loads(ln.case_study_path().read_text())
+        doc["growth_rate"] = 709.0
+        target = tmp_path / "growth.json"
+        target.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "clearing", "--config", str(target),
+                                 "--time", "1")
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ConfigValidationError"
+        assert error["message"] == ("growth_rate: grown obligations must "
+                                    "stay below the largest float")
 
     def test_time_outside_horizon(self, capsys):
         code, _, err = run_cli(capsys, "clearing", "--config",

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erf, erfinv
 
 import lolrnet as ln
 from _support import (B1_BOUNDARY_T1, B1_SURVIVAL_UNCONTROLLED,
@@ -33,6 +32,8 @@ class TestControlProblemInvariants:
 class TestRho:
     def test_half_is_zero(self):
         assert ln.rho(0.5) == 0.0
+        # +0.0, so a uniform q = 0.5 never renders as -0
+        assert math.copysign(1.0, ln.rho(0.5)) == 1.0
 
     def test_q90(self):
         # oracle: high-precision standard normal quantile of 0.1
@@ -40,6 +41,10 @@ class TestRho:
 
     def test_q99(self):
         assert ln.rho(0.99) == pytest.approx(RHO_Q99, abs=1e-4)
+
+    def test_deep_tail(self):
+        # oracle: mpmath's normal quantile of 1e-12, negated
+        assert ln.rho(1e-12) == pytest.approx(7.034483825301132, rel=1e-15)
 
     def test_domain(self):
         for q in (0.0, 1.0, -0.2, 1.3):
@@ -58,11 +63,14 @@ class TestRho:
             q = k / 4096.0
             assert ln.rho(q) + ln.rho(1.0 - q) == 0.0
 
-    def test_special_function_round_trip(self):
-        # the erf/erfinv pair must invert to near machine precision
-        ys = np.linspace(-1 + 1e-12, 1 - 1e-12, 20001)
-        back = erf(erfinv(ys))
-        assert np.max(np.abs(back - ys)) <= 1e-12
+    def test_tail_round_trip(self):
+        # the normal tail 0.5 * erfc(z / sqrt(2)) must invert rho to near
+        # machine precision, deep in the lower tail included
+        qs = np.concatenate([np.geomspace(1e-300, 1.0 - 1e-12, 3001),
+                             1.0 - np.geomspace(1e-12, 0.5, 501)])
+        for q in qs:
+            back = 0.5 * math.erfc(ln.rho(float(q)) / math.sqrt(2.0))
+            assert abs(back - q) <= 1e-12 * q
 
 
 class TestSurvivalProbability:
@@ -75,6 +83,20 @@ class TestSurvivalProbability:
         got = ln.survival_probability(BANK3, 13.0, 0.0)
         assert got == pytest.approx(B3_SURVIVAL_UNCONTROLLED, abs=1e-12)
         assert 1.0 - got == pytest.approx(0.388, abs=1e-3)
+
+    @pytest.mark.parametrize("d, expected", [
+        (3.0, 1.104524849929272e-05),
+        (5.0, 7.687298972140175e-13),
+        (6.0, 1.0759868356249456e-17),
+    ])
+    def test_deep_distress_tail(self, d, expected):
+        # sigma = 1 and tau = 0.5 make the erfc argument exactly
+        # -(mu - 1/2) / 2 at x = v_terminal; oracle values from mpmath.
+        # 1 - erf(d) cancels here, and is exactly 0 beyond d = 5.9
+        p = ln.ControlProblem(mu=0.5 - 2.0 * d, sigma=1.0, v_terminal=1.0,
+                              horizon_remaining=0.5, q=0.5)
+        got = ln.survival_probability(p, 1.0, 0.0)
+        assert abs(got - expected) <= 4 * math.ulp(expected)
 
     def test_symmetric_point_is_half(self):
         p = ln.ControlProblem(mu=0.15, sigma=0.3, v_terminal=2.0,

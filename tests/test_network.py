@@ -40,6 +40,15 @@ class TestFinancialNetworkInvariants:
                                     vol=[1], recovery=[r], growth_rate=0,
                                     horizon=1)
 
+    def test_rejects_overflowing_obligations(self):
+        big = 1e308
+        with pytest.raises(ln.InvalidValueError, match="^liabilities: row"):
+            tiny_net([[0, big, big], [0, 0, 0], [0, 0, 0]], [1, 1, 1])
+        with pytest.raises(ln.InvalidValueError, match="^growth_rate: grown"):
+            tiny_net([[0, big], [0, 0]], [1, 1], growth=1.0)
+        # a negative rate shrinks obligations, so only time 0 counts
+        tiny_net([[0, big], [0, 0]], [1, 1], growth=-1.0)
+
     def test_arrays_are_read_only(self):
         net = tiny_net([[0, 1], [0, 0]], [1, 1])
         with pytest.raises(ValueError):

@@ -7,27 +7,32 @@ zero lending rate have an identically zero cost, so they are simulated on a
 single exact step over the whole horizon unless trajectories are being
 recorded; the terminal law is unchanged.
 
-Reproducibility contract: draws are counter-addressed in a Philox keystream
-keyed by ``(seed, bank)``.  A bank's paths use ``ceil(steps_eff / 4)``
-counter blocks each (four 64-bit words per block), path ``p`` owning blocks
-``[p * blocks, (p + 1) * blocks)``, where ``steps_eff`` is that bank's grid
-size.  Normals come from inverting uniforms, one word per draw, so the value
-consumed at ``(seed, bank, path, step)`` never depends on chunking or thread
-count, and a fixed seed yields bit-identical reports at any parallelism
-level.  Reductions run over full path-indexed arrays in index order.
+Reproducibility contract: paths run in fixed chunks of ``_CHUNK`` (16,384),
+and chunk ``c`` of a bank draws its normals from its own Philox keystream,
+keyed by ``(seed, bank)`` and started at counter ``c * 2**128``, so no two
+chunks can share a counter block.  Each chunk takes ``standard_normal``
+(numpy's ziggurat sampler) of shape ``(paths in chunk, steps_eff)`` from
+that stream, row by row, where ``steps_eff`` is that bank's grid size;
+antithetic runs draw one row per path pair and negate it for the pair's
+odd path.  The chunk size is therefore part of the draw contract, while the
+thread count is not: a fixed seed yields bit-identical reports at any
+parallelism level.  Each bank is reduced over its full path-indexed arrays
+in index order as soon as it is simulated.  numpy does not promise that
+``Generator.standard_normal`` streams stay the same across its versions
+(NEP 19), so the bit-identity holds within one numpy version.
 
-Paths run in chunks of ``_CHUNK``.  The chunk size is not part of the draw
-contract: every report field is bit-identical at any chunk size.  A chunk's
-path arithmetic runs in place on the one array that received its uniforms,
-so each worker holds one chunk buffer (``_CHUNK`` x steps x 8 bytes, 26 MB
-at 200 steps; antithetic runs add the half-size buffer of shared draws) at a
-time, and simulation time is dominated by drawing the normals.
+A chunk's path arithmetic runs in place on the one array that received its
+normals.  A run allocates one such chunk buffer per worker (``_CHUNK`` x
+steps x 8 bytes, 26 MB at 200 steps; antithetic runs add the half-size
+buffer of shared draws) and reuses it for every chunk of every bank, so
+simulation time is dominated by drawing the normals.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -39,14 +44,9 @@ from .network import FinancialNetwork, default_boundary
 
 __all__ = ["SimConfig", "SimReport", "simulate_network", "estimate_cost"]
 
-# raw 64-bit words produced per Philox counter increment
-_WORDS_PER_BLOCK = 4
-
-# fixed work unit so chunk boundaries never depend on the thread count
+# fixed work unit and draw-addressing unit, so chunk boundaries never
+# depend on the thread count; even, so no antithetic pair spans two chunks
 _CHUNK = 16_384
-
-# smallest positive uniform; keeps ndtri finite on the one-in-2^53 zero draw
-_U_FLOOR = 2.0**-54
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -101,38 +101,50 @@ class SimReport:
     trajectories: np.ndarray | None = None
 
 
-def _blocks_per_path(steps: int) -> int:
-    return -(-steps // _WORDS_PER_BLOCK)
-
-
 def _normals(seed: int, stream: int, lo: int, hi: int, steps: int,
-             antithetic: bool) -> np.ndarray:
-    """Standard normal draws for paths ``[lo, hi)``, shape (hi - lo, steps).
+             full: np.ndarray, half: np.ndarray | None) -> np.ndarray:
+    """Standard normal draws for paths ``[lo, hi)`` of one chunk.
 
-    The result is a writable view of a buffer owned by the caller alone, so
-    the path arithmetic can run in place on it.
+    Returns shape (hi - lo, steps), a view of the flat buffer ``full``,
+    which the caller holds alone, so the path arithmetic can run in place
+    on it.  ``half`` is None, or for an antithetic run a flat buffer for
+    the shared draws of the chunk's path pairs.
     """
-    # scipy is the slowest import in the package and only the draws need it
-    from scipy.special import ndtri
-
-    bpp = _blocks_per_path(steps)
-    if antithetic:
-        base_lo, base_hi = lo // 2, (hi - 1) // 2 + 1
-    else:
-        base_lo, base_hi = lo, hi
-    n_base = base_hi - base_lo
+    size = hi - lo
+    z = full[:size * steps].reshape(size, steps)
+    # a uint64 array: Philox reads a plain list holding 2**64 - 1 as 0
     key = np.array([seed, stream], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key, counter=base_lo * bpp))
-    buffer = gen.random(n_base * bpp * _WORDS_PER_BLOCK)
-    np.maximum(buffer, _U_FLOOR, out=buffer)
-    z = buffer.reshape(n_base, bpp * _WORDS_PER_BLOCK)[:, :steps]
-    ndtri(z, out=z)
-    if not antithetic:
+    gen = np.random.Generator(np.random.Philox(
+        key=key, counter=(lo // _CHUNK) << 128))
+    if half is None:
+        gen.standard_normal(out=z)
         return z
-    z = z[np.arange(lo, hi) // 2 - base_lo]
-    mirrored = z[(lo + 1) % 2::2]  # paths with an odd global index
-    np.negative(mirrored, out=mirrored)
+    pairs = (size + 1) // 2
+    shared = half[:pairs * steps].reshape(pairs, steps)
+    gen.standard_normal(out=shared)
+    z[0::2] = shared
+    # paths with an odd global index, as lo is even
+    np.negative(shared[:size // 2], out=z[1::2])
     return z
+
+
+def _chunk_buffers(cfg: SimConfig, workers: int) -> queue.SimpleQueue:
+    """One set of chunk buffers per worker, allocated by the calling thread.
+
+    Workers borrow a set for each chunk and put it back, so a run allocates
+    ``workers`` sets whatever its bank and chunk counts.  Buffers allocated
+    by the short-lived worker threads would be kept by the allocator in
+    per-thread arenas, and a run whose threads start before the last run's
+    have fully exited opens new arenas, so peak memory would grow by a chunk
+    buffer at a time over repeated runs in one process.
+    """
+    rows = min(_CHUNK, cfg.paths)
+    buffers = queue.SimpleQueue()
+    for _ in range(min(workers, -(-cfg.paths // _CHUNK))):
+        half = (np.empty((rows + 1) // 2 * cfg.steps) if cfg.antithetic
+                else None)
+        buffers.put((np.empty(rows * cfg.steps), half))
+    return buffers
 
 
 def _resolve_threads(threads: int | None) -> int:
@@ -148,6 +160,8 @@ def _resolve_threads(threads: int | None) -> int:
             raise ValueError(
                 f"LOLRNET_THREADS must be a positive integer, got {env!r}")
         return count
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -159,55 +173,62 @@ def _chunks(paths: int):
 def _run_bank_chunk(x0: float, mu_eff: float, sigma: float, psi: float,
                     horizon: float, steps_eff: int, cfg: SimConfig,
                     stream: int, lo: int, hi: int,
+                    buffers: queue.SimpleQueue,
                     terminal_out: np.ndarray, cost_out: np.ndarray | None,
                     record_out: np.ndarray | None, record_limit: int) -> None:
     # one working array per chunk: every step below overwrites ``z``, and
     # each is the same IEEE operation on the same operands as the textbook
     # ``log x0 + cumsum((mu - sigma^2/2) dt + sigma sqrt(dt) z)``
-    dt = horizon / steps_eff
-    z = _normals(cfg.seed, stream, lo, hi, steps_eff, cfg.antithetic)
-    z *= sigma * math.sqrt(dt)
-    z += (mu_eff - 0.5 * sigma**2) * dt
-    np.cumsum(z, axis=1, out=z)
-    z += math.log(x0)
-    np.exp(z[:, -1], out=terminal_out[lo:hi])
+    full, half = buffers.get()
+    try:
+        dt = horizon / steps_eff
+        z = _normals(cfg.seed, stream, lo, hi, steps_eff, full, half)
+        z *= sigma * math.sqrt(dt)
+        z += (mu_eff - 0.5 * sigma**2) * dt
+        np.cumsum(z, axis=1, out=z)
+        z += math.log(x0)
+        np.exp(z[:, -1], out=terminal_out[lo:hi])
 
-    need_record = record_out is not None and lo < record_limit
-    if cost_out is None and not need_record:
-        return
-    np.exp(z, out=z)
-    if need_record:
-        take = min(hi, record_limit) - lo
-        record_out[lo:lo + take, 0] = x0
-        record_out[lo:lo + take, 1:] = z[:take]
-    if cost_out is not None:
-        np.square(z, out=z)
-        interior = z[:, :-1].sum(axis=1)
-        cost_out[lo:hi] = 0.5 * psi**2 * dt * (
-            0.5 * x0**2 + interior + 0.5 * z[:, -1])
+        need_record = record_out is not None and lo < record_limit
+        if cost_out is None and not need_record:
+            return
+        np.exp(z, out=z)
+        if need_record:
+            take = min(hi, record_limit) - lo
+            record_out[lo:lo + take, 0] = x0
+            record_out[lo:lo + take, 1:] = z[:take]
+        if cost_out is not None:
+            np.square(z, out=z)
+            interior = z[:, :-1].sum(axis=1)
+            cost_out[lo:hi] = 0.5 * psi**2 * dt * (
+                0.5 * x0**2 + interior + 0.5 * z[:, -1])
+    finally:
+        # a lost set would leave a later chunk waiting forever
+        buffers.put((full, half))
 
 
 def _simulate_bank(x0: float, mu_eff: float, sigma: float, psi: float,
                    horizon: float, cfg: SimConfig, stream: int,
-                   executor: ThreadPoolExecutor, record_paths: int
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    # zero-rate banks cost nothing on any grid; one exact step suffices
-    # unless the caller wants the trajectory on the full grid
+                   executor: ThreadPoolExecutor, buffers: queue.SimpleQueue,
+                   record_paths: int
+                   ) -> tuple[np.ndarray, np.ndarray | None,
+                              np.ndarray | None]:
+    # zero-rate banks cost nothing on any grid, so they return ``cost`` None,
+    # and one exact step suffices unless the caller wants the trajectory on
+    # the full grid
     steps_eff = cfg.steps if (psi > 0 or record_paths > 0) else 1
     terminal = np.empty(cfg.paths)
-    cost = np.zeros(cfg.paths) if psi > 0 else None
+    cost = np.empty(cfg.paths) if psi > 0 else None
     record = None
     if record_paths > 0:
         record = np.empty((min(record_paths, cfg.paths), steps_eff + 1))
 
     futures = [executor.submit(_run_bank_chunk, x0, mu_eff, sigma, psi,
                                horizon, steps_eff, cfg, stream, lo, hi,
-                               terminal, cost, record, record_paths)
+                               buffers, terminal, cost, record, record_paths)
                for lo, hi in _chunks(cfg.paths)]
     for future in futures:
         future.result()
-    if cost is None:
-        cost = np.zeros(cfg.paths)
     return terminal, cost, record
 
 
@@ -230,12 +251,14 @@ def simulate_network(net: FinancialNetwork, decisions: list[ControlDecision],
     cfg : SimConfig
     threads : int, optional
         Worker cap; falls back to the LOLRNET_THREADS environment variable,
-        then to all available CPUs.  Results are bit-identical regardless.
+        then to the CPUs this process may run on.  Results are bit-identical
+        regardless.
     record_paths : int
         When positive, keep the value grid of the first ``record_paths``
-        paths of every bank in ``trajectories`` (this forces the full step
-        grid for every bank, so zero-rate banks draw differently than in an
-        unrecorded run).
+        paths of every bank in ``trajectories``.  This forces the full step
+        grid for every bank, so a zero-rate bank's chunk streams are read
+        ``steps`` normals per path instead of one, and its draws differ from
+        an unrecorded run.
     """
     if len(decisions) != net.n:
         raise ValueError(f"need {net.n} decisions, got {len(decisions)}")
@@ -248,29 +271,35 @@ def simulate_network(net: FinancialNetwork, decisions: list[ControlDecision],
         elif decision.region is Region.INFEASIBLE:
             infeasible[i] = True
 
-    terminal = np.empty((n, cfg.paths))
-    cost = np.empty((n, cfg.paths))
+    # each bank is reduced as soon as it is simulated, so memory stays
+    # O(paths) at any bank count
+    boundary = default_boundary(net, net.horizon)
+    freq = np.empty(n)
+    terminal_mean = np.empty(n)
+    logvar = np.zeros(n)
+    mean_cost = np.zeros(n)
     recorded = []
-    with ThreadPoolExecutor(max_workers=_resolve_threads(threads)) as executor:
+    workers = _resolve_threads(threads)
+    buffers = _chunk_buffers(cfg, workers)
+    with ThreadPoolExecutor(max_workers=workers) as executor:
         for i in range(n):
-            term_i, cost_i, rec_i = _simulate_bank(
+            terminal, cost, rec_i = _simulate_bank(
                 float(net.cash[i]), float(net.drift[i] + psi_eff[i]),
                 float(net.vol[i]), float(psi_eff[i]), net.horizon, cfg,
-                stream=i, executor=executor, record_paths=record_paths)
-            terminal[i] = term_i
-            cost[i] = cost_i
+                stream=i, executor=executor, buffers=buffers,
+                record_paths=record_paths)
+            freq[i] = (terminal < boundary[i]).mean()
+            terminal_mean[i] = terminal.mean()
+            if cfg.paths > 1:
+                logvar[i] = np.log(terminal, out=terminal).var(ddof=1)
+            if cost is not None:
+                mean_cost[i] = cost.mean()
             recorded.append(rec_i)
 
-    boundary = default_boundary(net, net.horizon)
-    freq = (terminal < boundary[:, None]).mean(axis=1)
     halfwidth = _Z95 * np.sqrt(freq * (1.0 - freq) / cfg.paths)
-    log_terminal = np.log(terminal)
-    logvar = (log_terminal.var(axis=1, ddof=1) if cfg.paths > 1
-              else np.zeros(n))
     trajectories = np.stack(recorded) if record_paths > 0 else None
     return SimReport(default_freq=freq, default_ci_halfwidth=halfwidth,
-                     mean_cost=cost.mean(axis=1),
-                     terminal_mean=terminal.mean(axis=1),
+                     mean_cost=mean_cost, terminal_mean=terminal_mean,
                      terminal_logvar=logvar, paths_used=cfg.paths,
                      seed_used=cfg.seed, infeasible_fallback=infeasible,
                      trajectories=trajectories)
@@ -282,17 +311,21 @@ def estimate_cost(net: FinancialNetwork, i: int, psi: float, cfg: SimConfig,
 
     Mean over paths of half the trapezoid integral of the squared loan flow
     at constant rate ``psi``, with a 95% confidence half-width.  Draws use the
-    same ``(seed, bank, path)`` addressing as ``simulate_network``.
+    same per-chunk streams, keyed by ``(seed, bank)``, as ``simulate_network``.
     """
     if not 0 <= i < net.n:
         raise IndexError(f"bank index {i} out of range for {net.n} banks")
     require(math.isfinite(psi), "psi", MUST_BE_FINITE)
     require(psi >= 0, "psi", "must be non-negative")
-    with ThreadPoolExecutor(max_workers=_resolve_threads(threads)) as executor:
+    workers = _resolve_threads(threads)
+    buffers = _chunk_buffers(cfg, workers)
+    with ThreadPoolExecutor(max_workers=workers) as executor:
         _, cost, _ = _simulate_bank(
             float(net.cash[i]), float(net.drift[i] + psi), float(net.vol[i]),
             float(psi), net.horizon, cfg, stream=i, executor=executor,
-            record_paths=0)
+            buffers=buffers, record_paths=0)
+    if cost is None:
+        return 0.0, 0.0
     mean = float(cost.mean())
     if cfg.paths > 1:
         halfwidth = _Z95 * float(cost.std(ddof=1)) / math.sqrt(cfg.paths)

@@ -12,9 +12,9 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.special import ndtri
 
 import lolrnet as ln
+import lolrnet.simulate as engine
 
 # Creditor-oriented table of the bundled four-bank example: entry (i, j) is
 # the amount owed TO bank i+1 BY bank j+1.  The shipped fixture stores the
@@ -169,11 +169,13 @@ def report_equal(a: ln.SimReport, b: ln.SimReport) -> bool:
 
 def reference_simulation(net: ln.FinancialNetwork, decisions, cfg: ln.SimConfig,
                          record_paths: int = 0) -> ln.SimReport:
-    """Unfused reference for ``simulate_network``: one chunk per bank.
+    """Unfused reference for ``simulate_network``: whole-bank arrays.
 
-    Draws follow the documented counter layout (``ceil(steps / 4)`` Philox
-    blocks per path, one word per normal, antithetic pairs sharing the draws
-    of path ``p // 2``), and the path arithmetic is the textbook expression
+    Draws follow the documented chunk layout: chunk ``c`` of bank ``i``
+    (``engine._CHUNK`` paths, read at call time) takes ``standard_normal``
+    rows from ``Philox(key=(seed, i), counter=c * 2**128)``, one row per
+    path, or one per path pair with the odd path negated when antithetic.
+    The chunks are joined and the path arithmetic is the textbook expression
     on fresh arrays.  It must agree with the engine bit for bit.
     """
     n, paths = net.n, cfg.paths
@@ -187,16 +189,18 @@ def reference_simulation(net: ln.FinancialNetwork, decisions, cfg: ln.SimConfig,
         mu_eff = float(net.drift[i] + psi[i])
         steps = cfg.steps if (rate > 0 or record_paths > 0) else 1
         dt = net.horizon / steps
-        blocks = -(-steps // 4)
-        base = -(-paths // 2) if cfg.antithetic else paths
         key = np.array([cfg.seed, i], dtype=np.uint64)
-        uniforms = np.random.Generator(np.random.Philox(key=key)).random(
-            base * blocks * 4)
-        uniforms = np.maximum(uniforms, 2.0**-54)
-        z = ndtri(uniforms.reshape(base, blocks * 4)[:, :steps])
-        if cfg.antithetic:
-            signs = np.where(np.arange(paths) % 2 == 0, 1.0, -1.0)
-            z = z[np.arange(paths) // 2] * signs[:, None]
+        chunks = []
+        for c, lo in enumerate(range(0, paths, engine._CHUNK)):
+            size = min(engine._CHUNK, paths - lo)
+            rows = -(-size // 2) if cfg.antithetic else size
+            draws = np.random.Generator(np.random.Philox(
+                key=key, counter=c * 2**128)).standard_normal((rows, steps))
+            if cfg.antithetic:
+                signs = np.where(np.arange(size) % 2 == 0, 1.0, -1.0)
+                draws = draws[np.arange(size) // 2] * signs[:, None]
+            chunks.append(draws)
+        z = np.concatenate(chunks)
         increments = (mu_eff - 0.5 * sigma**2) * dt + sigma * math.sqrt(dt) * z
         log_path = np.cumsum(increments, axis=1) + math.log(x0)
         terminal[i] = np.exp(log_path[:, -1])

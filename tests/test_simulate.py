@@ -20,14 +20,62 @@ def controlled(case_network, case_q):
     return ln.network_decision(case_network, case_q)
 
 
+def _philox_normals(seed, bank, chunk, shape):
+    key = np.array([seed, bank], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(
+        key=key, counter=chunk * 2**128)).standard_normal(shape)
+
+
+def _engine_normals(seed, bank, lo, hi, steps, antithetic=False):
+    half = np.empty((hi - lo + 1) // 2 * steps) if antithetic else None
+    return engine._normals(seed, bank, lo, hi, steps,
+                           np.empty((hi - lo) * steps), half)
+
+
 class TestCounterAddressing:
-    def test_philox_counter_unit_is_four_words(self):
-        # the engine's addressing assumes one counter step == 4 raw words
-        key = np.array([11, 3], dtype=np.uint64)
-        full = np.random.Generator(np.random.Philox(key=key)).random(64)
-        part = np.random.Generator(
-            np.random.Philox(key=key, counter=5)).random(8)
-        assert np.array_equal(part, full[20:28])
+    def test_chunk_is_even(self):
+        # an odd chunk would split an antithetic pair across two streams
+        assert engine._CHUNK % 2 == 0
+
+    @pytest.mark.parametrize("chunk", [engine._CHUNK, 6])
+    def test_chunk_reads_its_own_philox_stream(self, monkeypatch, chunk):
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
+        paths = 2 * chunk + 3
+        for c, (lo, hi) in enumerate(engine._chunks(paths)):
+            assert lo == c * chunk
+            assert np.array_equal(_engine_normals(11, 3, lo, hi, 5),
+                                  _philox_normals(11, 3, c, (hi - lo, 5)))
+
+    def test_paths_across_a_chunk_boundary_use_different_streams(self):
+        chunk = engine._CHUNK
+        continued = _philox_normals(11, 3, 0, (chunk + 2, 4))
+        before = _engine_normals(11, 3, 0, chunk, 4)
+        after = _engine_normals(11, 3, chunk, chunk + 2, 4)
+        assert np.array_equal(before, continued[:chunk])
+        assert np.array_equal(after, _philox_normals(11, 3, 1, (2, 4)))
+        assert not np.any(after == continued[chunk:])
+
+    def test_antithetic_pairs_mirror_on_both_sides_of_a_boundary(
+            self, monkeypatch):
+        monkeypatch.setattr(engine, "_CHUNK", 4)
+        paths, steps = 11, 3
+        z = np.concatenate([_engine_normals(5, 1, lo, hi, steps, True)
+                            for lo, hi in engine._chunks(paths)])
+        assert z.shape == (paths, steps)
+        # pairs (2, 3) and (4, 5) sit either side of the boundary at 4
+        assert np.array_equal(z[1::2], -z[0:-1:2])
+        for c, (lo, hi) in enumerate(engine._chunks(paths)):
+            base = _philox_normals(5, 1, c, ((hi - lo + 1) // 2, steps))
+            assert np.array_equal(z[lo:hi:2], base)
+
+    def test_largest_seed_keys_its_own_stream(self, case_network,
+                                              uncontrolled):
+        reports = [ln.simulate_network(case_network, uncontrolled,
+                                       ln.SimConfig(paths=500, steps=4,
+                                                    seed=seed), threads=1)
+                   for seed in (0, 2**64 - 1)]
+        assert not np.array_equal(reports[0].terminal_mean,
+                                  reports[1].terminal_mean)
 
     def test_streams_differ_across_banks_and_seeds(self, case_network,
                                                    uncontrolled):
@@ -62,6 +110,12 @@ class TestDeterminism:
         assert report_equal(
             base, ln.simulate_network(case_network, controlled, cfg))
 
+    def test_default_threads_follow_cpu_affinity(self, monkeypatch):
+        monkeypatch.delenv("LOLRNET_THREADS", raising=False)
+        monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert engine._resolve_threads(None) == 1
+
     @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
     def test_env_variable_must_be_positive_integer(self, case_network,
                                                    controlled, monkeypatch,
@@ -84,13 +138,14 @@ class TestDeterminism:
 
 
 class TestKernelMatchesReference:
-    """The chunked in-place kernel equals the one-chunk unfused reference.
+    """The chunked in-place kernel equals the unfused reference.
 
-    Chunk size is not part of the draw contract, so every field must agree
-    bit for bit at any chunk size and thread count.
+    The reference draws the same per-chunk streams at whatever ``_CHUNK``
+    is set, so every field must agree bit for bit at any even chunk size
+    and any thread count.
     """
 
-    @pytest.mark.parametrize("chunk", [engine._CHUNK, 6, 5])
+    @pytest.mark.parametrize("chunk", [engine._CHUNK, 6, 4])
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("paths,steps,antithetic,record", [
         (37, 7, False, 0),

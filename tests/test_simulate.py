@@ -141,11 +141,13 @@ class TestKernelMatchesReference:
     """The chunked in-place kernel equals the unfused reference.
 
     The reference draws the same per-chunk streams at whatever ``_CHUNK``
-    is set, so every field must agree bit for bit at any even chunk size
-    and any thread count.
+    is set, so every field must agree bit for bit at any chunk size and any
+    thread count.  The shipped chunk is even; the odd chunk 5 checks that
+    both sides pair antithetic paths within a chunk, leaving its last path
+    unpaired, as they do for an odd final chunk.
     """
 
-    @pytest.mark.parametrize("chunk", [engine._CHUNK, 6, 4])
+    @pytest.mark.parametrize("chunk", [engine._CHUNK, 6, 5, 4])
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("paths,steps,antithetic,record", [
         (37, 7, False, 0),

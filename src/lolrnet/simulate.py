@@ -7,19 +7,17 @@ zero lending rate have an identically zero cost, so they are simulated on a
 single exact step over the whole horizon unless trajectories are being
 recorded; the terminal law is unchanged.
 
-Reproducibility contract: paths run in fixed chunks of ``_CHUNK`` (16,384),
-and chunk ``c`` of a bank draws its normals from its own Philox keystream,
-keyed by ``(seed, bank)`` and started at counter ``c * 2**128``, so no two
-chunks can share a counter block.  Each chunk takes ``standard_normal``
-(numpy's ziggurat sampler) of shape ``(paths in chunk, steps_eff)`` from
-that stream, row by row, where ``steps_eff`` is that bank's grid size;
-antithetic runs draw one row per path pair and negate it for the pair's
-odd path.  The chunk size is therefore part of the draw contract, while the
+Reproducibility contract: paths run in fixed chunks of ``_CHUNK`` (16,384).
+Chunk ``c`` of bank ``i`` draws from its own SFC64 stream, seeded by
+``SeedSequence`` hashing (numpy's documented mechanism for independent
+parallel streams) of the low and high 32-bit words of the seed, ``i`` and
+``c``.  It takes ``standard_normal`` (numpy's ziggurat) step-major, of shape
+``(steps_eff, paths in chunk)``, so a partial chunk's draws depend on its
+path count; antithetic runs draw one column per path pair and negate it for
+the pair's odd path.  The chunk size is part of the draw contract and the
 thread count is not: a fixed seed yields bit-identical reports at any
-parallelism level.  Each bank is reduced over its full path-indexed arrays
-in index order as soon as it is simulated.  numpy does not promise that
-``Generator.standard_normal`` streams stay the same across its versions
-(NEP 19), so the bit-identity holds within one numpy version.
+parallelism level, within one numpy version (NEP 19).  Each bank is reduced
+in path order as soon as it is simulated.
 
 A chunk's path arithmetic runs in place on the one array that received its
 normals.  A run allocates one such chunk buffer per worker (``_CHUNK`` x
@@ -103,28 +101,32 @@ class SimReport:
 
 def _normals(seed: int, stream: int, lo: int, hi: int, steps: int,
              full: np.ndarray, half: np.ndarray | None) -> np.ndarray:
-    """Standard normal draws for paths ``[lo, hi)`` of one chunk.
+    """Step-major standard normal draws for paths ``[lo, hi)`` of one chunk.
 
-    Returns shape (hi - lo, steps), a view of the flat buffer ``full``,
+    Returns shape (steps, hi - lo), a view of the flat buffer ``full``,
     which the caller holds alone, so the path arithmetic can run in place
     on it.  ``half`` is None, or for an antithetic run a flat buffer for
-    the shared draws of the chunk's path pairs.
+    the shared draws of the chunk's path pairs.  Streams are independent by
+    ``SeedSequence`` hashing; a partial chunk's draws depend on its path
+    count, and hold within one numpy version (NEP 19).
     """
     size = hi - lo
-    z = full[:size * steps].reshape(size, steps)
-    # a uint64 array: Philox reads a plain list holding 2**64 - 1 as 0
-    key = np.array([seed, stream], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(
-        key=key, counter=(lo // _CHUNK) << 128))
+    z = full[:steps * size].reshape(steps, size)
+    # fixed width: SeedSequence pads short entropy with zero words, so a
+    # plain (seed, bank, chunk) key gives (2**32, 0, 0) the stream of (0, 1, 0)
+    words = np.array([v >> shift & 0xFFFFFFFF
+                      for v in (int(seed), stream, lo // _CHUNK)
+                      for shift in (0, 32)], dtype=np.uint32)
+    gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(words)))
     if half is None:
         gen.standard_normal(out=z)
         return z
     pairs = (size + 1) // 2
-    shared = half[:pairs * steps].reshape(pairs, steps)
+    shared = half[:steps * pairs].reshape(steps, pairs)
     gen.standard_normal(out=shared)
-    z[0::2] = shared
+    z[:, 0::2] = shared
     # paths with an odd global index, as lo is even
-    np.negative(shared[:size // 2], out=z[1::2])
+    np.negative(shared[:, :size // 2], out=z[:, 1::2])
     return z
 
 
@@ -170,6 +172,14 @@ def _chunks(paths: int):
         yield lo, min(lo + _CHUNK, paths)
 
 
+def _running_sum(rows: np.ndarray) -> None:
+    # in place, one row add per step: bit-identical to (and much faster
+    # than) cumsum(axis=0), and in step order even where numpy would sum a
+    # one-path chunk's axis 0 pairwise
+    for k in range(1, len(rows)):
+        np.add(rows[k], rows[k - 1], out=rows[k])
+
+
 def _run_bank_chunk(x0: float, mu_eff: float, sigma: float, psi: float,
                     horizon: float, steps_eff: int, cfg: SimConfig,
                     stream: int, lo: int, hi: int,
@@ -185,9 +195,9 @@ def _run_bank_chunk(x0: float, mu_eff: float, sigma: float, psi: float,
         z = _normals(cfg.seed, stream, lo, hi, steps_eff, full, half)
         z *= sigma * math.sqrt(dt)
         z += (mu_eff - 0.5 * sigma**2) * dt
-        np.cumsum(z, axis=1, out=z)
+        _running_sum(z)
         z += math.log(x0)
-        np.exp(z[:, -1], out=terminal_out[lo:hi])
+        np.exp(z[-1], out=terminal_out[lo:hi])
 
         need_record = record_out is not None and lo < record_limit
         if cost_out is None and not need_record:
@@ -196,12 +206,13 @@ def _run_bank_chunk(x0: float, mu_eff: float, sigma: float, psi: float,
         if need_record:
             take = min(hi, record_limit) - lo
             record_out[lo:lo + take, 0] = x0
-            record_out[lo:lo + take, 1:] = z[:take]
+            record_out[lo:lo + take, 1:] = z[:, :take].T
         if cost_out is not None:
             np.square(z, out=z)
-            interior = z[:, :-1].sum(axis=1)
+            _running_sum(z[:-1])
+            interior = z[-2] if steps_eff > 1 else 0.0
             cost_out[lo:hi] = 0.5 * psi**2 * dt * (
-                0.5 * x0**2 + interior + 0.5 * z[:, -1])
+                0.5 * x0**2 + interior + 0.5 * z[-1])
     finally:
         # a lost set would leave a later chunk waiting forever
         buffers.put((full, half))
@@ -311,7 +322,9 @@ def estimate_cost(net: FinancialNetwork, i: int, psi: float, cfg: SimConfig,
 
     Mean over paths of half the trapezoid integral of the squared loan flow
     at constant rate ``psi``, with a 95% confidence half-width.  Draws use the
-    same per-chunk streams, keyed by ``(seed, bank)``, as ``simulate_network``.
+    same step-major SFC64 chunk streams as ``simulate_network``, independent
+    by ``SeedSequence`` hashing; a partial chunk's draws depend on its path
+    count, and hold within one numpy version (NEP 19).
     """
     if not 0 <= i < net.n:
         raise IndexError(f"bank index {i} out of range for {net.n} banks")

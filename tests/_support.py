@@ -173,10 +173,15 @@ def reference_simulation(net: ln.FinancialNetwork, decisions, cfg: ln.SimConfig,
 
     Draws follow the documented chunk layout: chunk ``c`` of bank ``i``
     (``engine._CHUNK`` paths, read at call time) takes ``standard_normal``
-    rows from ``Philox(key=(seed, i), counter=c * 2**128)``, one row per
-    path, or one per path pair with the odd path negated when antithetic.
-    The chunks are joined and the path arithmetic is the textbook expression
-    on fresh arrays.  It must agree with the engine bit for bit.
+    of shape (steps, paths in chunk) from
+    ``SFC64(SeedSequence(words))``, where ``words`` holds the low and high
+    32-bit words of ``seed``, ``i`` and ``c``; when antithetic, one column
+    per path pair, negated for the pair's odd path.  Stream independence
+    rests on ``SeedSequence`` hashing, a partial chunk's draws depend on its
+    path count, and the draws are fixed only within one numpy version
+    (NEP 19).  The chunks are joined along the path axis and the path
+    arithmetic is the textbook expression along the step axis (axis 0) on
+    fresh arrays.  It must agree with the engine bit for bit.
     """
     n, paths = net.n, cfg.paths
     psi = np.array([d.psi_star if d.region is ln.Region.ACTION else 0.0
@@ -189,32 +194,36 @@ def reference_simulation(net: ln.FinancialNetwork, decisions, cfg: ln.SimConfig,
         mu_eff = float(net.drift[i] + psi[i])
         steps = cfg.steps if (rate > 0 or record_paths > 0) else 1
         dt = net.horizon / steps
-        key = np.array([cfg.seed, i], dtype=np.uint64)
         chunks = []
         for c, lo in enumerate(range(0, paths, engine._CHUNK)):
             size = min(engine._CHUNK, paths - lo)
-            rows = -(-size // 2) if cfg.antithetic else size
-            draws = np.random.Generator(np.random.Philox(
-                key=key, counter=c * 2**128)).standard_normal((rows, steps))
+            cols = -(-size // 2) if cfg.antithetic else size
+            words = np.array([*divmod(cfg.seed, 2**32)[::-1],
+                              *divmod(i, 2**32)[::-1],
+                              *divmod(c, 2**32)[::-1]], dtype=np.uint32)
+            draws = np.random.Generator(np.random.SFC64(
+                np.random.SeedSequence(words))).standard_normal((steps, cols))
             if cfg.antithetic:
                 signs = np.where(np.arange(size) % 2 == 0, 1.0, -1.0)
-                draws = draws[np.arange(size) // 2] * signs[:, None]
+                draws = draws[:, np.arange(size) // 2] * signs
             chunks.append(draws)
-        z = np.concatenate(chunks)
+        z = np.concatenate(chunks, axis=1)
         increments = (mu_eff - 0.5 * sigma**2) * dt + sigma * math.sqrt(dt) * z
-        log_path = np.cumsum(increments, axis=1) + math.log(x0)
-        terminal[i] = np.exp(log_path[:, -1])
+        log_path = np.cumsum(increments, axis=0) + math.log(x0)
+        terminal[i] = np.exp(log_path[-1])
         values = np.exp(log_path)
         if rate > 0:
             squares = np.square(values)
+            # rows added in step order: an axis-0 ``.sum`` of a single
+            # column is pairwise instead
+            interior = sum(squares[:-1], np.zeros(paths))
             cost[i] = 0.5 * rate**2 * dt * (
-                0.5 * x0**2 + squares[:, :-1].sum(axis=1)
-                + 0.5 * squares[:, -1])
+                0.5 * x0**2 + interior + 0.5 * squares[-1])
         if record_paths > 0:
             take = min(record_paths, paths)
             rows = np.empty((take, steps + 1))
             rows[:, 0] = x0
-            rows[:, 1:] = values[:take]
+            rows[:, 1:] = values[:, :take].T
             recorded.append(rows)
     boundary = ln.default_boundary(net, net.horizon)
     freq = (terminal < boundary[:, None]).mean(axis=1)

@@ -18,7 +18,7 @@ from _support import (CASE_CASH, CREDITOR_TABLE, FIXTURE_RANK,
                       random_network, report_equal)
 
 PATHS = 100_000
-SEED = 7
+SEED = 42  # the CLI's default --seed
 
 
 def _verdict(name: str, ok: bool, detail: str) -> None:

@@ -20,10 +20,14 @@ def controlled(case_network, case_q):
     return ln.network_decision(case_network, case_q)
 
 
-def _philox_normals(seed, bank, chunk, shape):
-    key = np.array([seed, bank], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(
-        key=key, counter=chunk * 2**128)).standard_normal(shape)
+def _stream_normals(seed, bank, chunk, shape):
+    """Step-major normals of one chunk's SFC64 stream, keyed from the
+    documented words rather than by the engine's own code."""
+    words = np.array([seed % 2**32, seed // 2**32, bank % 2**32,
+                      bank // 2**32, chunk % 2**32, chunk // 2**32],
+                     dtype=np.uint32)
+    return np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(words))).standard_normal(shape)
 
 
 def _engine_normals(seed, bank, lo, hi, steps, antithetic=False):
@@ -32,41 +36,75 @@ def _engine_normals(seed, bank, lo, hi, steps, antithetic=False):
                            np.empty((hi - lo) * steps), half)
 
 
+def _chunk_normals(seed, bank, chunk, paths, steps=3):
+    lo = chunk * engine._CHUNK
+    return _engine_normals(seed, bank, lo, lo + paths, steps)
+
+
 class TestCounterAddressing:
     def test_chunk_is_even(self):
         # an odd chunk would split an antithetic pair across two streams
         assert engine._CHUNK % 2 == 0
 
     @pytest.mark.parametrize("chunk", [engine._CHUNK, 6])
-    def test_chunk_reads_its_own_philox_stream(self, monkeypatch, chunk):
+    def test_chunk_reads_its_own_stream(self, monkeypatch, chunk):
         monkeypatch.setattr(engine, "_CHUNK", chunk)
         paths = 2 * chunk + 3
         for c, (lo, hi) in enumerate(engine._chunks(paths)):
             assert lo == c * chunk
             assert np.array_equal(_engine_normals(11, 3, lo, hi, 5),
-                                  _philox_normals(11, 3, c, (hi - lo, 5)))
+                                  _stream_normals(11, 3, c, (5, hi - lo)))
 
     def test_paths_across_a_chunk_boundary_use_different_streams(self):
         chunk = engine._CHUNK
-        continued = _philox_normals(11, 3, 0, (chunk + 2, 4))
+        continued = _stream_normals(11, 3, 0, 4 * (chunk + 2))
         before = _engine_normals(11, 3, 0, chunk, 4)
         after = _engine_normals(11, 3, chunk, chunk + 2, 4)
-        assert np.array_equal(before, continued[:chunk])
-        assert np.array_equal(after, _philox_normals(11, 3, 1, (2, 4)))
-        assert not np.any(after == continued[chunk:])
+        # step-major: the chunk's stream fills the steps x paths array
+        # row by row
+        assert np.array_equal(before.ravel(), continued[:4 * chunk])
+        assert np.array_equal(after, _stream_normals(11, 3, 1, (4, 2)))
+        assert not np.any(np.isin(after, continued[4 * chunk:]))
 
     def test_antithetic_pairs_mirror_on_both_sides_of_a_boundary(
             self, monkeypatch):
         monkeypatch.setattr(engine, "_CHUNK", 4)
         paths, steps = 11, 3
         z = np.concatenate([_engine_normals(5, 1, lo, hi, steps, True)
-                            for lo, hi in engine._chunks(paths)])
-        assert z.shape == (paths, steps)
+                            for lo, hi in engine._chunks(paths)], axis=1)
+        assert z.shape == (steps, paths)
         # pairs (2, 3) and (4, 5) sit either side of the boundary at 4
-        assert np.array_equal(z[1::2], -z[0:-1:2])
+        assert np.array_equal(z[:, 1::2], -z[:, 0:-1:2])
         for c, (lo, hi) in enumerate(engine._chunks(paths)):
-            base = _philox_normals(5, 1, c, ((hi - lo + 1) // 2, steps))
-            assert np.array_equal(z[lo:hi:2], base)
+            base = _stream_normals(5, 1, c, (steps, (hi - lo + 1) // 2))
+            assert np.array_equal(z[:, lo:hi:2], base)
+
+    # (seed, bank, chunk) pairs: the first and third give the same state
+    # under a variable-width SeedSequence((seed, bank, chunk)) key, which
+    # pads short entropy with zero words; the second under any key that
+    # adds bank and chunk
+    @pytest.mark.parametrize("a,b", [
+        ((2**32, 0, 0), (0, 1, 0)),
+        ((7, 1, 0), (7, 0, 1)),
+        ((2**64 - 1, 0, 0), (2**32 - 1, 2**32 - 1, 0)),
+    ], ids=["seed-high-word", "bank-vs-chunk", "largest-seed"])
+    def test_fixed_width_key_separates_streams(self, a, b):
+        assert not np.any(np.isin(_chunk_normals(*a, paths=4),
+                                  _chunk_normals(*b, paths=4)))
+
+    def test_neighbouring_streams_are_uncorrelated(self):
+        # a key that repeated or shifted a stream would correlate its
+        # neighbours; 6 / sqrt(n) is six standard errors of a null r
+        n = 200_000
+        seed, bank, chunk = 42, 3, 2
+        draws = np.stack([_chunk_normals(s, b, c, paths=n, steps=1)[0]
+                          for s, b, c in [(seed, bank, chunk),
+                                          (seed, bank, chunk + 1),
+                                          (seed, bank + 1, chunk),
+                                          (seed + 1, bank, chunk)]])
+        r = np.corrcoef(draws)
+        off_diagonal = r[~np.eye(len(draws), dtype=bool)]
+        assert np.all(np.abs(off_diagonal) < 6 / math.sqrt(n))
 
     def test_largest_seed_keys_its_own_stream(self, case_network,
                                               uncontrolled):
@@ -144,7 +182,9 @@ class TestKernelMatchesReference:
     is set, so every field must agree bit for bit at any chunk size and any
     thread count.  The shipped chunk is even; the odd chunk 5 checks that
     both sides pair antithetic paths within a chunk, leaving its last path
-    unpaired, as they do for an odd final chunk.
+    unpaired, as they do for an odd final chunk.  A single path over 60
+    steps is a one-path chunk whose mean cost is its own cost, so it checks
+    that such a chunk sums its cost in step order like every wider one.
     """
 
     @pytest.mark.parametrize("chunk", [engine._CHUNK, 6, 5, 4])
@@ -155,6 +195,7 @@ class TestKernelMatchesReference:
         (33, 8, True, 40),
         (20, 1, False, 3),
         (31, 13, False, 12),
+        (1, 60, False, 0),
     ])
     def test_every_field_equal(self, case_network, controlled, monkeypatch,
                                chunk, threads, paths, steps, antithetic,
@@ -351,3 +392,12 @@ class TestReportShape:
         cfg = ln.SimConfig(paths=np.int64(3), steps=np.int32(2),
                            seed=np.uint64(2**64 - 1))
         assert cfg.seed == 2**64 - 1
+
+    @pytest.mark.parametrize("seed", [np.int32(7), np.int64(7), np.uint64(7)])
+    def test_numpy_integer_seed_draws_like_its_int(self, case_network,
+                                                   uncontrolled, seed):
+        reports = [ln.simulate_network(case_network, uncontrolled,
+                                       ln.SimConfig(paths=20, steps=3,
+                                                    seed=s), threads=1)
+                   for s in (seed, 7)]
+        assert report_equal(*reports)

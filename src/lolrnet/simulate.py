@@ -19,11 +19,12 @@ thread count is not: a fixed seed yields bit-identical reports at any
 parallelism level, within one numpy version (NEP 19).  Each bank is reduced
 in path order as soon as it is simulated.
 
-A chunk's path arithmetic runs in place on the one array that received its
-normals.  A run allocates one such chunk buffer per worker (``_CHUNK`` x
-steps x 8 bytes, 26 MB at 200 steps; antithetic runs add the half-size
-buffer of shared draws) and reuses it for every chunk of every bank, so
-simulation time is dominated by drawing the normals.
+A chunk runs one slab of consecutive steps at a time (``_SLAB`` floats, 8
+steps of a full chunk): the stream fills each slab in turn and the path
+arithmetic runs in place on it, so each worker holds about 1.3 MiB (1.8 MiB
+antithetic) whatever the step count, and drawing the normals dominates.
+The chunk is still drawn step-major from its one stream, so the slab height
+is not part of the draw contract: reports are bit-identical at any height.
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ __all__ = ["SimConfig", "SimReport", "simulate_network", "estimate_cost"]
 # fixed work unit and draw-addressing unit, so chunk boundaries never
 # depend on the thread count; even, so no antithetic pair spans two chunks
 _CHUNK = 16_384
+# floats per slab of consecutive steps that a chunk runs at a time; any
+# height gives bit-identical results
+_SLAB = 2**17
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -99,53 +103,59 @@ class SimReport:
     trajectories: np.ndarray | None = None
 
 
-def _normals(seed: int, stream: int, lo: int, hi: int, steps: int,
-             full: np.ndarray, half: np.ndarray | None) -> np.ndarray:
-    """Step-major standard normal draws for paths ``[lo, hi)`` of one chunk.
-
-    Returns shape (steps, hi - lo), a view of the flat buffer ``full``,
-    which the caller holds alone, so the path arithmetic can run in place
-    on it.  ``half`` is None, or for an antithetic run a flat buffer for
-    the shared draws of the chunk's path pairs.  Streams are independent by
-    ``SeedSequence`` hashing; a partial chunk's draws depend on its path
-    count, and hold within one numpy version (NEP 19).
-    """
-    size = hi - lo
-    z = full[:steps * size].reshape(steps, size)
+def _generator(seed: int, stream: int, lo: int) -> np.random.Generator:
+    """The SFC64 generator of the chunk that starts at path ``lo``."""
     # fixed width: SeedSequence pads short entropy with zero words, so a
     # plain (seed, bank, chunk) key gives (2**32, 0, 0) the stream of (0, 1, 0)
     words = np.array([v >> shift & 0xFFFFFFFF
                       for v in (int(seed), stream, lo // _CHUNK)
                       for shift in (0, 32)], dtype=np.uint32)
-    gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(words)))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(words)))
+
+
+def _fill(gen: np.random.Generator, z: np.ndarray,
+          half: np.ndarray | None) -> None:
+    """Fill ``z`` (steps, paths) with the chunk's next step-major normals.
+
+    Successive fills continue the stream row by row, so any split of the
+    steps into slabs gives the draws of one whole-chunk fill.  ``half`` is
+    None, or for an antithetic run a buffer with room for the shared draws
+    of the slab's path pairs; the odd path of each pair takes the negation.
+    """
     if half is None:
         gen.standard_normal(out=z)
-        return z
+        return
+    steps, size = z.shape
     pairs = (size + 1) // 2
-    shared = half[:steps * pairs].reshape(steps, pairs)
+    shared = half.ravel()[:steps * pairs].reshape(steps, pairs)
     gen.standard_normal(out=shared)
     z[:, 0::2] = shared
-    # paths with an odd global index, as lo is even
+    # paths with an odd global index, as a chunk starts at an even path
     np.negative(shared[:, :size // 2], out=z[:, 1::2])
-    return z
 
 
 def _chunk_buffers(cfg: SimConfig, workers: int) -> queue.SimpleQueue:
-    """One set of chunk buffers per worker, allocated by the calling thread.
+    """One set of slab buffers per worker, allocated by the calling thread.
 
-    Workers borrow a set for each chunk and put it back, so a run allocates
+    A set is a slab of as many steps of a full chunk as fit in ``_SLAB``
+    floats, the half slab of shared antithetic draws, and two path rows (the
+    running sum carried between slabs and the cost sum): about 1.3 MiB per
+    worker (1.8 MiB antithetic), independent of the step count.  Workers
+    borrow a set for each chunk and put it back, so a run allocates
     ``workers`` sets whatever its bank and chunk counts.  Buffers allocated
     by the short-lived worker threads would be kept by the allocator in
     per-thread arenas, and a run whose threads start before the last run's
-    have fully exited opens new arenas, so peak memory would grow by a chunk
-    buffer at a time over repeated runs in one process.
+    have fully exited opens new arenas, so peak memory would grow by a set
+    at a time over repeated runs.
     """
     rows = min(_CHUNK, cfg.paths)
+    height = max(1, min(cfg.steps, _SLAB // rows))
     buffers = queue.SimpleQueue()
     for _ in range(min(workers, -(-cfg.paths // _CHUNK))):
-        half = (np.empty((rows + 1) // 2 * cfg.steps) if cfg.antithetic
+        half = (np.empty((height, (rows + 1) // 2)) if cfg.antithetic
                 else None)
-        buffers.put((np.empty(rows * cfg.steps), half))
+        buffers.put((np.empty((height, rows)), half, np.empty(rows),
+                     np.empty(rows)))
     return buffers
 
 
@@ -172,75 +182,79 @@ def _chunks(paths: int):
         yield lo, min(lo + _CHUNK, paths)
 
 
-def _running_sum(rows: np.ndarray) -> None:
-    # in place, one row add per step: bit-identical to (and much faster
-    # than) cumsum(axis=0), and in step order even where numpy would sum a
-    # one-path chunk's axis 0 pairwise
-    for k in range(1, len(rows)):
-        np.add(rows[k], rows[k - 1], out=rows[k])
-
-
 def _run_bank_chunk(x0: float, mu_eff: float, sigma: float, psi: float,
                     horizon: float, steps_eff: int, cfg: SimConfig,
                     stream: int, lo: int, hi: int,
                     buffers: queue.SimpleQueue,
                     terminal_out: np.ndarray, cost_out: np.ndarray | None,
-                    record_out: np.ndarray | None, record_limit: int) -> None:
-    # one working array per chunk: every step below overwrites ``z``, and
-    # each is the same IEEE operation on the same operands as the textbook
-    # ``log x0 + cumsum((mu - sigma^2/2) dt + sigma sqrt(dt) z)``
-    full, half = buffers.get()
+                    record_out: np.ndarray | None) -> None:
+    # the chunk runs one slab of steps at a time, in place: each step below
+    # is the same IEEE operation on the same operands as the textbook
+    # ``log x0 + cumsum((mu - sigma^2/2) dt + sigma sqrt(dt) z)``, summed
+    # along steps one row add at a time (in step order even where numpy
+    # would sum a one-path chunk's axis 0 pairwise)
+    borrowed = buffers.get()
     try:
+        size = hi - lo
+        slab, half, carry, acc = borrowed
+        carry, acc = carry[:size], acc[:size]
         dt = horizon / steps_eff
-        z = _normals(cfg.seed, stream, lo, hi, steps_eff, full, half)
-        z *= sigma * math.sqrt(dt)
-        z += (mu_eff - 0.5 * sigma**2) * dt
-        _running_sum(z)
-        z += math.log(x0)
-        np.exp(z[-1], out=terminal_out[lo:hi])
-
-        need_record = record_out is not None and lo < record_limit
-        if cost_out is None and not need_record:
-            return
-        np.exp(z, out=z)
-        if need_record:
-            take = min(hi, record_limit) - lo
-            record_out[lo:lo + take, 0] = x0
-            record_out[lo:lo + take, 1:] = z[:, :take].T
+        gen = _generator(cfg.seed, stream, lo)
+        take = (0 if record_out is None
+                else max(0, min(hi, len(record_out)) - lo))
+        for k0 in range(0, steps_eff, len(slab)):
+            k1 = min(k0 + len(slab), steps_eff)
+            z = slab.ravel()[:(k1 - k0) * size].reshape(k1 - k0, size)
+            _fill(gen, z, half)
+            z *= sigma * math.sqrt(dt)
+            z += (mu_eff - 0.5 * sigma**2) * dt
+            if k0:
+                np.add(z[0], carry, out=z[0])
+            for k in range(1, len(z)):
+                np.add(z[k], z[k - 1], out=z[k])
+            carry[:] = z[-1]
+            z += math.log(x0)
+            if k1 == steps_eff:
+                np.exp(z[-1], out=terminal_out[lo:hi])
+            if cost_out is None and not take:
+                continue
+            np.exp(z, out=z)
+            if take:
+                record_out[lo:lo + take, 1 + k0:1 + k1] = z[:, :take].T
+            if cost_out is not None:
+                np.square(z, out=z)
+                if not k0:
+                    acc[:] = z[0]
+                # the interior rows k <= steps_eff - 2, in step order
+                for row in z[0 if k0 else 1:steps_eff - 1 - k0]:
+                    np.add(acc, row, out=acc)
         if cost_out is not None:
-            np.square(z, out=z)
-            _running_sum(z[:-1])
-            interior = z[-2] if steps_eff > 1 else 0.0
+            interior = acc if steps_eff > 1 else 0.0
             cost_out[lo:hi] = 0.5 * psi**2 * dt * (
                 0.5 * x0**2 + interior + 0.5 * z[-1])
     finally:
         # a lost set would leave a later chunk waiting forever
-        buffers.put((full, half))
+        buffers.put(borrowed)
 
 
 def _simulate_bank(x0: float, mu_eff: float, sigma: float, psi: float,
                    horizon: float, cfg: SimConfig, stream: int,
                    executor: ThreadPoolExecutor, buffers: queue.SimpleQueue,
-                   record_paths: int
-                   ) -> tuple[np.ndarray, np.ndarray | None,
-                              np.ndarray | None]:
+                   record: np.ndarray | None
+                   ) -> tuple[np.ndarray, np.ndarray | None]:
     # zero-rate banks cost nothing on any grid, so they return ``cost`` None,
     # and one exact step suffices unless the caller wants the trajectory on
-    # the full grid
-    steps_eff = cfg.steps if (psi > 0 or record_paths > 0) else 1
+    # the full grid in ``record`` (recorded paths x steps + 1)
+    steps_eff = cfg.steps if (psi > 0 or record is not None) else 1
     terminal = np.empty(cfg.paths)
     cost = np.empty(cfg.paths) if psi > 0 else None
-    record = None
-    if record_paths > 0:
-        record = np.empty((min(record_paths, cfg.paths), steps_eff + 1))
-
     futures = [executor.submit(_run_bank_chunk, x0, mu_eff, sigma, psi,
                                horizon, steps_eff, cfg, stream, lo, hi,
-                               buffers, terminal, cost, record, record_paths)
+                               buffers, terminal, cost, record)
                for lo, hi in _chunks(cfg.paths)]
     for future in futures:
         future.result()
-    return terminal, cost, record
+    return terminal, cost
 
 
 def simulate_network(net: FinancialNetwork, decisions: list[ControlDecision],
@@ -289,26 +303,28 @@ def simulate_network(net: FinancialNetwork, decisions: list[ControlDecision],
     terminal_mean = np.empty(n)
     logvar = np.zeros(n)
     mean_cost = np.zeros(n)
-    recorded = []
+    trajectories = None
+    if record_paths > 0:
+        trajectories = np.empty((n, min(record_paths, cfg.paths),
+                                 cfg.steps + 1))
+        trajectories[:, :, 0] = net.cash[:, None]
     workers = _resolve_threads(threads)
     buffers = _chunk_buffers(cfg, workers)
     with ThreadPoolExecutor(max_workers=workers) as executor:
         for i in range(n):
-            terminal, cost, rec_i = _simulate_bank(
+            terminal, cost = _simulate_bank(
                 float(net.cash[i]), float(net.drift[i] + psi_eff[i]),
                 float(net.vol[i]), float(psi_eff[i]), net.horizon, cfg,
                 stream=i, executor=executor, buffers=buffers,
-                record_paths=record_paths)
+                record=None if trajectories is None else trajectories[i])
             freq[i] = (terminal < boundary[i]).mean()
             terminal_mean[i] = terminal.mean()
             if cfg.paths > 1:
                 logvar[i] = np.log(terminal, out=terminal).var(ddof=1)
             if cost is not None:
                 mean_cost[i] = cost.mean()
-            recorded.append(rec_i)
 
     halfwidth = _Z95 * np.sqrt(freq * (1.0 - freq) / cfg.paths)
-    trajectories = np.stack(recorded) if record_paths > 0 else None
     return SimReport(default_freq=freq, default_ci_halfwidth=halfwidth,
                      mean_cost=mean_cost, terminal_mean=terminal_mean,
                      terminal_logvar=logvar, paths_used=cfg.paths,
@@ -333,10 +349,10 @@ def estimate_cost(net: FinancialNetwork, i: int, psi: float, cfg: SimConfig,
     workers = _resolve_threads(threads)
     buffers = _chunk_buffers(cfg, workers)
     with ThreadPoolExecutor(max_workers=workers) as executor:
-        _, cost, _ = _simulate_bank(
+        _, cost = _simulate_bank(
             float(net.cash[i]), float(net.drift[i] + psi), float(net.vol[i]),
             float(psi), net.horizon, cfg, stream=i, executor=executor,
-            buffers=buffers, record_paths=0)
+            buffers=buffers, record=None)
     if cost is None:
         return 0.0, 0.0
     mean = float(cost.mean())

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,9 +32,14 @@ def _stream_normals(seed, bank, chunk, shape):
 
 
 def _engine_normals(seed, bank, lo, hi, steps, antithetic=False):
-    half = np.empty((hi - lo + 1) // 2 * steps) if antithetic else None
-    return engine._normals(seed, bank, lo, hi, steps,
-                           np.empty((hi - lo) * steps), half)
+    """The engine's draws for paths ``[lo, hi)``, filled as a chunk runs
+    them: slabs of two steps, the last of one step if ``steps`` is odd."""
+    z = np.empty((steps, hi - lo))
+    gen = engine._generator(seed, bank, lo)
+    half = np.empty((hi - lo + 1) // 2 * 2) if antithetic else None
+    for k0 in range(0, steps, 2):
+        engine._fill(gen, z[k0:k0 + 2], half)
+    return z
 
 
 def _chunk_normals(seed, bank, chunk, paths, steps=3):
@@ -185,9 +191,17 @@ class TestKernelMatchesReference:
     unpaired, as they do for an odd final chunk.  A single path over 60
     steps is a one-path chunk whose mean cost is its own cost, so it checks
     that such a chunk sums its cost in step order like every wider one.
+    The slab height follows ``_SLAB`` floats and must not move any bit: one
+    step per slab, 7 (the one-path 60 steps as eight slabs of 7 and one of
+    4) and 100 (two or three steps of a full chunk of the wider runs, with
+    a shorter last slab) against the shipped value.
     """
 
-    @pytest.mark.parametrize("chunk", [engine._CHUNK, 6, 5, 4])
+    @pytest.mark.parametrize("chunk,slab", [
+        pytest.param(chunk, slab, id=str(chunk) if slab == engine._SLAB
+                     else f"{chunk}-slab{slab}")
+        for chunk in (engine._CHUNK, 6, 5, 4)
+        for slab in (engine._SLAB, 1, 7, 100)])
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("paths,steps,antithetic,record", [
         (37, 7, False, 0),
@@ -198,8 +212,9 @@ class TestKernelMatchesReference:
         (1, 60, False, 0),
     ])
     def test_every_field_equal(self, case_network, controlled, monkeypatch,
-                               chunk, threads, paths, steps, antithetic,
-                               record):
+                               chunk, slab, threads, paths, steps,
+                               antithetic, record):
+        monkeypatch.setattr(engine, "_SLAB", slab)
         monkeypatch.setattr(engine, "_CHUNK", chunk)
         cfg = ln.SimConfig(paths=paths, steps=steps, seed=17,
                            antithetic=antithetic)
@@ -207,6 +222,36 @@ class TestKernelMatchesReference:
                                   threads=threads, record_paths=record)
         assert report_equal(got, reference_simulation(
             case_network, controlled, cfg, record_paths=record))
+
+
+def _peak_bytes(run):
+    tracemalloc.start()
+    try:
+        result = run()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_worker_memory_does_not_grow_with_steps(self, case_network,
+                                                    controlled):
+        # two chunks, one per worker; a whole-chunk buffer would hold
+        # 16,384 x 400 x 8 B = 52 MB per worker at 400 steps
+        peaks = [_peak_bytes(lambda: ln.simulate_network(
+                     case_network, controlled,
+                     ln.SimConfig(paths=32_768, steps=steps, seed=3),
+                     threads=2))[0]
+                 for steps in (10, 400)]
+        assert peaks[1] <= peaks[0] + 2 * 2**20
+
+    def test_recording_holds_one_trajectories_array(self, case_network,
+                                                    controlled):
+        peak, report = _peak_bytes(lambda: ln.simulate_network(
+            case_network, controlled,
+            ln.SimConfig(paths=4_000, steps=200, seed=3), threads=2,
+            record_paths=4_000))
+        assert peak < report.trajectories.nbytes + 8 * 2**20
 
 
 class TestStatisticalAgreement:

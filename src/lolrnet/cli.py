@@ -3,15 +3,17 @@
 Five subcommands cover the library surface: ``rank``, ``clearing``,
 ``regions``, ``control``, and ``simulate``.  Each reads a configuration
 document, writes either a CSV table (default) or a JSON document to stdout
-or ``--output``, and exits 0 on success.  Failures print a JSON error object
-to stderr and exit 1.  Output is byte-identical for identical flags and seed.
+or ``--output`` as it renders them, and exits 0 on success; ``--output`` is
+opened only once the command has succeeded.  Failures, an unwritable
+``--output`` included, print a JSON error object to stderr and exit 1.
+Output is byte-identical for identical flags and seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import math
 import sys
 from pathlib import Path
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .config import (NetworkConfig, dumps_doc, format_number, load_config,
-                     load_matrix, resolve_input_path)
+                     load_matrix, resolve_input_path, write_doc)
 from .control import ControlDecision, Region, network_decision
 from .errors import LolrnetError
 from .network import clearing_vector, default_boundary, total_obligations
@@ -52,8 +54,8 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _table_text(doc: dict, header: list[str]) -> str:
-    """CSV view of a command's doc: one row per bank entry.
+def _write_table(doc: dict, header: list[str], handle) -> None:
+    """Write the CSV view of a command's doc: one row per bank entry.
 
     ``bank`` is the entry's ``index`` and ``scenario`` the name of the doc
     section holding the entry; a column the entry lacks is read from the
@@ -63,22 +65,13 @@ def _table_text(doc: dict, header: list[str]) -> str:
         sections = [(scenario, doc[scenario]) for scenario in _SCENARIOS]
     else:
         sections = [(None, doc["banks"])]
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(header)
     for scenario, entries in sections:
         for entry in entries:
             cells = {**entry, "bank": entry["index"], "scenario": scenario}
             writer.writerow([_cell(cells[col] if col in cells else doc[col])
                              for col in header])
-    return buffer.getvalue()
-
-
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -354,15 +347,18 @@ def main(argv: list[str] | None = None) -> int:
             args.matrix_override = resolve_input_path(args.matrix_override)
         cfg = load_config(args.config)
         doc, header = run_command(args.command, cfg, args)
+        # text mode with the default newline, as stdout, for the same bytes
+        with (open(args.output, "w", encoding="utf-8") if args.output
+              else contextlib.nullcontext(sys.stdout)) as handle:
+            if args.format == "doc":
+                write_doc(doc, handle)
+                handle.write("\n")
+            else:
+                _write_table(doc, header, handle)
     except (LolrnetError, ValueError, IndexError, OSError) as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         sys.stderr.write(dumps_doc(error) + "\n")
         return 1
-    if args.format == "doc":
-        text = dumps_doc(doc) + "\n"
-    else:
-        text = _table_text(doc, header)
-    _emit(text, args.output)
     return 0
 
 

@@ -4,7 +4,8 @@ A network configuration is a JSON document with a declared schema version.
 Validation reports the path of every offending field (``banks[2].vol``).
 Serialization writes floats with 17 significant digits so that documents
 round-trip bit-exactly; infinities appear as the strings ``"inf"`` and
-``"-inf"`` because JSON has no literal for them.
+``"-inf"`` because JSON has no literal for them.  :func:`write_doc` streams
+a document to an open handle; :func:`dumps_doc` returns the same text.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "NetworkConfig",
     "load_config",
     "dumps_doc",
+    "write_doc",
     "format_number",
     "load_matrix",
     "case_study_path",
@@ -314,7 +316,7 @@ def format_number(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _write_float_array(value: np.ndarray, out: list[str], level: int) -> None:
+def _write_float_array(value: np.ndarray, write, level: int) -> None:
     """Write a non-empty, finite float64 array with one %-format per row.
 
     ``"%.17g"`` is :func:`format_number`'s text for every finite float and
@@ -340,41 +342,41 @@ def _write_float_array(value: np.ndarray, out: list[str], level: int) -> None:
     head, tail = f"[\n{pad}", f"\n{' ' * (_INDENT * leaf)}]"
     plain = head + sep.join(["%.17g"] * value.shape[-1]) + tail
 
-    def write(sub: np.ndarray, mask: np.ndarray, lvl: int) -> None:
+    def rows(sub: np.ndarray, mask: np.ndarray, lvl: int) -> None:
         if sub.ndim > 1:
             row_pad = " " * (_INDENT * (lvl + 1))
-            out.append("[\n")
+            write("[\n")
             for k in range(len(sub)):
-                out.append(row_pad)
-                write(sub[k], mask[k], lvl + 1)
-                out.append(",\n" if k < len(sub) - 1 else "\n")
-            out.append(f"{' ' * (_INDENT * lvl)}]")
+                write(row_pad)
+                rows(sub[k], mask[k], lvl + 1)
+                write(",\n" if k < len(sub) - 1 else "\n")
+            write(f"{' ' * (_INDENT * lvl)}]")
         elif mask.any():
             cells = pieces[mask.view(np.uint8)].tolist()
             template = head + sep.join(cells) + tail
-            out.append(template % tuple(sub[~mask].tolist()))
+            write(template % tuple(sub[~mask].tolist()))
         else:
-            out.append(plain % tuple(sub.tolist()))
+            write(plain % tuple(sub.tolist()))
 
-    write(value, is_mode, level)
+    rows(value, is_mode, level)
 
 
-def _write_value(value, out: list[str], level: int) -> None:
+def _write_value(value, write, level: int) -> None:
     pad = " " * (_INDENT * (level + 1))
     close_pad = " " * (_INDENT * level)
     if isinstance(value, dict):
         if not value:
-            out.append("{}")
+            write("{}")
             return
-        out.append("{\n")
+        write("{\n")
         for k, (key, item) in enumerate(value.items()):
-            out.append(f"{pad}{json.dumps(key)}: ")
-            _write_value(item, out, level + 1)
-            out.append(",\n" if k < len(value) - 1 else "\n")
-        out.append(f"{close_pad}}}")
+            write(f"{pad}{json.dumps(key)}: ")
+            _write_value(item, write, level + 1)
+            write(",\n" if k < len(value) - 1 else "\n")
+        write(f"{close_pad}}}")
     elif (isinstance(value, np.ndarray) and value.ndim and value.size
           and value.dtype == np.float64 and np.isfinite(value).all()):
-        _write_float_array(value, out, level)
+        _write_float_array(value, write, level)
     elif isinstance(value, (list, tuple, np.ndarray)):
         if isinstance(value, np.ndarray):
             # a matrix with a non-finite entry recurses row by row, so each
@@ -383,43 +385,49 @@ def _write_value(value, out: list[str], level: int) -> None:
         else:
             items = list(value)
         if not items:
-            out.append("[]")
+            write("[]")
             return
-        out.append("[\n")
+        write("[\n")
         for k, item in enumerate(items):
-            out.append(pad)
-            _write_value(item, out, level + 1)
-            out.append(",\n" if k < len(items) - 1 else "\n")
-        out.append(f"{close_pad}]")
+            write(pad)
+            _write_value(item, write, level + 1)
+            write(",\n" if k < len(items) - 1 else "\n")
+        write(f"{close_pad}]")
     elif isinstance(value, bool) or isinstance(value, np.bool_):
-        out.append("true" if value else "false")
+        write("true" if value else "false")
     elif isinstance(value, (int, np.integer)):
-        out.append(str(int(value)))
+        write(str(int(value)))
     elif isinstance(value, (float, np.floating)):
         value = float(value)
         if math.isnan(value):
-            out.append("null")
+            write("null")
         elif math.isinf(value):
-            out.append(json.dumps(format_number(value)))
+            write(json.dumps(format_number(value)))
         else:
-            out.append(format_number(value))
+            write(format_number(value))
     elif value is None:
-        out.append("null")
+        write("null")
     elif isinstance(value, str):
-        out.append(json.dumps(value))
+        write(json.dumps(value))
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def dumps_doc(doc) -> str:
-    """Serialize to JSON text with deterministic float formatting.
+def write_doc(doc, handle) -> None:
+    """Write ``doc`` as JSON text to the text ``handle``, piece by piece.
 
     Nesting is indented by two spaces per level.  Finite floats use 17
     significant digits; infinities become the strings ``"inf"`` /
     ``"-inf"``.  Key order is preserved, so equal inputs always produce
     byte-identical text.  A float array's dominant value is formatted once
-    and reused; the text is the same as for its list.
+    and reused; the text is the same as for its list.  Each row of a float
+    array is one write, so no more than a row of text is held.
     """
+    _write_value(doc, handle.write, 0)
+
+
+def dumps_doc(doc) -> str:
+    """The text :func:`write_doc` writes for ``doc``, as one string."""
     out: list[str] = []
-    _write_value(doc, out, 0)
+    _write_value(doc, out.append, 0)
     return "".join(out)

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -18,6 +19,13 @@ from lolrnet.config import dumps_doc, format_number
 from _support import CREDITOR_TABLE, FIXTURE_EIGENVALUE, FIXTURE_RANK
 
 SCHEMA_DIR = Path(ln.__file__).parent / "schemas"
+
+# every command on the case study, with flags that keep simulate small
+COMMAND_ARGV = [
+    ("rank",), ("rank", "--matrix-override", "printed_gd.json"),
+    ("clearing", "--time", "0.5"), ("regions",), ("control",),
+    ("simulate", "--paths", "400", "--steps", "8"),
+]
 
 
 def run_cli(capsys, *argv):
@@ -33,6 +41,26 @@ def load_schema(name):
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
+
+
+def sparse_config(path, n, seed):
+    """Write an ``n``-bank config with about 10% of liabilities nonzero."""
+    rng = np.random.default_rng(seed)
+    liabilities = np.where(rng.random((n, n)) < 0.1,
+                           rng.uniform(1, 100, (n, n)), 0.0)
+    liabilities[np.arange(n), (np.arange(n) + 1) % n] = 5.0
+    np.fill_diagonal(liabilities, 0.0)
+    config = {
+        "schema_version": "1",
+        "banks": [{"name": f"B{i}", "cash": float(c), "drift": 0.1,
+                   "vol": 0.2, "recovery": 0.5}
+                  for i, c in enumerate(rng.uniform(1, 50, n))],
+        "liabilities": liabilities.tolist(),
+        "growth_rate": 0.05, "horizon": 1.0,
+        "ranking": {"c_plus": 0.7, "c_minus": 0.3},
+        "policy": {"kind": "uniform", "q": 0.9}, "psi_cap": "inf"}
+    path.write_text(json.dumps(config))
+    return path
 
 
 class TestConfigLoading:
@@ -302,11 +330,7 @@ class TestCommandOutputs:
             # simulate emits one row per bank and scenario
             assert len(rows) == (8 if argv[0] == "simulate" else 4)
 
-    @pytest.mark.parametrize("argv", [
-        ("rank",), ("rank", "--matrix-override", "printed_gd.json"),
-        ("clearing", "--time", "0.5"), ("regions",), ("control",),
-        ("simulate", "--paths", "400", "--steps", "8"),
-    ], ids=" ".join)
+    @pytest.mark.parametrize("argv", COMMAND_ARGV, ids=" ".join)
     def test_table_is_a_view_of_the_doc(self, capsys, argv):
         def cell(value):
             if value is None:
@@ -363,12 +387,17 @@ class TestDeterministicOutput:
         assert first == second
 
     def test_output_file_matches_stdout(self, capsys, tmp_path):
-        target = tmp_path / "rank.csv"
-        code, out, _ = run_cli(capsys, "rank", "--config", "case_study.json")
-        code2, _, _ = run_cli(capsys, "rank", "--config", "case_study.json",
-                              "--output", str(target))
-        assert code == code2 == 0
-        assert target.read_text() == out
+        target = tmp_path / "out"
+        for argv in COMMAND_ARGV:
+            for fmt in ("table", "doc"):
+                command = (argv[0], "--config", "case_study.json", *argv[1:],
+                           "--format", fmt)
+                code, out, _ = run_cli(capsys, *command)
+                code2, out2, _ = run_cli(capsys, *command, "--output",
+                                         str(target))
+                assert code == code2 == 0, command
+                assert out2 == "", command
+                assert target.read_bytes() == out.encode("utf-8"), command
 
     def test_float_arrays_render_like_lists(self):
         rng = np.random.default_rng(5)
@@ -396,23 +425,7 @@ class TestDeterministicOutput:
             assert dumps_doc(doc) == dumps_doc(plain)
 
     def test_rank_doc_matrices_render_like_lists(self, capsys, tmp_path):
-        rng = np.random.default_rng(11)
-        n = 60
-        liabilities = np.where(rng.random((n, n)) < 0.1,
-                               rng.uniform(1, 100, (n, n)), 0.0)
-        liabilities[np.arange(n), (np.arange(n) + 1) % n] = 5.0
-        np.fill_diagonal(liabilities, 0.0)
-        config = {
-            "schema_version": "1",
-            "banks": [{"name": f"B{i}", "cash": float(c), "drift": 0.1,
-                       "vol": 0.2, "recovery": 0.5}
-                      for i, c in enumerate(rng.uniform(1, 50, n))],
-            "liabilities": liabilities.tolist(),
-            "growth_rate": 0.05, "horizon": 1.0,
-            "ranking": {"c_plus": 0.7, "c_minus": 0.3},
-            "policy": {"kind": "uniform", "q": 0.9}, "psi_cap": "inf"}
-        path = tmp_path / "sparse.json"
-        path.write_text(json.dumps(config))
+        path = sparse_config(tmp_path / "sparse.json", 60, seed=11)
         code, out, _ = run_cli(capsys, "rank", "--config", str(path),
                                "--format", "doc")
         assert code == 0
@@ -422,6 +435,22 @@ class TestDeterministicOutput:
         doc["matrices"] = {name: getattr(result, name).tolist()
                            for name in doc["matrices"]}
         assert dumps_doc(doc) + "\n" == out
+
+    def test_doc_is_written_without_holding_its_text(self, tmp_path):
+        # the rank doc's text outweighs its four n x n matrices and the
+        # parsed input together, so holding the text whole would put the
+        # peak above the size of the file
+        path = sparse_config(tmp_path / "sparse.json", 300, seed=11)
+        target = tmp_path / "rank.json"
+        tracemalloc.start()
+        try:
+            code = main(["rank", "--config", str(path), "--format", "doc",
+                         "--output", str(target)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < target.stat().st_size
 
     def test_numbers_round_trip_through_17_digits(self, capsys):
         _, out, _ = run_cli(capsys, "regions", "--config", "case_study.json",
@@ -570,6 +599,37 @@ class TestErrorHandling:
         error = json.loads(err)["error"]
         assert error["type"] == "ConfigValidationError"
         assert error["message"] == f"ranking.{field}: must be a number"
+
+    @pytest.mark.parametrize("fmt", ["table", "doc"])
+    @pytest.mark.parametrize("target, error_type", [
+        ("missing/x.json", "FileNotFoundError"),
+        (".", "IsADirectoryError"),
+    ])
+    def test_unwritable_output_exits_one_with_error_doc(
+            self, capsys, tmp_path, monkeypatch, target, error_type, fmt):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "control", "--config",
+                                 "case_study.json", "--format", fmt,
+                                 "--output", target)
+        assert code == 1
+        assert out == ""
+        doc = json.loads(err)
+        jsonschema.validate(doc, load_schema("error"))
+        assert doc["error"]["type"] == error_type
+        assert not (tmp_path / "missing").exists()
+
+    def test_failed_command_leaves_output_untouched(self, capsys, tmp_path):
+        kept = tmp_path / "kept.csv"
+        kept.write_text("earlier output\n")
+        fresh = tmp_path / "fresh.csv"
+        for target in (kept, fresh):
+            code, _, err = run_cli(capsys, "clearing", "--config",
+                                   "case_study.json", "--time", "5",
+                                   "--output", str(target))
+            assert code == 1
+            assert "outside" in err
+        assert kept.read_text() == "earlier output\n"
+        assert not fresh.exists()
 
     def test_unknown_command_usage_error(self):
         with pytest.raises(SystemExit) as info:

@@ -14,15 +14,13 @@ from .control import (ControlDecision, ControlProblem, Region, classify,
 from .errors import (ConfigError, ConfigParseError, ConfigValidationError,
                      ConvergenceError, DegenerateNetworkError,
                      InvalidValueError, LolrnetError, SchemaVersionError)
-from .network import (ClearingResult, FinancialNetwork, GraphMatrices,
-                      build_graph_matrices, clearing_vector, default_boundary,
-                      net_liability_matrix, relative_liabilities,
+from .network import (ClearingResult, FinancialNetwork, clearing_vector,
+                      default_boundary, relative_liabilities,
                       total_obligations)
 from .ranking import (QPolicy, RankingResult, RankThresholdsPolicy,
                       RankWeights, UniformPolicy,
                       assign_survival_probabilities, edge_weights,
-                      google_matrix, net_positions, perron_rank, rank_network,
-                      series_rank)
+                      google_matrix, net_positions, perron_rank, rank_network)
 from .simulate import SimConfig, SimReport, estimate_cost, simulate_network
 
 __version__ = "0.1.0"
@@ -30,14 +28,12 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # network
-    "FinancialNetwork", "GraphMatrices", "ClearingResult",
-    "total_obligations", "relative_liabilities", "clearing_vector",
-    "net_liability_matrix", "default_boundary", "build_graph_matrices",
+    "FinancialNetwork", "ClearingResult", "total_obligations",
+    "relative_liabilities", "clearing_vector", "default_boundary",
     # ranking
     "RankWeights", "UniformPolicy", "RankThresholdsPolicy", "QPolicy",
     "RankingResult", "net_positions", "edge_weights", "google_matrix",
-    "perron_rank", "series_rank", "assign_survival_probabilities",
-    "rank_network",
+    "perron_rank", "assign_survival_probabilities", "rank_network",
     # control
     "Region", "ControlProblem", "ControlDecision", "rho",
     "survival_probability", "switching_rate", "no_action_threshold",

@@ -5,8 +5,9 @@ Five subcommands cover the library surface: ``rank``, ``clearing``,
 document, writes either a CSV table (default) or a JSON document to stdout
 or ``--output`` as it renders them, and exits 0 on success; ``--output`` is
 opened only once the command has succeeded.  Failures, an unwritable
-``--output`` included, print a JSON error object to stderr and exit 1.
-Output is byte-identical for identical flags and seed.
+``--output`` included, print a JSON error object to stderr and exit 1.  A
+reader that closes stdout early (``| head``) ends the command quietly with
+exit 0.  Output is byte-identical for identical flags and seed.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import contextlib
 import csv
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -355,7 +357,14 @@ def main(argv: list[str] | None = None) -> int:
                 handle.write("\n")
             else:
                 _write_table(doc, header, handle)
+            # a closed stdout pipe raises here, not at interpreter exit
+            handle.flush()
     except (LolrnetError, ValueError, IndexError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError) and not args.output:
+            # the reader stopped early (``| head``): stop quietly, and send
+            # what stdout still buffers to devnull so the exit flush is silent
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 0
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         sys.stderr.write(dumps_doc(error) + "\n")
         return 1

@@ -81,9 +81,9 @@ class ConfigValidationError(ConfigError, InvalidValueError):
 class ConvergenceError(LolrnetError, RuntimeError):
     """Power iteration hit its fixed step limit before its fixed tolerance.
 
-    Raised by ``perron_rank`` (and through it ``rank_network`` and
-    ``series_rank``) on a slowly mixing matrix.  Carries the last iterate and
-    its eigen residual so callers can inspect how close the run got.
+    Raised by ``perron_rank`` (and through it ``rank_network``) on a slowly
+    mixing matrix.  Carries the last iterate and its eigen residual so
+    callers can inspect how close the run got.
     """
 
     def __init__(self, message: str, last_iterate: np.ndarray, residual: float):

@@ -31,14 +31,11 @@ from .errors import MUST_BE_FINITE, require
 
 __all__ = [
     "FinancialNetwork",
-    "GraphMatrices",
     "ClearingResult",
     "total_obligations",
     "relative_liabilities",
     "clearing_vector",
-    "net_liability_matrix",
     "default_boundary",
-    "build_graph_matrices",
 ]
 
 # relative slack before a shortfall puts a bank into default
@@ -133,30 +130,6 @@ class FinancialNetwork:
     def n(self) -> int:
         """Number of banks."""
         return self.liabilities.shape[0]
-
-
-@dataclass(frozen=True)
-class GraphMatrices:
-    """Incidence and adjacency matrices of the liabilities digraph.
-
-    One directed edge exists per ordered pair ``(i, j)`` with a positive
-    liability.  Edges are numbered in row-major order of the liabilities
-    matrix.  ``incidence_in`` marks each edge's origin vertex and
-    ``incidence_out`` its destination; each column carries exactly one 1.
-    ``adjacency`` is the sum of the in- and out-adjacency matrices, hence
-    symmetric with a zero diagonal (an entry of 2 marks a reciprocal pair).
-    """
-
-    incidence_in: np.ndarray
-    incidence_out: np.ndarray
-    adjacency: np.ndarray
-    adjacency_in: np.ndarray
-    adjacency_out: np.ndarray
-
-    @property
-    def m(self) -> int:
-        """Number of directed edges."""
-        return self.incidence_in.shape[1]
 
 
 @dataclass(frozen=True)
@@ -262,14 +235,6 @@ def clearing_vector(net: FinancialNetwork, t: float = 0.0) -> ClearingResult:
                           iterations=rounds, residual=residual)
 
 
-def net_liability_matrix(net: FinancialNetwork, payments: np.ndarray) -> np.ndarray:
-    """Liabilities matrix with the given payments subtracted on the diagonal."""
-    payments = np.asarray(payments, dtype=float)
-    if payments.shape != (net.n,):
-        raise ValueError(f"payments must have length {net.n}")
-    return net.liabilities - np.diag(payments)
-
-
 def default_boundary(net: FinancialNetwork, t: float) -> np.ndarray:
     """Default threshold of every bank at time ``t``.
 
@@ -285,24 +250,3 @@ def default_boundary(net: FinancialNetwork, t: float) -> np.ndarray:
         net_obligation = net.recovery * net_obligation
     return net_obligation
 
-
-def build_graph_matrices(net: FinancialNetwork) -> GraphMatrices:
-    """Incidence and adjacency matrices of the positive-liability digraph."""
-    n = net.n
-    edges = [(i, j) for i in range(n) for j in range(n)
-             if net.liabilities[i, j] > 0]
-    m = len(edges)
-    incidence_in = np.zeros((n, m), dtype=int)
-    incidence_out = np.zeros((n, m), dtype=int)
-    adjacency_in = np.zeros((n, n), dtype=int)
-    for alpha, (i, j) in enumerate(edges):
-        incidence_in[i, alpha] = 1
-        incidence_out[j, alpha] = 1
-        adjacency_in[i, j] = 1
-    adjacency_out = adjacency_in.T.copy()
-    adjacency = adjacency_in + adjacency_out
-    for arr in (incidence_in, incidence_out, adjacency, adjacency_in, adjacency_out):
-        arr.setflags(write=False)
-    return GraphMatrices(incidence_in=incidence_in, incidence_out=incidence_out,
-                         adjacency=adjacency, adjacency_in=adjacency_in,
-                         adjacency_out=adjacency_out)

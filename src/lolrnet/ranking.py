@@ -3,11 +3,10 @@
 Builds directed edge weights from the liabilities matrix and each bank's net
 position, normalizes them into a column-indexed transition matrix, damps it
 into an everywhere-positive Google matrix, and extracts the dominant
-eigenvector by power iteration with fixed limits.  A geometric-series
-variant of the rank is provided as a secondary diagnostic; its series is
-summed exactly by one linear solve.  Survival-probability targets are then
-assigned from the rank, either uniformly (max-liquidity style) or through
-increasing rank thresholds (systemic-importance-driven style).
+eigenvector by power iteration with fixed limits.  Survival-probability
+targets are then assigned from the rank, either uniformly (max-liquidity
+style) or through increasing rank thresholds (systemic-importance-driven
+style).
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ __all__ = [
     "edge_weights",
     "google_matrix",
     "perron_rank",
-    "series_rank",
     "assign_survival_probabilities",
     "rank_network",
 ]
@@ -80,7 +78,7 @@ class UniformPolicy:
 
     def __post_init__(self):
         require(math.isfinite(self.q), "q", MUST_BE_FINITE)
-        require(0.0 <= self.q < 1.0, "q", "must lie in [0, 1)")
+        require(0.0 < self.q < 1.0, "q", "must lie strictly inside (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -99,7 +97,8 @@ class RankThresholdsPolicy:
         steps = tuple((float(t), float(inc)) for t, inc in self.steps)
         object.__setattr__(self, "steps", steps)
         require(math.isfinite(self.base), "base", MUST_BE_FINITE)
-        require(0.0 <= self.base < 1.0, "base", "must lie in [0, 1)")
+        require(0.0 < self.base < 1.0, "base",
+                "must lie strictly inside (0, 1)")
         ceiling = self.base
         previous = -math.inf
         for k, (threshold, increment) in enumerate(steps):
@@ -128,7 +127,6 @@ class RankingResult:
     google: np.ndarray
     eigenvalue: float
     rank: np.ndarray
-    net_positions: np.ndarray
 
 
 def net_positions(net: FinancialNetwork) -> np.ndarray:
@@ -236,34 +234,11 @@ def perron_rank(google: np.ndarray) -> tuple[float, np.ndarray]:
     raise ConvergenceError("power iteration did not converge", vec, residual)
 
 
-def series_rank(google: np.ndarray,
-                damping: float) -> tuple[np.ndarray, np.ndarray]:
-    """Geometric-series rank ``d * sum_k (1-d)^k G^k 1``.
-
-    Requires ``(1 - damping) * spectral_radius(G) < 1`` (checked through
-    ``perron_rank``).  The series then sums to ``d * (I - (1-d) G)^{-1} 1``,
-    which one linear solve gives exactly (Langville & Meyer, *Google's
-    PageRank and Beyond*, 2006).  Returns the raw series sum and a
-    2-norm-normalized copy.
-    """
-    google = np.asarray(google, dtype=float)
-    if not 0.0 < damping < 1.0:
-        raise ValueError("damping must lie strictly inside (0, 1)")
-    spectral_radius, _ = perron_rank(google)
-    if (1.0 - damping) * spectral_radius >= 1.0:
-        raise ValueError(
-            f"series diverges: (1 - d) * lambda = "
-            f"{(1.0 - damping) * spectral_radius:.6g} >= 1")
-    n = google.shape[0]
-    total = damping * np.linalg.solve(np.eye(n) - (1.0 - damping) * google,
-                                      np.ones(n))
-    return total, total / np.linalg.norm(total)
-
-
 def assign_survival_probabilities(rank: np.ndarray, policy: QPolicy) -> np.ndarray:
     """Per-bank survival-probability targets from the rank vector.
 
-    Non-decreasing in rank by construction; every target lies in [0, 1).
+    Non-decreasing in rank by construction; every target lies strictly
+    inside (0, 1).
     A non-finite rank raises :class:`InvalidValueError` naming its entry.
     """
     rank = np.asarray(rank, dtype=float)
@@ -285,4 +260,4 @@ def rank_network(net: FinancialNetwork, w: RankWeights) -> RankingResult:
     eigenvalue, rank = perron_rank(google)
     return RankingResult(gamma_plus=gamma_plus, gamma_minus=gamma_minus,
                          tau=tau, google=google, eigenvalue=eigenvalue,
-                         rank=rank, net_positions=net_positions(net))
+                         rank=rank)

@@ -113,23 +113,6 @@ def google_oracle(gamma, damping):
     return google
 
 
-def series_rank_oracle(google, damping):
-    """Plain-Python partial sums of ``d * sum_k (1-d)^k G^k 1``.
-
-    Adds terms until the next one falls below 1e-18 of the sum, which for
-    a ratio ``(1 - d) * lambda <= 0.9`` leaves a tail far below 1e-12 of it.
-    """
-    n = len(google)
-    term = [damping] * n
-    total = list(term)
-    while max(term) > 1e-18 * max(total):
-        term = [(1.0 - damping) * sum(google[i][j] * term[j]
-                                      for j in range(n))
-                for i in range(n)]
-        total = [a + b for a, b in zip(total, term)]
-    return total
-
-
 def random_network(rng, max_banks=6, min_banks=2):
     """Small random network with a sparse positive liabilities matrix."""
     n = int(rng.integers(min_banks, max_banks + 1))

@@ -13,7 +13,7 @@ def case_config():
 
 @pytest.fixture(scope="session")
 def case_network(case_config):
-    return case_config.to_network()
+    return case_config.network
 
 
 @pytest.fixture(scope="session")

@@ -65,7 +65,7 @@ def sparse_config(path, n, seed):
 
 class TestConfigLoading:
     def test_fixture_is_the_transposed_creditor_table(self, case_config):
-        net = case_config.to_network()
+        net = case_config.network
         assert case_config.names == ("Bank 1", "Bank 2", "Bank 3", "Bank 4")
         assert np.array_equal(net.liabilities,
                               np.array(CREDITOR_TABLE, float).T)
@@ -121,8 +121,11 @@ class TestConfigLoading:
             (("ranking", "epsilon"), -0.5,
              "ranking.epsilon: must be non-negative"),
             (("policy",), {"kind": "uniform", "q": 1.0},
-             "policy.q: must lie in [0, 1)"),
-            (("policy", "base"), 1.0, "policy.base: must lie in [0, 1)"),
+             "policy.q: must lie strictly inside (0, 1)"),
+            (("policy", "base"), 1.0,
+             "policy.base: must lie strictly inside (0, 1)"),
+            (("policy", "base"), 0.0,
+             "policy.base: must lie strictly inside (0, 1)"),
             (("policy", "steps", 1, "threshold"), 0.5,
              "policy.steps[1].threshold: thresholds must be strictly "
              "ascending"),
@@ -430,7 +433,7 @@ class TestDeterministicOutput:
                                "--format", "doc")
         assert code == 0
         cfg = ln.load_config(path)
-        result = ln.rank_network(cfg.to_network(), cfg.weights)
+        result = ln.rank_network(cfg.network, cfg.weights)
         doc = json.loads(out)
         doc["matrices"] = {name: getattr(result, name).tolist()
                            for name in doc["matrices"]}
@@ -585,6 +588,20 @@ class TestErrorHandling:
                                   for k in keys[1:])
         assert error["message"] == f"{field}: must be a finite number"
 
+    def test_zero_survival_target_names_policy_q(self, capsys, tmp_path):
+        doc = json.loads(ln.case_study_path().read_text())
+        doc["policy"] = {"kind": "uniform", "q": 0.0}
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, load_schema("config"))
+        target = tmp_path / "zero_q.json"
+        target.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "control", "--config", str(target))
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ConfigValidationError"
+        assert error["message"] == "policy.q: must lie strictly inside (0, 1)"
+
     @pytest.mark.parametrize("field", ["damping", "epsilon"])
     @pytest.mark.parametrize("value", [None, "0.5", "abc"])
     def test_optional_ranking_number_is_checked(self, capsys, tmp_path,
@@ -630,6 +647,21 @@ class TestErrorHandling:
             assert "outside" in err
         assert kept.read_text() == "earlier output\n"
         assert not fresh.exists()
+
+    def test_closed_stdout_pipe_exits_quietly(self, tmp_path):
+        # the doc is megabytes, far more than a pipe buffer holds, so the
+        # write after the reader has gone is certain to fail
+        path = sparse_config(tmp_path / "sparse.json", 300, seed=11)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lolrnet", "rank", "--config", str(path),
+             "--format", "doc"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            cwd=Path(ln.__file__).resolve().parents[1])
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0
+        assert err == b""
 
     def test_unknown_command_usage_error(self):
         with pytest.raises(SystemExit) as info:

@@ -227,26 +227,6 @@ class TestClearingVector:
                 u = nxt
 
 
-class TestNetLiabilityMatrix:
-    def test_zero_payments_identity(self, case_network):
-        assert np.array_equal(
-            ln.net_liability_matrix(case_network, np.zeros(4)),
-            case_network.liabilities)
-
-    def test_full_payments_zero_row_sums(self, case_network):
-        payments = case_network.liabilities.sum(axis=1)
-        tilde = ln.net_liability_matrix(case_network, payments)
-        assert tilde.sum(axis=1) == pytest.approx(np.zeros(4), abs=1e-12)
-
-    def test_case_study_bank2_diagonal(self, case_network):
-        tilde = ln.net_liability_matrix(case_network, [0.0, 4.0, 0.0, 0.0])
-        assert tilde[1, 1] == -4.0
-
-    def test_wrong_length_rejected(self, case_network):
-        with pytest.raises(ValueError):
-            ln.net_liability_matrix(case_network, [1.0, 2.0])
-
-
 class TestDefaultBoundary:
     def test_case_study_bank3_at_horizon(self, case_network):
         # nobody owes bank 3, so the boundary is its full grown obligation
@@ -286,34 +266,3 @@ class TestDefaultBoundary:
         values = [ln.default_boundary(case_network, t)[0] for t in times]
         diffs = np.abs(np.diff(values))
         assert diffs.max() < 1e-2  # smooth exponential, no jumps before T
-
-
-class TestGraphMatrices:
-    def test_empty_graph(self):
-        net = tiny_net([[0, 0], [0, 0]], [1, 1])
-        gm = ln.build_graph_matrices(net)
-        assert gm.m == 0
-        assert np.array_equal(gm.adjacency, np.zeros((2, 2), dtype=int))
-
-    def test_case_study_edge_count(self, case_network):
-        assert ln.build_graph_matrices(case_network).m == 6
-
-    def test_single_liability(self):
-        net = tiny_net([[0, 2], [0, 0]], [1, 1])
-        gm = ln.build_graph_matrices(net)
-        assert gm.adjacency_in[0, 1] == 1
-        assert gm.adjacency.tolist() == [[0, 1], [1, 0]]
-
-    def test_structural_invariants(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            net = random_network(rng)
-            gm = ln.build_graph_matrices(net)
-            assert np.array_equal(gm.adjacency, gm.adjacency.T)
-            assert np.all(np.diag(gm.adjacency) == 0)
-            assert np.array_equal(gm.adjacency_in, gm.adjacency_out.T)
-            assert np.array_equal(gm.adjacency,
-                                  gm.adjacency_in + gm.adjacency_out)
-            if gm.m:
-                assert np.all(gm.incidence_in.sum(axis=0) == 1)
-                assert np.all(gm.incidence_out.sum(axis=0) == 1)

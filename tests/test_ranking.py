@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import lolrnet as ln
 from _support import (CASE_CASH, CREDITOR_TABLE, FIXTURE_EIGENVALUE,
                       FIXTURE_RANK, gamma_oracle, google_oracle,
-                      random_network, series_rank_oracle)
+                      random_network)
 
 
 def as_network(table, cash):
@@ -209,44 +209,6 @@ class TestPerronRank:
             with pytest.raises(ValueError, match="strictly positive") as info:
                 ln.perron_rank(np.array([[1.0, bad], [1.0, 1.0]]))
             assert info.value.field == "google[0][1]"
-
-
-class TestSeriesRank:
-    def test_near_one_damping_single_term(self):
-        google = np.full((3, 3), 1.0 / 3)
-        d = 1.0 - 1e-9
-        raw, unit = ln.series_rank(google, d)
-        assert raw == pytest.approx(np.full(3, d), abs=1e-8)
-        assert np.linalg.norm(unit) == pytest.approx(1.0, abs=1e-12)
-
-    def test_fixture_converges(self, printed_google):
-        # geometric bound: 0.15 * 1.2892 < 1
-        raw, unit = ln.series_rank(printed_google, 0.85)
-        assert np.all(raw > 0)
-        assert np.linalg.norm(unit) == pytest.approx(1.0, abs=1e-12)
-
-    def test_uniform_matrix_equal_components(self):
-        # G 1 = 1, so every term is d (1-d)^k and the sum is exactly 1
-        raw, _ = ln.series_rank(np.full((4, 4), 0.25), 0.85)
-        assert raw == pytest.approx(np.ones(4), rel=0, abs=1e-15)
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=50, deadline=None)
-    def test_matches_truncated_series_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 9))
-        google = rng.uniform(0.01, 1.0, (n, n))
-        # column sums bound the spectral radius: (1 - d) * lambda <= 0.9
-        google *= rng.uniform(0.5, 1.5) / google.sum(axis=0).max()
-        damping = float(rng.uniform(0.4, 0.95))
-        raw, _ = ln.series_rank(google, damping)
-        oracle = series_rank_oracle(google.tolist(), damping)
-        assert raw == pytest.approx(np.array(oracle), rel=1e-12, abs=0)
-
-    def test_divergence_rejected(self):
-        # spectral radius 4 with damping 0.1: 0.9 * 4 >= 1
-        with pytest.raises(ValueError, match="diverges"):
-            ln.series_rank(np.ones((4, 4)), 0.1)
 
 
 class TestAssignSurvivalProbabilities:

@@ -111,27 +111,23 @@ def cmd_rank(cfg: NetworkConfig, args) -> tuple[dict, list[str]]:
                 f"override matrix is {google.shape[0]}x{google.shape[1]}, "
                 f"network has {net.n} banks")
         eigenvalue, rank = perron_rank(google)
-        matrices = {"google": google}
-        override = True
     else:
         result = rank_network(net, cfg.weights)
-        eigenvalue, rank = result.eigenvalue, result.rank
-        matrices = {"gamma_plus": result.gamma_plus,
-                    "gamma_minus": result.gamma_minus,
-                    "tau": result.tau,
-                    "google": result.google}
-        override = False
+        google, eigenvalue, rank = (result.google, result.eigenvalue,
+                                    result.rank)
     q = assign_survival_probabilities(rank, cfg.policy)
 
     doc = {
         "command": "rank",
-        "matrix_override": override,
+        "matrix_override": bool(args.matrix_override),
         "eigenvalue": eigenvalue,
         "banks": [
             {"index": i + 1, "name": cfg.names[i],
              "net_position": positions[i], "rank": rank[i], "q": q[i]}
             for i in range(net.n)],
-        "matrices": matrices,
+        # the matrix whose eigenpair the doc reports; edge_weights and
+        # google_matrix rebuild gamma_plus, gamma_minus and tau
+        "matrices": {"google": google},
     }
     return doc, ["bank", "name", "net_position", "rank", "q", "eigenvalue"]
 

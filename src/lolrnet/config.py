@@ -15,6 +15,7 @@ import math
 import re
 from dataclasses import dataclass
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -370,7 +371,7 @@ def _write_value(value, write, level: int) -> None:
             return
         write("{\n")
         for k, (key, item) in enumerate(value.items()):
-            write(f"{pad}{json.dumps(key)}: ")
+            write(f"{pad}{encode_basestring_ascii(key)}: ")
             _write_value(item, write, level + 1)
             write(",\n" if k < len(value) - 1 else "\n")
         write(f"{close_pad}}}")
@@ -402,13 +403,13 @@ def _write_value(value, write, level: int) -> None:
         if math.isnan(value):
             write("null")
         elif math.isinf(value):
-            write(json.dumps(format_number(value)))
+            write(encode_basestring_ascii(format_number(value)))
         else:
             write(format_number(value))
     elif value is None:
         write("null")
     elif isinstance(value, str):
-        write(json.dumps(value))
+        write(encode_basestring_ascii(value))
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
 

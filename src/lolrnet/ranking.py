@@ -119,11 +119,12 @@ QPolicy = UniformPolicy | RankThresholdsPolicy
 
 @dataclass(frozen=True)
 class RankingResult:
-    """Every intermediate of the rank pipeline plus the dominant eigenpair."""
+    """The damped Google matrix and its dominant eigenpair.
 
-    gamma_plus: np.ndarray
-    gamma_minus: np.ndarray
-    tau: np.ndarray
+    ``edge_weights`` and ``google_matrix`` rebuild the intermediates
+    (gamma_plus, gamma_minus, tau) on demand.
+    """
+
     google: np.ndarray
     eigenvalue: float
     rank: np.ndarray
@@ -255,9 +256,6 @@ def assign_survival_probabilities(rank: np.ndarray, policy: QPolicy) -> np.ndarr
 
 def rank_network(net: FinancialNetwork, w: RankWeights) -> RankingResult:
     """Full rank pipeline: weights, transition matrix, dominant eigenpair."""
-    gamma_plus, gamma_minus = edge_weights(net, w)
-    tau, google = google_matrix(gamma_plus, w.damping)
+    google = google_matrix(edge_weights(net, w)[0], w.damping)[1]
     eigenvalue, rank = perron_rank(google)
-    return RankingResult(gamma_plus=gamma_plus, gamma_minus=gamma_minus,
-                         tau=tau, google=google, eigenvalue=eigenvalue,
-                         rank=rank)
+    return RankingResult(google=google, eigenvalue=eigenvalue, rank=rank)

@@ -15,7 +15,7 @@ import pytest
 import lolrnet as ln
 import lolrnet.simulate as engine
 from lolrnet.cli import main
-from lolrnet.config import dumps_doc, format_number
+from lolrnet.config import dumps_doc, format_number, write_doc
 from _support import CREDITOR_TABLE, FIXTURE_EIGENVALUE, FIXTURE_RANK
 
 SCHEMA_DIR = Path(ln.__file__).parent / "schemas"
@@ -227,6 +227,39 @@ class TestCommandOutputs:
         assert doc["eigenvalue"] == pytest.approx(1.2892, abs=1e-3)
         assert [b["rank"] for b in doc["banks"]] == pytest.approx(
             FIXTURE_RANK, abs=1e-3)
+
+    @pytest.mark.parametrize("override", [(), ("--matrix-override",
+                                               "printed_gd.json")])
+    def test_rank_doc_carries_only_the_ranked_google_matrix(self, capsys,
+                                                           override):
+        code, out, _ = run_cli(capsys, "rank", "--config", "case_study.json",
+                               *override, "--format", "doc")
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc["matrices"]) == ["google"]
+        # the eigenpair can be checked from the doc alone, as the
+        # benchmark's rank check does
+        google = np.array(doc["matrices"]["google"], dtype=float)
+        rank = np.array([b["rank"] for b in doc["banks"]], dtype=float)
+        residual = np.linalg.norm(google @ rank - doc["eigenvalue"] * rank)
+        assert residual <= 1e-9
+
+    @pytest.mark.parametrize("which", ["case_study", "sparse"])
+    def test_rank_doc_google_is_the_pipeline_matrix(self, capsys, tmp_path,
+                                                    which):
+        path = (ln.case_study_path() if which == "case_study"
+                else sparse_config(tmp_path / "sparse.json", 60, seed=3))
+        code, out, _ = run_cli(capsys, "rank", "--config", str(path),
+                               "--format", "doc")
+        assert code == 0
+        cfg = ln.load_config(path)
+        expected = ln.google_matrix(
+            ln.edge_weights(cfg.network, cfg.weights)[0],
+            cfg.weights.damping)[1]
+        # 17 significant digits round-trip every float64 exactly
+        google = np.array(json.loads(out)["matrices"]["google"], dtype=float)
+        assert np.array_equal(google.view(np.uint64),
+                              expected.view(np.uint64))
 
     @pytest.mark.parametrize("value, message", [
         (math.nan, "google[1][2]: must be a finite number"),
@@ -440,19 +473,25 @@ class TestDeterministicOutput:
         assert dumps_doc(doc) + "\n" == out
 
     def test_doc_is_written_without_holding_its_text(self, tmp_path):
-        # the rank doc's text outweighs its four n x n matrices and the
-        # parsed input together, so holding the text whole would put the
-        # peak above the size of the file
-        path = sparse_config(tmp_path / "sparse.json", 300, seed=11)
+        # four n x n rank matrices, built before tracing starts, render to
+        # several MB of text; holding that text whole would put the
+        # renderer's peak above the size of the file
+        cfg = ln.load_config(sparse_config(tmp_path / "sparse.json", 300,
+                                           seed=11))
+        gamma_plus, gamma_minus = ln.edge_weights(cfg.network, cfg.weights)
+        tau, google = ln.google_matrix(gamma_plus, cfg.weights.damping)
+        doc = {"command": "rank",
+               "matrices": {"gamma_plus": gamma_plus,
+                            "gamma_minus": gamma_minus, "tau": tau,
+                            "google": google}}
         target = tmp_path / "rank.json"
-        tracemalloc.start()
-        try:
-            code = main(["rank", "--config", str(path), "--format", "doc",
-                         "--output", str(target)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 0
+        with open(target, "w", encoding="utf-8") as handle:
+            tracemalloc.start()
+            try:
+                write_doc(doc, handle)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert peak < target.stat().st_size
 
     def test_numbers_round_trip_through_17_digits(self, capsys):

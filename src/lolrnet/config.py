@@ -10,6 +10,7 @@ a document to an open handle; :func:`dumps_doc` returns the same text.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -91,9 +92,11 @@ def _require(condition: bool, field: str, message: str) -> None:
 
 
 def _number(doc: dict, field: str, path: str) -> float:
-    _require(field in doc, f"{path}.{field}", "missing")
-    _require(_is_number(doc[field]), f"{path}.{field}", "must be a number")
-    return _float(doc[field])
+    value = doc.get(field)
+    if type(value) is not float:  # a JSON float needs no check
+        _require(field in doc, f"{path}.{field}", "missing")
+        _require(_is_number(value), f"{path}.{field}", "must be a number")
+    return _float(value)
 
 
 def _build(doc_path, cls, **fields):
@@ -135,15 +138,18 @@ def _number_matrix(raw, n: int, path: str) -> np.ndarray:
     """An ``n`` x ``n`` JSON array of numbers as a float array."""
     _require(isinstance(raw, list) and len(raw) == n, path,
              f"must be a {n}x{n} array")
-    for i, row in enumerate(raw):
-        _require(isinstance(row, list) and len(row) == n,
-                 f"{path}[{i}]", f"must have {n} entries")
-        if not set(map(type, row)) <= {int, float}:
+    cells = itertools.chain.from_iterable
+    if not (all(isinstance(row, list) and len(row) == n for row in raw)
+            and set(map(type, cells(raw))) <= {int, float}):
+        # walk the rows to name the first short row or non-number cell
+        for i, row in enumerate(raw):
+            _require(isinstance(row, list) and len(row) == n,
+                     f"{path}[{i}]", f"must have {n} entries")
             for j, value in enumerate(row):
                 _require(_is_number(value), f"{path}[{i}][{j}]",
                          "must be a number")
     try:
-        return np.array(raw, dtype=float)
+        return np.fromiter(cells(raw), float, n * n).reshape(n, n)
     except OverflowError:
         return np.array([[_float(v) for v in row] for row in raw])
 
@@ -362,19 +368,52 @@ def _write_float_array(value: np.ndarray, write, level: int) -> None:
     rows(value, is_mode, level)
 
 
-def _write_value(value, write, level: int) -> None:
-    pad = " " * (_INDENT * (level + 1))
-    close_pad = " " * (_INDENT * level)
-    if isinstance(value, dict):
-        if not value:
-            write("{}")
-            return
-        write("{\n")
-        for k, (key, item) in enumerate(value.items()):
-            write(f"{pad}{encode_basestring_ascii(key)}: ")
+def _float_text(value: float) -> str:
+    # "%.17g" gives format_number's text, and formats np.float64 faster
+    if math.isfinite(value):
+        return "%.17g" % value
+    return "null" if math.isnan(value) else f'"{format_number(value)}"'
+
+
+def _bool_text(value) -> str:
+    return "true" if value else "false"
+
+
+# the text of a scalar by its exact type; any other type takes the
+# isinstance tests of _write_value
+_SCALAR_TEXT = {float: _float_text, np.float64: _float_text, int: str,
+                np.int64: str, bool: _bool_text, np.bool_: _bool_text,
+                str: encode_basestring_ascii, type(None): lambda _: "null"}
+
+
+def _write_items(heads, items, brackets: str, write, level: int) -> None:
+    """Write each of ``items`` after its ``head`` between ``brackets``; the
+    text of consecutive scalar items goes out in one write."""
+    parts = [brackets[0]]
+    sep = "\n"
+    for head, item in zip(heads, items):
+        parts += (sep, head)
+        text = _SCALAR_TEXT.get(type(item))
+        if text is None:
+            write("".join(parts))
+            parts = []
             _write_value(item, write, level + 1)
-            write(",\n" if k < len(value) - 1 else "\n")
-        write(f"{close_pad}}}")
+        else:
+            parts.append(text(item))
+        sep = ",\n"
+    close = f"\n{' ' * (_INDENT * level)}" if sep != "\n" else ""
+    write("".join(parts) + close + brackets[1])
+
+
+def _write_value(value, write, level: int) -> None:
+    text = _SCALAR_TEXT.get(type(value))
+    if text is not None:
+        write(text(value))
+        return
+    pad = " " * (_INDENT * (level + 1))
+    if isinstance(value, dict):
+        heads = [f"{pad}{encode_basestring_ascii(key)}: " for key in value]
+        _write_items(heads, value.values(), "{}", write, level)
     elif (isinstance(value, np.ndarray) and value.ndim and value.size
           and value.dtype == np.float64 and np.isfinite(value).all()):
         _write_float_array(value, write, level)
@@ -385,29 +424,13 @@ def _write_value(value, write, level: int) -> None:
             items = list(value) if value.ndim > 1 else value.tolist()
         else:
             items = list(value)
-        if not items:
-            write("[]")
-            return
-        write("[\n")
-        for k, item in enumerate(items):
-            write(pad)
-            _write_value(item, write, level + 1)
-            write(",\n" if k < len(items) - 1 else "\n")
-        write(f"{close_pad}]")
-    elif isinstance(value, bool) or isinstance(value, np.bool_):
-        write("true" if value else "false")
+        _write_items(itertools.repeat(pad), items, "[]", write, level)
+    elif isinstance(value, (bool, np.bool_)):
+        write(_bool_text(value))
     elif isinstance(value, (int, np.integer)):
         write(str(int(value)))
     elif isinstance(value, (float, np.floating)):
-        value = float(value)
-        if math.isnan(value):
-            write("null")
-        elif math.isinf(value):
-            write(encode_basestring_ascii(format_number(value)))
-        else:
-            write(format_number(value))
-    elif value is None:
-        write("null")
+        write(_float_text(float(value)))
     elif isinstance(value, str):
         write(encode_basestring_ascii(value))
     else:
@@ -422,7 +445,9 @@ def write_doc(doc, handle) -> None:
     ``"-inf"``.  Key order is preserved, so equal inputs always produce
     byte-identical text.  A float array's dominant value is formatted once
     and reused; the text is the same as for its list.  Each row of a float
-    array is one write, so no more than a row of text is held.
+    array is one write, and so are the scalar entries of a dict or list
+    between two non-scalar ones, so no more than a row or a record of text
+    is held.
     """
     _write_value(doc, handle.write, 0)
 

@@ -170,11 +170,11 @@ def relative_liabilities(net: FinancialNetwork) -> np.ndarray:
     ``j``; rows of banks with no obligations are zero.  Uniform exponential
     growth cancels in the ratio, so Pi is the same at every time.
     """
-    ubar = net.liabilities.sum(axis=1)
-    pi = np.zeros_like(net.liabilities)
-    pos = ubar > 0
-    pi[pos] = net.liabilities[pos] / ubar[pos, None]
-    return pi
+    liab = net.liabilities
+    ubar = liab.sum(axis=1)
+    # a row that owes nothing keeps the output's +0.0, even if it holds -0.0
+    return np.divide(liab, ubar[:, None], out=np.zeros_like(liab),
+                     where=(ubar > 0)[:, None])
 
 
 def clearing_vector(net: FinancialNetwork, t: float = 0.0) -> ClearingResult:
@@ -208,7 +208,7 @@ def clearing_vector(net: FinancialNetwork, t: float = 0.0) -> ClearingResult:
     ClearingResult
     """
     ubar = total_obligations(net, t)
-    pi_t = relative_liabilities(net).T
+    pi = relative_liabilities(net)
     inflow = net.cash
     slack = DEFAULT_FLAG_RTOL * np.maximum(1.0, ubar)
 
@@ -217,17 +217,18 @@ def clearing_vector(net: FinancialNetwork, t: float = 0.0) -> ClearingResult:
     rounds = 0
     while True:
         rounds += 1
-        assets = pi_t @ u + inflow
+        assets = pi.T @ u + inflow
         joining = ~insolvent & (ubar - assets > slack)
         if not joining.any():
             break
         insolvent |= joining
         solvent = ~insolvent
+        # gather Pi_DD from C-ordered Pi, then transpose the gathered block
         u[insolvent] = np.linalg.solve(
             np.eye(np.count_nonzero(insolvent))
-            - pi_t[np.ix_(insolvent, insolvent)],
+            - pi[np.ix_(insolvent, insolvent)].T,
             inflow[insolvent]
-            + pi_t[np.ix_(insolvent, solvent)] @ ubar[solvent])
+            + pi.T[np.ix_(insolvent, solvent)] @ ubar[solvent])
 
     residual = float(np.max(np.abs(u - np.minimum(ubar, assets))))
     values = np.maximum(assets - ubar, 0.0)

@@ -147,9 +147,9 @@ def edge_weights(net: FinancialNetwork,
     ``gamma_plus[i, j]`` combines the liability from ``i`` to ``j`` and the
     one from ``j`` to ``i`` with coefficients ``(c_plus, c_minus)`` and divides
     by ``N_j - min(N) + 1``, where ``N`` is the vector of net positions.
-    ``gamma_minus`` follows by antisymmetry: ``gamma_minus[i, j] ==
-    gamma_plus[j, i]``.  Diagonals are zero.  With ``epsilon > 0`` every
-    connected off-diagonal edge gains ``epsilon``.
+    ``gamma_minus`` is ``gamma_plus.T``, a read-only view (antisymmetry:
+    ``gamma_minus[i, j] == gamma_plus[j, i]``).  Diagonals are zero.  With
+    ``epsilon > 0`` every connected off-diagonal edge gains ``epsilon``.
 
     Raises
     ------
@@ -177,7 +177,9 @@ def edge_weights(net: FinancialNetwork,
                 k, f"bank {k} (0-based index) has no liabilities in or out, "
                 "so it has zero rank weight for every epsilon")
         raise DegenerateNetworkError(k)
-    return gamma_plus, gamma_plus.T.copy()
+    gamma_minus = gamma_plus.T
+    gamma_minus.setflags(write=False)
+    return gamma_plus, gamma_minus
 
 
 def google_matrix(gamma_plus: np.ndarray,

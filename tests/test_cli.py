@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import types
 from pathlib import Path
 
 import jsonschema
@@ -459,6 +460,60 @@ class TestDeterministicOutput:
             doc = {"matrix": arr, "nested": [arr]}
             plain = {"matrix": arr.tolist(), "nested": [arr.tolist()]}
             assert dumps_doc(doc) == dumps_doc(plain)
+
+    def test_records_render_to_golden_text(self):
+        # every scalar type the renderer looks up by exact type, two numpy
+        # types it does not (int32, float32), and a record whose ndarray and
+        # nested dict sit between scalar items
+        doc = {"banks": [
+            {"float": 0.1, "np_float64": np.float64(-0.0), "int": 7,
+             "np_int64": np.int64(-3), "bool": True, "np_bool": np.False_,
+             "str": 'say "hi" café', "none": None},
+            {"tiny": 5e-324, "inf": math.inf, "neg_inf": np.float64(-math.inf),
+             "nan": math.nan, "np_int32": np.int32(12),
+             "np_float32": np.float32(0.1), "array": np.array([1.5, 2.0]),
+             "nested": {"a": 1, "b": [True, None]}, "after": "x"}]}
+        expected = textwrap.dedent('''\
+            {
+              "banks": [
+                {
+                  "float": 0.10000000000000001,
+                  "np_float64": -0,
+                  "int": 7,
+                  "np_int64": -3,
+                  "bool": true,
+                  "np_bool": false,
+                  "str": "say \\"hi\\" caf\\u00e9",
+                  "none": null
+                },
+                {
+                  "tiny": 4.9406564584124654e-324,
+                  "inf": "inf",
+                  "neg_inf": "-inf",
+                  "nan": null,
+                  "np_int32": 12,
+                  "np_float32": 0.10000000149011612,
+                  "array": [
+                    1.5,
+                    2
+                  ],
+                  "nested": {
+                    "a": 1,
+                    "b": [
+                      true,
+                      null
+                    ]
+                  },
+                  "after": "x"
+                }
+              ]
+            }''')
+        pieces: list[str] = []
+        write_doc(doc, types.SimpleNamespace(write=pieces.append))
+        assert "".join(pieces) == dumps_doc(doc) == expected
+        # a record of exact-type scalars is written in one piece
+        start = expected.index("{", 1)
+        assert expected[start:expected.index("}", start) + 1] in pieces
 
     def test_rank_doc_matrices_render_like_lists(self, capsys, tmp_path):
         path = sparse_config(tmp_path / "sparse.json", 60, seed=11)

@@ -84,6 +84,15 @@ class TestRelativeLiabilities:
         assert np.array_equal(ln.relative_liabilities(net),
                               np.zeros((2, 2)))
 
+    def test_negative_zero_debt_row_reads_positive_zero(self):
+        # -0.0 passes the non-negativity check; a row that owes nothing is
+        # +0.0 however its zeros are signed
+        net = tiny_net([[0.0, -0.0, -0.0], [-0.0, 0.0, 2.0],
+                        [1.0, 3.0, 0.0]], [1, 1, 1])
+        pi = ln.relative_liabilities(net)
+        assert not np.signbit(pi[0]).any()
+        assert np.array_equal(pi, [[0, 0, 0], [0, 0, 1], [0.25, 0.75, 0]])
+
     def test_case_study_bank1_row(self, case_network):
         # bank 1 owes 5 and 10 out of 15
         row = ln.relative_liabilities(case_network)[0]

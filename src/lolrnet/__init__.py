@@ -12,8 +12,8 @@ from .control import (ControlDecision, ControlProblem, Region, classify,
                       network_decision, no_action_threshold, rho,
                       survival_probability, switching_rate, value_function)
 from .errors import (ConfigError, ConfigParseError, ConfigValidationError,
-                     ConvergenceError, DegenerateNetworkError,
-                     InvalidValueError, LolrnetError, SchemaVersionError)
+                     ConvergenceError, InvalidValueError, LolrnetError,
+                     SchemaVersionError)
 from .network import (ClearingResult, FinancialNetwork, clearing_vector,
                       default_boundary, relative_liabilities,
                       total_obligations)
@@ -45,5 +45,4 @@ __all__ = [
     # errors
     "LolrnetError", "InvalidValueError", "ConfigError", "ConfigParseError",
     "SchemaVersionError", "ConfigValidationError", "ConvergenceError",
-    "DegenerateNetworkError",
 ]

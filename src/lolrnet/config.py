@@ -317,17 +317,18 @@ _INDENT = 2
 
 
 def format_number(value: float) -> str:
-    """17-significant-digit decimal form; round-trips float64 exactly."""
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return f"{value:.17g}"
+    """17-significant-digit decimal form; round-trips float64 exactly.
+
+    Infinities and NaN read ``inf``, ``-inf`` and ``nan``.
+    """
+    return "%.17g" % value
 
 
 def _write_float_array(value: np.ndarray, write, level: int) -> None:
     """Write a non-empty, finite float64 array with one %-format per row.
 
-    ``"%.17g"`` is :func:`format_number`'s text for every finite float and
-    never contains ``%``.  When the array's most frequent value (by bit
+    ``"%.17g"`` is :func:`format_number` itself, and its text for a finite
+    float never contains ``%``.  When the array's most frequent value (by bit
     pattern, which keeps ``-0.0`` apart from ``0.0``) fills more than half
     of it, as 0 and the teleport term fill the rank matrices, that value is
     formatted once and enters the templates of the rows that hold it as
@@ -369,7 +370,7 @@ def _write_float_array(value: np.ndarray, write, level: int) -> None:
 
 
 def _float_text(value: float) -> str:
-    # "%.17g" gives format_number's text, and formats np.float64 faster
+    # format_number inlined: "%.17g" is its whole body
     if math.isfinite(value):
         return "%.17g" % value
     return "null" if math.isnan(value) else f'"{format_number(value)}"'

@@ -12,7 +12,6 @@ __all__ = [
     "SchemaVersionError",
     "ConfigValidationError",
     "ConvergenceError",
-    "DegenerateNetworkError",
 ]
 
 
@@ -90,15 +89,3 @@ class ConvergenceError(LolrnetError, RuntimeError):
         super().__init__(f"{message} (residual {residual:.3e})")
         self.last_iterate = last_iterate
         self.residual = residual
-
-
-class DegenerateNetworkError(LolrnetError, ValueError):
-    """A vertex cannot be rank-normalized because its weight degree is zero."""
-
-    def __init__(self, vertex: int, message: str | None = None):
-        super().__init__(
-            message or f"bank {vertex} (0-based index) has zero outgoing rank "
-            "weight; use a positive epsilon regularizer or different weight "
-            "coefficients"
-        )
-        self.vertex = vertex

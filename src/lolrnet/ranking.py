@@ -3,10 +3,12 @@
 Builds directed edge weights from the liabilities matrix and each bank's net
 position, normalizes them into a column-indexed transition matrix, damps it
 into an everywhere-positive Google matrix, and extracts the dominant
-eigenvector by power iteration with fixed limits.  Survival-probability
-targets are then assigned from the rank, either uniformly (max-liquidity
-style) or through increasing rank thresholds (systemic-importance-driven
-style).
+eigenvector by power iteration with fixed limits.  A bank with zero outgoing
+weight (a pure lender under debt weighting, or an isolated bank) gets the
+uniform transition column 1/n, the standard dangling-node patch, so every
+network ranks.  Survival-probability targets are then assigned from the
+rank, either uniformly (max-liquidity style) or through increasing rank
+thresholds (systemic-importance-driven style).
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (MUST_BE_FINITE, ConvergenceError, DegenerateNetworkError,
-                     require)
+from .errors import MUST_BE_FINITE, ConvergenceError, require
 from .network import FinancialNetwork
 
 __all__ = [
@@ -50,7 +51,8 @@ class RankWeights:
     ``c_plus`` weighs a bank's own debts and ``c_minus`` the credits owed to
     it; the two must sum to one.  ``damping`` is the teleport damping factor
     in (0, 1).  ``epsilon``, when positive, is added to the weight of every
-    connected edge to lift degenerate (zero-outdegree) vertices.
+    connected edge; it reweights the network but is not needed to rank it,
+    since a bank with zero outgoing weight gets the uniform column anyway.
     """
 
     c_plus: float
@@ -150,14 +152,9 @@ def edge_weights(net: FinancialNetwork,
     ``gamma_minus`` is ``gamma_plus.T``, a read-only view (antisymmetry:
     ``gamma_minus[i, j] == gamma_plus[j, i]``).  Diagonals are zero.  With
     ``epsilon > 0`` every connected off-diagonal edge gains ``epsilon``.
-
-    Raises
-    ------
-    DegenerateNetworkError
-        If some vertex ends up with zero outgoing weight (its row of
-        ``gamma_plus`` is all zero), naming the vertex.  The message says
-        when the vertex has no liabilities in or out, which no ``epsilon``
-        can lift.
+    A row of ``gamma_plus`` may be all zero (a bank that owes nothing under
+    ``c_plus = 1``, or an isolated bank); ``google_matrix`` gives that bank
+    the uniform column.
     """
     liab = net.liabilities
     positions = net_positions(net)
@@ -167,16 +164,6 @@ def edge_weights(net: FinancialNetwork,
     if w.epsilon > 0:
         connected = (liab + liab.T) > 0
         gamma_plus = gamma_plus + w.epsilon * connected
-
-    outdegree = gamma_plus.sum(axis=1)
-    dead = np.flatnonzero(outdegree == 0)
-    if dead.size:
-        k = int(dead[0])
-        if not (liab[k].any() or liab[:, k].any()):
-            raise DegenerateNetworkError(
-                k, f"bank {k} (0-based index) has no liabilities in or out, "
-                "so it has zero rank weight for every epsilon")
-        raise DegenerateNetworkError(k)
     gamma_minus = gamma_plus.T
     gamma_minus.setflags(write=False)
     return gamma_plus, gamma_minus
@@ -187,21 +174,21 @@ def google_matrix(gamma_plus: np.ndarray,
     """Normalized transition matrix tau and its damped Google matrix.
 
     ``tau[i, j] = gamma_plus[i, j] / outdegree(j)`` where ``outdegree(j)`` is
-    the sum of row ``j`` of ``gamma_plus``; the Google matrix is
-    ``(1 - damping) / n`` everywhere plus ``damping * tau``, so each entry is
-    at least ``(1 - damping) / n``.
+    the sum of row ``j`` of ``gamma_plus``.  A vertex with zero outdegree
+    (a dangling bank) gets the uniform column ``tau[:, j] = 1 / n``.  The
+    Google matrix is ``(1 - damping) / n`` everywhere plus
+    ``damping * tau``, so each entry is at least ``(1 - damping) / n``.
     """
     gamma_plus = np.asarray(gamma_plus, dtype=float)
     if gamma_plus.ndim != 2 or gamma_plus.shape[0] != gamma_plus.shape[1]:
         raise ValueError("gamma_plus must be a square matrix")
     if not 0.0 < damping < 1.0:
         raise ValueError("damping must lie strictly inside (0, 1)")
-    outdegree = gamma_plus.sum(axis=1)
-    dead = np.flatnonzero(outdegree == 0)
-    if dead.size:
-        raise DegenerateNetworkError(int(dead[0]))
     n = gamma_plus.shape[0]
-    tau = gamma_plus / outdegree[None, :]
+    outdegree = gamma_plus.sum(axis=1)
+    tau = np.divide(gamma_plus, outdegree[None, :],
+                    out=np.full_like(gamma_plus, 1.0 / n),
+                    where=(outdegree > 0)[None, :])
     google = (1.0 - damping) / n + damping * tau
     return tau, google
 

@@ -100,16 +100,17 @@ def gamma_oracle(table, cash, c_plus, c_minus):
 
 
 def google_oracle(gamma, damping):
-    """Plain-Python column-normalized transition and damped matrix."""
+    """Plain-Python column-normalized transition and damped matrix.
+
+    A vertex with zero outdegree gets the uniform transition column 1/n.
+    """
     n = len(gamma)
     outdeg = [sum(row) for row in gamma]
     google = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            if outdeg[j] == 0:
-                return None
-            google[i][j] = (1.0 - damping) / n \
-                + damping * gamma[i][j] / outdeg[j]
+            tau = gamma[i][j] / outdeg[j] if outdeg[j] != 0 else 1.0 / n
+            google[i][j] = (1.0 - damping) / n + damping * tau
     return google
 
 

@@ -30,12 +30,11 @@ PUBLIC_NAMES = {
     # errors
     "LolrnetError", "InvalidValueError", "ConfigError", "ConfigParseError",
     "SchemaVersionError", "ConfigValidationError", "ConvergenceError",
-    "DegenerateNetworkError",
 }
 
 
 def test_package_exports_exactly_the_public_names():
-    assert len(ln.__all__) == len(set(ln.__all__)) == 44
+    assert len(ln.__all__) == len(set(ln.__all__)) == 43
     assert set(ln.__all__) == PUBLIC_NAMES
 
 

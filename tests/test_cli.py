@@ -245,6 +245,29 @@ class TestCommandOutputs:
         residual = np.linalg.norm(google @ rank - doc["eigenvalue"] * rank)
         assert residual <= 1e-9
 
+    def test_pure_lender_runs_every_rank_driven_command(self, capsys,
+                                                         tmp_path):
+        # bank 4 owes nothing, so c_plus = 1 leaves its row of rank
+        # weights empty and the rank gives it the uniform column
+        doc = json.loads(ln.case_study_path().read_text())
+        doc["liabilities"][3] = [0, 0, 0, 0]
+        path = tmp_path / "pure_lender.json"
+        path.write_text(json.dumps(doc))
+        for argv in (("rank",), ("regions",), ("control",),
+                     ("simulate", "--paths", "1000")):
+            code, out, err = run_cli(capsys, *argv, "--config", str(path),
+                                     "--format", "doc")
+            assert code == 0, err
+        code, out, _ = run_cli(capsys, "rank", "--config", str(path),
+                               "--format", "doc")
+        rank_doc = json.loads(out)
+        assert rank_doc["eigenvalue"] == 0.85673845882556887
+        google = np.array(rank_doc["matrices"]["google"], dtype=float)
+        rank = np.array([b["rank"] for b in rank_doc["banks"]], dtype=float)
+        residual = np.linalg.norm(google @ rank
+                                  - rank_doc["eigenvalue"] * rank)
+        assert residual <= 1e-9
+
     @pytest.mark.parametrize("which", ["case_study", "sparse"])
     def test_rank_doc_google_is_the_pipeline_matrix(self, capsys, tmp_path,
                                                     which):

@@ -85,43 +85,9 @@ class TestEdgeWeights:
         rng = np.random.default_rng(3)
         for _ in range(20):
             net = random_network(rng)
-            try:
-                gamma_plus, gamma_minus = ln.edge_weights(
-                    net, ln.RankWeights(c_plus=0.5, c_minus=0.5))
-            except ln.DegenerateNetworkError:
-                continue
+            gamma_plus, gamma_minus = ln.edge_weights(
+                net, ln.RankWeights(c_plus=0.5, c_minus=0.5))
             assert np.array_equal(gamma_minus, gamma_plus.T)
-
-    def test_degeneracy_names_the_vertex(self, case_network):
-        # in the debtor-oriented fixture nobody owes bank 3, so pure
-        # credit weighting leaves vertex 2 without outgoing weight
-        with pytest.raises(ln.DegenerateNetworkError) as info:
-            ln.edge_weights(case_network,
-                            ln.RankWeights(c_plus=0.0, c_minus=1.0))
-        assert info.value.vertex == 2
-        assert str(info.value).startswith("bank 2 (0-based index)")
-        assert "positive epsilon" in str(info.value)
-
-    def test_isolated_bank_is_not_told_to_use_epsilon(self, case_network):
-        # a fifth bank with no liabilities in or out has no edge for
-        # epsilon to lift
-        liabilities = np.zeros((5, 5))
-        liabilities[:4, :4] = case_network.liabilities
-        net = ln.FinancialNetwork(
-            liabilities=liabilities,
-            cash=[*case_network.cash, 1.0],
-            drift=[*case_network.drift, 0.1],
-            vol=[*case_network.vol, 0.2],
-            recovery=[*case_network.recovery, 0.5],
-            growth_rate=case_network.growth_rate,
-            horizon=case_network.horizon)
-        with pytest.raises(ln.DegenerateNetworkError) as info:
-            ln.edge_weights(net, ln.RankWeights(c_plus=0.5, c_minus=0.5,
-                                                epsilon=0.5))
-        assert info.value.vertex == 4
-        assert str(info.value) == (
-            "bank 4 (0-based index) has no liabilities in or out, so it has "
-            "zero rank weight for every epsilon")
 
     def test_epsilon_lifts_degeneracy(self, case_network):
         gamma_plus, _ = ln.edge_weights(
@@ -137,10 +103,56 @@ class TestEdgeWeights:
         assert gamma_plus == pytest.approx(np.array(oracle), abs=1e-14)
 
 
+def with_pure_lenders(net, lenders, isolated=()):
+    """``net`` with the debts of ``lenders`` and every liability of
+    ``isolated`` zeroed."""
+    liab = net.liabilities.copy()
+    liab[list(lenders)] = 0.0
+    liab[:, list(isolated)] = 0.0
+    liab[list(isolated)] = 0.0
+    return ln.FinancialNetwork(
+        liabilities=liab, cash=net.cash, drift=net.drift, vol=net.vol,
+        recovery=net.recovery, growth_rate=net.growth_rate,
+        horizon=net.horizon)
+
+
 class TestGoogleMatrix:
-    def test_all_zero_weights_degenerate(self):
-        with pytest.raises(ln.DegenerateNetworkError):
-            ln.google_matrix(np.zeros((4, 4)), 0.85)
+    def test_all_zero_weights_uniform(self):
+        tau, google = ln.google_matrix(np.zeros((4, 4)), 0.85)
+        assert np.all(tau == 1.0 / 4)
+        assert np.all(google == 1.0 / 4)
+
+    def test_dangling_vertex_gets_uniform_column(self, case_network):
+        # in the debtor-oriented fixture nobody owes bank 3, so pure
+        # credit weighting leaves vertex 2 without outgoing weight
+        gamma_plus, _ = ln.edge_weights(
+            case_network, ln.RankWeights(c_plus=0.0, c_minus=1.0))
+        assert not gamma_plus[2].any()
+        tau, _ = ln.google_matrix(gamma_plus, 0.85)
+        assert np.all(tau[:, 2] == 1.0 / 4)
+        # every other column keeps the plain normalization
+        others = [0, 1, 3]
+        assert np.array_equal(
+            tau[:, others],
+            gamma_plus[:, others] / gamma_plus.sum(axis=1)[others])
+
+    def test_isolated_bank_ranks(self, case_network):
+        # a fifth bank with no liabilities in or out has zero weight for
+        # every epsilon, and still gets a finite, positive rank
+        liabilities = np.zeros((5, 5))
+        liabilities[:4, :4] = case_network.liabilities
+        net = ln.FinancialNetwork(
+            liabilities=liabilities,
+            cash=[*case_network.cash, 1.0],
+            drift=[*case_network.drift, 0.1],
+            vol=[*case_network.vol, 0.2],
+            recovery=[*case_network.recovery, 0.5],
+            growth_rate=case_network.growth_rate,
+            horizon=case_network.horizon)
+        result = ln.rank_network(net, ln.RankWeights(c_plus=0.5, c_minus=0.5,
+                                                     epsilon=0.5))
+        assert np.all(np.isfinite(result.rank))
+        assert np.all(result.rank > 0)
 
     def test_entry_floor_with_equality_at_zero_tau(self, case_network):
         gamma_plus, _ = ln.edge_weights(
@@ -166,6 +178,34 @@ class TestGoogleMatrix:
         _, google = ln.google_matrix(gamma_plus, 0.85)
         oracle = google_oracle(gamma_plus.tolist(), 0.85)
         assert google == pytest.approx(np.array(oracle), abs=1e-12)
+
+    def test_dangling_bank_matches_plain_python_oracle(self, case_network):
+        # bank 4 owes nothing, so debt weighting leaves its row empty
+        net = with_pure_lenders(case_network, [3])
+        gamma_plus, _ = ln.edge_weights(
+            net, ln.RankWeights(c_plus=1.0, c_minus=0.0))
+        _, google = ln.google_matrix(gamma_plus, 0.85)
+        oracle = google_oracle(gamma_plus.tolist(), 0.85)
+        assert np.array_equal(google[:, 3], np.array(oracle)[:, 3])
+        assert google == pytest.approx(np.array(oracle), abs=1e-12)
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           c_plus=st.sampled_from([1.0, 0.5, 0.0]),
+           damping=st.floats(0.05, 0.99))
+    @settings(max_examples=100, deadline=None)
+    def test_pure_lenders_rank(self, seed, c_plus, damping):
+        rng = np.random.default_rng(seed)
+        net = random_network(rng)
+        lenders = rng.choice(net.n, int(rng.integers(1, net.n + 1)),
+                             replace=False)
+        isolated = lenders[:1] if rng.random() < 0.3 else ()
+        net = with_pure_lenders(net, lenders, isolated)
+        result = ln.rank_network(net, ln.RankWeights(
+            c_plus=c_plus, c_minus=1.0 - c_plus, damping=damping))
+        assert np.all(np.isfinite(result.rank)) and np.all(result.rank > 0)
+        residual = np.linalg.norm(result.google @ result.rank
+                                  - result.eigenvalue * result.rank)
+        assert residual <= 1e-9
 
 
 class TestPerronRank:
@@ -276,7 +316,6 @@ class TestPipelineReproducesFixtureMatrix:
         # reproduces it to its four-decimal rounding
         gamma, _ = gamma_oracle(CREDITOR_TABLE, CASE_CASH, 0.0, 1.0)
         as_written = google_oracle(gamma, 0.85)
-        assert as_written is not None
         deviation = np.max(np.abs(np.array(as_written) - printed_google))
         assert deviation > 0.1
 

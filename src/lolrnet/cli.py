@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import math
 import os
 import sys
@@ -288,6 +289,7 @@ def run_command(command: str, cfg: NetworkConfig, args) -> tuple[dict, list[str]
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lolrnet",
@@ -330,7 +332,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=42)
     p_sim.add_argument("--paths", type=int, default=100_000)
     p_sim.add_argument("--steps", type=int, default=200)
-    p_sim.add_argument("--antithetic", action="store_true")
+    p_sim.add_argument("--antithetic", default=True,
+                       action=argparse.BooleanOptionalAction,
+                       help="pair paths with mirrored draws; "
+                            "--no-antithetic draws them iid")
     p_sim.add_argument("--dump-paths", nargs="?", const="", default=None,
                        metavar="PATH",
                        help="also dump per-path trajectories as CSV "

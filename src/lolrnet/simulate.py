@@ -12,19 +12,27 @@ Chunk ``c`` of bank ``i`` draws from its own SFC64 stream, seeded by
 ``SeedSequence`` hashing (numpy's documented mechanism for independent
 parallel streams) of the low and high 32-bit words of the seed, ``i`` and
 ``c``.  It takes ``standard_normal`` (numpy's ziggurat) step-major, of shape
-``(steps_eff, paths in chunk)``, so a partial chunk's draws depend on its
-path count; antithetic runs draw one column per path pair and negate it for
-the pair's odd path.  The chunk size is part of the draw contract and the
-thread count is not: a fixed seed yields bit-identical reports at any
-parallelism level, within one numpy version (NEP 19).  Each bank is reduced
-in path order as soon as it is simulated.
+``(steps_eff, columns)``, so a partial chunk's draws depend on its path
+count.  Antithetic pairing is the default: a chunk draws one column per
+path pair, taken by the pair's even path and negated for its odd path, and
+``antithetic=False`` draws one column per path.  The chunk size is part of
+the draw contract and the thread count is not: a fixed seed yields
+bit-identical reports at any parallelism level, within one numpy version
+(NEP 19).  Each bank is reduced in path order as soon as it is simulated.
+
+The 95% half-widths use the iid formula.  It is conservative under
+pairing: the default indicator, the terminal value and the cost integral
+are each monotone in the draws, so a pair's negated draws never raise their
+variance (Glasserman 2004, section 4.2).
 
 A chunk runs one slab of consecutive steps at a time (``_SLAB`` floats, 8
-steps of a full chunk): the stream fills each slab in turn and the path
-arithmetic runs in place on it, so each worker holds about 1.3 MiB (1.8 MiB
-antithetic) whatever the step count, and drawing the normals dominates.
-The chunk is still drawn step-major from its one stream, so the slab height
-is not part of the draw contract: reports are bit-identical at any height.
+steps of a full chunk), held as (blocks, steps, columns): one block of every
+path, or for pairs the drawn block and its negation.  The stream fills each
+slab in turn and the path arithmetic runs in place on it, so each worker
+holds about 1.3 MiB in either mode whatever the step count, and drawing the
+normals dominates.  The chunk is still drawn step-major from its one
+stream, so the slab height is not part of the draw contract: reports are
+bit-identical at any height.
 """
 
 from __future__ import annotations
@@ -58,14 +66,14 @@ class SimConfig:
     """Monte Carlo run parameters.
 
     ``steps`` is the number of grid intervals per horizon.  ``antithetic``
-    pairs consecutive paths with mirrored draws; an odd trailing path stays
-    unmirrored.
+    (the default) pairs consecutive paths with mirrored draws; an odd
+    trailing path stays unmirrored.  False draws every path iid.
     """
 
     paths: int
     steps: int = 200
     seed: int = 42
-    antithetic: bool = False
+    antithetic: bool = True
 
     def __post_init__(self):
         for name in ("paths", "steps", "seed"):
@@ -85,11 +93,12 @@ class SimReport:
     """Per-bank Monte Carlo estimates.
 
     ``default_ci_halfwidth`` holds 95% normal-approximation half-widths for
-    the default frequencies.  ``infeasible_fallback`` flags banks whose
-    control decision was infeasible and that were therefore simulated
-    uncontrolled.  ``trajectories`` (banks x recorded paths x grid points,
-    including the starting value) is present only when recording was
-    requested.
+    the default frequencies, by the iid formula: conservative for
+    antithetic runs, whose default indicator is monotone in the draws.
+    ``infeasible_fallback`` flags banks whose control decision was
+    infeasible and that were therefore simulated uncontrolled.
+    ``trajectories`` (banks x recorded paths x grid points, including the
+    starting value) is present only when recording was requested.
     """
 
     default_freq: np.ndarray
@@ -113,49 +122,53 @@ def _generator(seed: int, stream: int, lo: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(words)))
 
 
-def _fill(gen: np.random.Generator, z: np.ndarray,
-          half: np.ndarray | None) -> None:
-    """Fill ``z`` (steps, paths) with the chunk's next step-major normals.
+def _draw(gen: np.random.Generator, z: np.ndarray) -> None:
+    """Fill slab ``z`` (blocks, steps, columns) with the chunk's next normals.
 
-    Successive fills continue the stream row by row, so any split of the
-    steps into slabs gives the draws of one whole-chunk fill.  ``half`` is
-    None, or for an antithetic run a buffer with room for the shared draws
-    of the slab's path pairs; the odd path of each pair takes the negation.
+    Block 0 takes the stream step-major, and successive fills continue it
+    row by row, so any split of the steps into slabs gives the draws of one
+    whole-chunk fill.  An antithetic slab's block 1 is the negation of
+    block 0: column ``j`` of the two blocks holds paths ``2j`` and
+    ``2j + 1`` of the chunk.
     """
-    if half is None:
-        gen.standard_normal(out=z)
-        return
-    steps, size = z.shape
-    pairs = (size + 1) // 2
-    shared = half.ravel()[:steps * pairs].reshape(steps, pairs)
-    gen.standard_normal(out=shared)
-    z[:, 0::2] = shared
-    # paths with an odd global index, as a chunk starts at an even path
-    np.negative(shared[:, :size // 2], out=z[:, 1::2])
+    gen.standard_normal(out=z[0])
+    if len(z) == 2:
+        np.negative(z[0], out=z[1])
+
+
+def _scatter(dst: np.ndarray, src: np.ndarray) -> None:
+    """Write ``src`` (blocks, columns, ...) into ``dst`` in path order.
+
+    Path ``p`` of the chunk is column ``p // blocks`` of block
+    ``p % blocks``; the columns past ``dst``'s paths (an odd antithetic
+    chunk's unpaired mirror) are dropped.
+    """
+    blocks = len(src)
+    for b in range(blocks):
+        part = dst[b::blocks]
+        part[...] = src[b, :len(part)]
 
 
 def _chunk_buffers(cfg: SimConfig, workers: int) -> queue.SimpleQueue:
     """One set of slab buffers per worker, allocated by the calling thread.
 
     A set is a slab of as many steps of a full chunk as fit in ``_SLAB``
-    floats, the half slab of shared antithetic draws, and two path rows (the
-    running sum carried between slabs and the cost sum): about 1.3 MiB per
-    worker (1.8 MiB antithetic), independent of the step count.  Workers
-    borrow a set for each chunk and put it back, so a run allocates
-    ``workers`` sets whatever its bank and chunk counts.  Buffers allocated
-    by the short-lived worker threads would be kept by the allocator in
-    per-thread arenas, and a run whose threads start before the last run's
-    have fully exited opens new arenas, so peak memory would grow by a set
-    at a time over repeated runs.
+    floats and two rows of a step (the running sum carried between slabs
+    and the cost sum): about 1.3 MiB per worker in both draw modes,
+    independent of the step count.  Workers borrow a set for each chunk and
+    put it back, so a run allocates ``workers`` sets whatever its bank and
+    chunk counts.  Buffers allocated by the short-lived worker threads would
+    be kept by the allocator in per-thread arenas, and a run whose threads
+    start before the last run's have fully exited opens new arenas, so peak
+    memory would grow by a set at a time over repeated runs.
     """
-    rows = min(_CHUNK, cfg.paths)
-    height = max(1, min(cfg.steps, _SLAB // rows))
+    blocks = 2 if cfg.antithetic else 1
+    width = blocks * -(-min(_CHUNK, cfg.paths) // blocks)
+    height = max(1, min(cfg.steps, _SLAB // width))
     buffers = queue.SimpleQueue()
     for _ in range(min(workers, -(-cfg.paths // _CHUNK))):
-        half = (np.empty((height, (rows + 1) // 2)) if cfg.antithetic
-                else None)
-        buffers.put((np.empty((height, rows)), half, np.empty(rows),
-                     np.empty(rows)))
+        buffers.put((np.empty((height, width)), np.empty(width),
+                     np.empty(width)))
     return buffers
 
 
@@ -188,50 +201,64 @@ def _run_bank_chunk(x0: float, mu_eff: float, sigma: float, psi: float,
                     buffers: queue.SimpleQueue,
                     terminal_out: np.ndarray, cost_out: np.ndarray | None,
                     record_out: np.ndarray | None) -> None:
-    # the chunk runs one slab of steps at a time, in place: each step below
-    # is the same IEEE operation on the same operands as the textbook
+    # the chunk runs one slab of steps at a time, in place, as (blocks,
+    # steps, columns): one block of every path, or for an antithetic run the
+    # even paths and their mirrored odd partners.  Each step below is the
+    # same IEEE operation on the same operands as the textbook
     # ``log x0 + cumsum((mu - sigma^2/2) dt + sigma sqrt(dt) z)``, summed
     # along steps one row add at a time (in step order even where numpy
     # would sum a one-path chunk's axis 0 pairwise)
     borrowed = buffers.get()
     try:
         size = hi - lo
-        slab, half, carry, acc = borrowed
-        carry, acc = carry[:size], acc[:size]
+        blocks = 2 if cfg.antithetic else 1
+        cols = -(-size // blocks)
+        slab, carry, acc = borrowed
+        carry = carry[:blocks * cols].reshape(blocks, cols)
+        acc = acc[:blocks * cols].reshape(blocks, cols)
         dt = horizon / steps_eff
         gen = _generator(cfg.seed, stream, lo)
         take = (0 if record_out is None
                 else max(0, min(hi, len(record_out)) - lo))
         for k0 in range(0, steps_eff, len(slab)):
             k1 = min(k0 + len(slab), steps_eff)
-            z = slab.ravel()[:(k1 - k0) * size].reshape(k1 - k0, size)
-            _fill(gen, z, half)
+            z = slab.ravel()[:blocks * (k1 - k0) * cols].reshape(
+                blocks, k1 - k0, cols)
+            _draw(gen, z)
             z *= sigma * math.sqrt(dt)
             z += (mu_eff - 0.5 * sigma**2) * dt
             if k0:
-                np.add(z[0], carry, out=z[0])
-            for k in range(1, len(z)):
-                np.add(z[k], z[k - 1], out=z[k])
-            carry[:] = z[-1]
+                np.add(z[:, 0], carry, out=z[:, 0])
+            for k in range(1, k1 - k0):
+                np.add(z[:, k], z[:, k - 1], out=z[:, k])
+            carry[:] = z[:, -1]
             z += math.log(x0)
-            if k1 == steps_eff:
-                np.exp(z[-1], out=terminal_out[lo:hi])
-            if cost_out is None and not take:
-                continue
+            if cost_out is None and not take and k1 < steps_eff:
+                continue  # only the terminal row is kept
             np.exp(z, out=z)
+            if k1 == steps_eff:
+                _scatter(terminal_out[lo:hi], z[:, -1])
             if take:
-                record_out[lo:lo + take, 1 + k0:1 + k1] = z[:, :take].T
+                _scatter(record_out[lo:lo + take, 1 + k0:1 + k1],
+                         z.transpose(0, 2, 1))
             if cost_out is not None:
                 np.square(z, out=z)
                 if not k0:
-                    acc[:] = z[0]
+                    acc[:] = z[:, 0]
                 # the interior rows k <= steps_eff - 2, in step order
-                for row in z[0 if k0 else 1:steps_eff - 1 - k0]:
-                    np.add(acc, row, out=acc)
+                for k in range(0 if k0 else 1,
+                               min(k1, steps_eff - 1) - k0):
+                    np.add(acc, z[:, k], out=acc)
         if cost_out is not None:
-            interior = acc if steps_eff > 1 else 0.0
-            cost_out[lo:hi] = 0.5 * psi**2 * dt * (
-                0.5 * x0**2 + interior + 0.5 * z[-1])
+            # 0.5 psi^2 dt (x0^2 / 2 + interior + x_T^2 / 2), in place
+            if steps_eff == 1:
+                acc[:] = 0.5 * x0**2  # no interior rows
+            else:
+                acc += 0.5 * x0**2
+            z[:, -1] *= 0.5
+            acc += z[:, -1]
+            acc *= 0.5 * psi**2 * dt
+            _scatter(cost_out[lo:hi], acc)
     finally:
         # a lost set would leave a later chunk waiting forever
         buffers.put(borrowed)
@@ -340,7 +367,9 @@ def estimate_cost(net: FinancialNetwork, i: int, psi: float, cfg: SimConfig,
     at constant rate ``psi``, with a 95% confidence half-width.  Draws use the
     same step-major SFC64 chunk streams as ``simulate_network``, independent
     by ``SeedSequence`` hashing; a partial chunk's draws depend on its path
-    count, and hold within one numpy version (NEP 19).
+    count, and hold within one numpy version (NEP 19).  The half-width uses
+    the iid formula, conservative under ``cfg.antithetic`` because the cost
+    integral is monotone in the draws.
     """
     if not 0 <= i < net.n:
         raise IndexError(f"bank index {i} out of range for {net.n} banks")

@@ -17,7 +17,8 @@ import lolrnet as ln
 import lolrnet.simulate as engine
 from lolrnet.cli import main
 from lolrnet.config import dumps_doc, format_number, write_doc
-from _support import CREDITOR_TABLE, FIXTURE_EIGENVALUE, FIXTURE_RANK
+from _support import (CREDITOR_TABLE, FIXTURE_EIGENVALUE, FIXTURE_RANK,
+                      reference_simulation)
 
 SCHEMA_DIR = Path(ln.__file__).parent / "schemas"
 
@@ -339,19 +340,36 @@ class TestCommandOutputs:
         assert bank3["expected_cost"] == pytest.approx(95721.648425116,
                                                        rel=1e-9)
 
-    def test_simulate_doc_schema(self, capsys):
+    @pytest.mark.parametrize("flags,antithetic", [
+        ((), True), (("--no-antithetic",), False),
+    ], ids=["default", "no-antithetic"])
+    def test_simulate_doc_schema(self, capsys, case_network, case_q, flags,
+                                 antithetic):
         code, out, _ = run_cli(capsys, "simulate", "--config",
-                               "case_study.json", "--paths", "400",
+                               "case_study.json", "--paths", "401",
                                "--steps", "8", "--seed", "3", "--format",
-                               "doc")
+                               "doc", *flags)
         assert code == 0
         doc = json.loads(out)
         jsonschema.validate(doc, load_schema("simulate"))
-        assert doc["paths_used"] == 400
+        assert doc["paths_used"] == 401
         assert doc["seed_used"] == 3
+        assert doc["antithetic"] is antithetic
         assert doc["uncontrolled"][2]["psi"] == 0.0
         assert doc["controlled"][2]["psi"] == pytest.approx(0.40837,
                                                             abs=1e-5)
+        # every number is the reference's, bit for bit (17 digits round
+        # trip); the odd path count leaves one path unpaired
+        cfg = ln.SimConfig(paths=401, steps=8, seed=3, antithetic=antithetic)
+        for scenario, q in (("uncontrolled", np.full(4, 0.5)),
+                            ("controlled", case_q)):
+            want = reference_simulation(
+                case_network, ln.network_decision(case_network, q), cfg)
+            for field in ("default_freq", "default_ci_halfwidth",
+                          "mean_cost", "terminal_mean", "terminal_logvar"):
+                got = [bank[field] for bank in doc[scenario]]
+                assert got == getattr(want, field).tolist(), (scenario,
+                                                              field)
 
     def test_simulate_reports_both_scenarios_for_bank3(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--config",
@@ -444,7 +462,9 @@ class TestDeterministicOutput:
                 "--steps", "8", "--seed", "11", "--format", "doc")
         _, first, _ = run_cli(capsys, *argv)
         _, second, _ = run_cli(capsys, *argv)
-        assert first == second
+        # antithetic pairing is the default draw contract
+        _, explicit, _ = run_cli(capsys, *argv, "--antithetic")
+        assert first == second == explicit
 
     def test_output_file_matches_stdout(self, capsys, tmp_path):
         target = tmp_path / "out"

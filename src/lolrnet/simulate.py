@@ -1,36 +1,48 @@
 """Monte Carlo engine for controlled lognormal bank dynamics.
 
 Transitions are sampled exactly (lognormal increments), so the terminal
-distribution carries no discretization bias and the step grid only matters
-for the cost integral, which uses the trapezoid rule.  Banks running at a
-zero lending rate have an identically zero cost, so they are simulated on a
-single exact step over the whole horizon unless trajectories are being
-recorded; the terminal law is unchanged.
+distribution carries no discretization bias.  The step grid only matters for
+the cost integral, which uses the trapezoid rule, and each path's cost is
+the exact conditional expectation of that trapezoid sum given the path's
+terminal value (conditional Monte Carlo, Glasserman 2004, section 4.1).
+Given its end points, a Brownian path is a Brownian bridge whatever its
+drift, so with ``r = (X_N / x0)^(2/N)`` and ``t_k = k T / N``
+
+    E[X_k^2 | X_N] = x0^2 exp(2 sigma^2 t_k (1 - k/N)) r^k,
+
+and the cost is a polynomial in ``r`` with coefficients fixed per bank,
+evaluated by Horner's rule.  Every bank is therefore simulated on a single
+exact step over the whole horizon unless trajectories are being recorded,
+and the grid of ``steps`` intervals sets only the trapezoid's nodes.  The
+estimator is unbiased for the same grid quantity as the pathwise trapezoid
+with a smaller variance, and it uses only the law of the dynamics, never the
+closed-form value function it is checked against.
 
 Reproducibility contract: paths run in fixed chunks of ``_CHUNK`` (16,384).
 Chunk ``c`` of bank ``i`` draws from its own SFC64 stream, seeded by
 ``SeedSequence`` hashing (numpy's documented mechanism for independent
 parallel streams) of the low and high 32-bit words of the seed, ``i`` and
 ``c``.  It takes ``standard_normal`` (numpy's ziggurat) step-major, of shape
-``(steps_eff, columns)``, so a partial chunk's draws depend on its path
-count.  Antithetic pairing is the default: a chunk draws one column per
-path pair, taken by the pair's even path and negated for its odd path, and
-``antithetic=False`` draws one column per path.  The chunk size is part of
-the draw contract and the thread count is not: a fixed seed yields
-bit-identical reports at any parallelism level, within one numpy version
-(NEP 19).  Each bank is reduced in path order as soon as it is simulated.
+``(steps_eff, columns)``, with ``steps_eff`` one row unless paths are
+recorded, so a partial chunk's draws depend on its path count.  Antithetic
+pairing is the default: a chunk draws one column per path pair, taken by
+the pair's even path and negated for its odd path, and ``antithetic=False``
+draws one column per path.  The chunk size is part of the draw contract and
+the thread count is not: a fixed seed yields bit-identical reports at any
+parallelism level, within one numpy version (NEP 19).  Each bank is reduced
+in path order as soon as it is simulated.
 
 The 95% half-widths use the iid formula.  It is conservative under
-pairing: the default indicator, the terminal value and the cost integral
+pairing: the default indicator, the terminal value and the conditional cost
 are each monotone in the draws, so a pair's negated draws never raise their
 variance (Glasserman 2004, section 4.2).
 
-A chunk runs one slab of consecutive steps at a time (``_SLAB`` floats, 8
-steps of a full chunk), held as (blocks, steps, columns): one block of every
-path, or for pairs the drawn block and its negation.  The stream fills each
-slab in turn and the path arithmetic runs in place on it, so each worker
-holds about 1.3 MiB in either mode whatever the step count, and drawing the
-normals dominates.  The chunk is still drawn step-major from its one
+A chunk runs one slab of consecutive steps at a time (at most ``_SLAB``
+floats, 8 steps of a full chunk), held as (blocks, steps, columns): one
+block of every path, or for pairs the drawn block and its negation.  The
+stream fills each slab in turn and the path arithmetic runs in place on it,
+so a worker holds one row of a chunk, or about 1.3 MiB when recording,
+whatever the step count.  The chunk is still drawn step-major from its one
 stream, so the slab height is not part of the draw contract: reports are
 bit-identical at any height.
 """
@@ -65,9 +77,11 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 class SimConfig:
     """Monte Carlo run parameters.
 
-    ``steps`` is the number of grid intervals per horizon.  ``antithetic``
-    (the default) pairs consecutive paths with mirrored draws; an odd
-    trailing path stays unmirrored.  False draws every path iid.
+    ``steps`` is the number of intervals of the cost's trapezoid grid and
+    of recorded trajectories; unrecorded paths take one exact step whatever
+    its value.  ``antithetic`` (the default) pairs consecutive paths with
+    mirrored draws; an odd trailing path stays unmirrored.  False draws
+    every path iid.
     """
 
     paths: int
@@ -95,8 +109,10 @@ class SimReport:
     ``default_ci_halfwidth`` holds 95% normal-approximation half-widths for
     the default frequencies, by the iid formula: conservative for
     antithetic runs, whose default indicator is monotone in the draws.
-    ``infeasible_fallback`` flags banks whose control decision was
-    infeasible and that were therefore simulated uncontrolled.
+    ``mean_cost`` averages each path's expected trapezoid cost on the
+    ``steps`` grid given its terminal value.  ``infeasible_fallback`` flags
+    banks whose control decision was infeasible and that were therefore
+    simulated uncontrolled.
     ``trajectories`` (banks x recorded paths x grid points, including the
     starting value) is present only when recording was requested.
     """
@@ -149,22 +165,24 @@ def _scatter(dst: np.ndarray, src: np.ndarray) -> None:
         part[...] = src[b, :len(part)]
 
 
-def _chunk_buffers(cfg: SimConfig, workers: int) -> queue.SimpleQueue:
+def _chunk_buffers(cfg: SimConfig, workers: int,
+                   steps: int) -> queue.SimpleQueue:
     """One set of slab buffers per worker, allocated by the calling thread.
 
-    A set is a slab of as many steps of a full chunk as fit in ``_SLAB``
-    floats and two rows of a step (the running sum carried between slabs
-    and the cost sum): about 1.3 MiB per worker in both draw modes,
-    independent of the step count.  Workers borrow a set for each chunk and
-    put it back, so a run allocates ``workers`` sets whatever its bank and
-    chunk counts.  Buffers allocated by the short-lived worker threads would
-    be kept by the allocator in per-thread arenas, and a run whose threads
-    start before the last run's have fully exited opens new arenas, so peak
-    memory would grow by a set at a time over repeated runs.
+    A set is a slab of as many of the ``steps`` rows of a full chunk that
+    run as fit in ``_SLAB`` floats, and two rows of a step (the running sum
+    carried between slabs and the cost): one row of a chunk plus the two
+    when paths are not recorded, and about 1.3 MiB in both draw modes when
+    they are, independent of the step count.  Workers borrow a set for each
+    chunk and put it back, so a run allocates ``workers`` sets whatever its
+    bank and chunk counts.  Buffers allocated by the short-lived worker
+    threads would be kept by the allocator in per-thread arenas, and a run
+    whose threads start before the last run's have fully exited opens new
+    arenas, so peak memory would grow by a set at a time over repeated runs.
     """
     blocks = 2 if cfg.antithetic else 1
     width = blocks * -(-min(_CHUNK, cfg.paths) // blocks)
-    height = max(1, min(cfg.steps, _SLAB // width))
+    height = max(1, min(steps, _SLAB // width))
     buffers = queue.SimpleQueue()
     for _ in range(min(workers, -(-cfg.paths // _CHUNK))):
         buffers.put((np.empty((height, width)), np.empty(width),
@@ -195,26 +213,56 @@ def _chunks(paths: int):
         yield lo, min(lo + _CHUNK, paths)
 
 
-def _run_bank_chunk(x0: float, mu_eff: float, sigma: float, psi: float,
-                    horizon: float, steps_eff: int, cfg: SimConfig,
-                    stream: int, lo: int, hi: int,
-                    buffers: queue.SimpleQueue,
-                    terminal_out: np.ndarray, cost_out: np.ndarray | None,
+def _cost_coefficients(x0: float, sigma: float, psi: float,
+                       horizon: float, steps: int) -> np.ndarray:
+    """Coefficients ``a_0 .. a_N`` (``N = steps``) of a path's expected
+    trapezoid cost as a polynomial in ``r = (X_N / x0)^(2/N)``.
+
+    ``a_k = 0.5 psi^2 dt w_k x0^2 exp(2 sigma^2 t_k (1 - k/N))`` with the
+    trapezoid weights ``w_k``, 1/2 at both ends and 1 inside.  The exponent
+    vanishes at both ends, so ``a_0`` and ``a_N r^N`` weigh ``x0^2`` and
+    ``X_N^2`` exactly.
+    """
+    dt = horizon / steps
+    k = np.arange(steps + 1)
+    coef = np.exp(2 * sigma**2 * dt * k * (1 - k / steps))
+    coef[[0, -1]] *= 0.5
+    coef *= 0.5 * psi**2 * dt * x0**2
+    return coef
+
+
+def _expected_cost(coef: np.ndarray, walk: np.ndarray,
+                   out: np.ndarray) -> None:
+    """Write each path's expected trapezoid cost given its terminal value
+    into ``out``, by Horner's rule on ``coef``.  ``walk`` holds
+    ``log(X_N / x0)`` and is overwritten by ``r``."""
+    r = np.multiply(walk, 2 / (len(coef) - 1), out=walk)
+    np.exp(r, out=r)
+    out[...] = coef[-1]
+    for a in coef[-2::-1]:
+        out *= r
+        out += a
+
+
+def _run_bank_chunk(x0: float, mu_eff: float, sigma: float, horizon: float,
+                    steps_eff: int, cfg: SimConfig, stream: int, lo: int,
+                    hi: int, buffers: queue.SimpleQueue,
+                    terminal_out: np.ndarray, coef: np.ndarray | None,
+                    cost_out: np.ndarray | None,
                     record_out: np.ndarray | None) -> None:
     # the chunk runs one slab of steps at a time, in place, as (blocks,
     # steps, columns): one block of every path, or for an antithetic run the
     # even paths and their mirrored odd partners.  Each step below is the
     # same IEEE operation on the same operands as the textbook
     # ``log x0 + cumsum((mu - sigma^2/2) dt + sigma sqrt(dt) z)``, summed
-    # along steps one row add at a time (in step order even where numpy
-    # would sum a one-path chunk's axis 0 pairwise)
+    # along steps one row add at a time
     borrowed = buffers.get()
     try:
         size = hi - lo
         blocks = 2 if cfg.antithetic else 1
         cols = -(-size // blocks)
-        slab, carry, acc = borrowed
-        carry = carry[:blocks * cols].reshape(blocks, cols)
+        slab, walk, acc = borrowed
+        walk = walk[:blocks * cols].reshape(blocks, cols)
         acc = acc[:blocks * cols].reshape(blocks, cols)
         dt = horizon / steps_eff
         gen = _generator(cfg.seed, stream, lo)
@@ -228,36 +276,20 @@ def _run_bank_chunk(x0: float, mu_eff: float, sigma: float, psi: float,
             z *= sigma * math.sqrt(dt)
             z += (mu_eff - 0.5 * sigma**2) * dt
             if k0:
-                np.add(z[:, 0], carry, out=z[:, 0])
+                np.add(z[:, 0], walk, out=z[:, 0])
             for k in range(1, k1 - k0):
                 np.add(z[:, k], z[:, k - 1], out=z[:, k])
-            carry[:] = z[:, -1]
-            z += math.log(x0)
-            if cost_out is None and not take and k1 < steps_eff:
+            walk[:] = z[:, -1]
+            if not take and k1 < steps_eff:
                 continue  # only the terminal row is kept
+            z += math.log(x0)
             np.exp(z, out=z)
-            if k1 == steps_eff:
-                _scatter(terminal_out[lo:hi], z[:, -1])
             if take:
                 _scatter(record_out[lo:lo + take, 1 + k0:1 + k1],
                          z.transpose(0, 2, 1))
-            if cost_out is not None:
-                np.square(z, out=z)
-                if not k0:
-                    acc[:] = z[:, 0]
-                # the interior rows k <= steps_eff - 2, in step order
-                for k in range(0 if k0 else 1,
-                               min(k1, steps_eff - 1) - k0):
-                    np.add(acc, z[:, k], out=acc)
+        _scatter(terminal_out[lo:hi], z[:, -1])
         if cost_out is not None:
-            # 0.5 psi^2 dt (x0^2 / 2 + interior + x_T^2 / 2), in place
-            if steps_eff == 1:
-                acc[:] = 0.5 * x0**2  # no interior rows
-            else:
-                acc += 0.5 * x0**2
-            z[:, -1] *= 0.5
-            acc += z[:, -1]
-            acc *= 0.5 * psi**2 * dt
+            _expected_cost(coef, walk, acc)
             _scatter(cost_out[lo:hi], acc)
     finally:
         # a lost set would leave a later chunk waiting forever
@@ -269,15 +301,19 @@ def _simulate_bank(x0: float, mu_eff: float, sigma: float, psi: float,
                    executor: ThreadPoolExecutor, buffers: queue.SimpleQueue,
                    record: np.ndarray | None
                    ) -> tuple[np.ndarray, np.ndarray | None]:
-    # zero-rate banks cost nothing on any grid, so they return ``cost`` None,
-    # and one exact step suffices unless the caller wants the trajectory on
-    # the full grid in ``record`` (recorded paths x steps + 1)
-    steps_eff = cfg.steps if (psi > 0 or record is not None) else 1
+    # zero-rate banks cost nothing on any grid, so they return ``cost`` None.
+    # The terminal gives the expected cost, so one exact step suffices
+    # unless the caller wants the trajectory on the full grid in ``record``
+    # (recorded paths x steps + 1)
+    steps_eff = cfg.steps if record is not None else 1
     terminal = np.empty(cfg.paths)
-    cost = np.empty(cfg.paths) if psi > 0 else None
-    futures = [executor.submit(_run_bank_chunk, x0, mu_eff, sigma, psi,
-                               horizon, steps_eff, cfg, stream, lo, hi,
-                               buffers, terminal, cost, record)
+    coef = cost = None
+    if psi > 0:
+        coef = _cost_coefficients(x0, sigma, psi, horizon, cfg.steps)
+        cost = np.empty(cfg.paths)
+    futures = [executor.submit(_run_bank_chunk, x0, mu_eff, sigma, horizon,
+                               steps_eff, cfg, stream, lo, hi, buffers,
+                               terminal, coef, cost, record)
                for lo, hi in _chunks(cfg.paths)]
     for future in futures:
         future.result()
@@ -308,9 +344,9 @@ def simulate_network(net: FinancialNetwork, decisions: list[ControlDecision],
     record_paths : int
         When positive, keep the value grid of the first ``record_paths``
         paths of every bank in ``trajectories``.  This forces the full step
-        grid for every bank, so a zero-rate bank's chunk streams are read
-        ``steps`` normals per path instead of one, and its draws differ from
-        an unrecorded run.
+        grid for every bank, so each chunk stream is read ``steps`` normals
+        per column instead of one, and every estimate differs from an
+        unrecorded run's.
     """
     if len(decisions) != net.n:
         raise ValueError(f"need {net.n} decisions, got {len(decisions)}")
@@ -336,7 +372,8 @@ def simulate_network(net: FinancialNetwork, decisions: list[ControlDecision],
                                  cfg.steps + 1))
         trajectories[:, :, 0] = net.cash[:, None]
     workers = _resolve_threads(threads)
-    buffers = _chunk_buffers(cfg, workers)
+    buffers = _chunk_buffers(cfg, workers,
+                             1 if trajectories is None else cfg.steps)
     with ThreadPoolExecutor(max_workers=workers) as executor:
         for i in range(n):
             terminal, cost = _simulate_bank(
@@ -364,19 +401,21 @@ def estimate_cost(net: FinancialNetwork, i: int, psi: float, cfg: SimConfig,
     """Monte Carlo estimate of the expected lending cost for bank ``i``.
 
     Mean over paths of half the trapezoid integral of the squared loan flow
-    at constant rate ``psi``, with a 95% confidence half-width.  Draws use the
-    same step-major SFC64 chunk streams as ``simulate_network``, independent
-    by ``SeedSequence`` hashing; a partial chunk's draws depend on its path
+    at constant rate ``psi`` on the ``cfg.steps`` grid, each path's integral
+    taken as its exact expectation given the path's terminal value, with a
+    95% confidence half-width.  Each path takes one exact step, drawn from
+    the same SFC64 chunk streams as ``simulate_network``, independent by
+    ``SeedSequence`` hashing; a partial chunk's draws depend on its path
     count, and hold within one numpy version (NEP 19).  The half-width uses
-    the iid formula, conservative under ``cfg.antithetic`` because the cost
-    integral is monotone in the draws.
+    the iid formula, conservative under ``cfg.antithetic`` because the
+    conditional cost is monotone in the draws.
     """
     if not 0 <= i < net.n:
         raise IndexError(f"bank index {i} out of range for {net.n} banks")
     require(math.isfinite(psi), "psi", MUST_BE_FINITE)
     require(psi >= 0, "psi", "must be non-negative")
     workers = _resolve_threads(threads)
-    buffers = _chunk_buffers(cfg, workers)
+    buffers = _chunk_buffers(cfg, workers, 1)
     with ThreadPoolExecutor(max_workers=workers) as executor:
         _, cost = _simulate_bank(
             float(net.cash[i]), float(net.drift[i] + psi), float(net.vol[i]),

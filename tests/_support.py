@@ -130,14 +130,6 @@ def random_network(rng, max_banks=6, min_banks=2):
     )
 
 
-def two_sample_z(p1, n1, p2, n2):
-    pooled = (p1 * n1 + p2 * n2) / (n1 + n2)
-    var = pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2)
-    if var == 0:
-        return 0.0
-    return (p1 - p2) / math.sqrt(var)
-
-
 def report_equal(a: ln.SimReport, b: ln.SimReport) -> bool:
     """Bitwise equality of every field of two simulation reports."""
     for field in dataclasses.fields(ln.SimReport):
@@ -163,9 +155,13 @@ def reference_simulation(net: ln.FinancialNetwork, decisions, cfg: ln.SimConfig,
     per path pair, negated for the pair's odd path.  Stream independence
     rests on ``SeedSequence`` hashing, a partial chunk's draws depend on its
     path count, and the draws are fixed only within one numpy version
-    (NEP 19).  The chunks are joined along the path axis and the path
-    arithmetic is the textbook expression along the step axis (axis 0) on
-    fresh arrays.  It must agree with the engine bit for bit.
+    (NEP 19).  Every bank takes one exact step over the horizon unless
+    paths are recorded, when it takes ``steps``.  The chunks are joined
+    along the path axis and the path arithmetic is the textbook expression
+    along the step axis (axis 0) on fresh arrays.  A path's cost is the
+    expectation of its trapezoid sum on the ``steps`` grid given its
+    terminal value, ``sum_k a_k r^k`` with ``r = (X_N / x0)^(2/N)``, by
+    Horner's rule.  It must agree with the engine bit for bit.
     """
     n, paths = net.n, cfg.paths
     psi = np.array([d.psi_star if d.region is ln.Region.ACTION else 0.0
@@ -176,7 +172,7 @@ def reference_simulation(net: ln.FinancialNetwork, decisions, cfg: ln.SimConfig,
     for i in range(n):
         x0, sigma, rate = float(net.cash[i]), float(net.vol[i]), float(psi[i])
         mu_eff = float(net.drift[i] + psi[i])
-        steps = cfg.steps if (rate > 0 or record_paths > 0) else 1
+        steps = cfg.steps if record_paths > 0 else 1
         dt = net.horizon / steps
         chunks = []
         for c, lo in enumerate(range(0, paths, engine._CHUNK)):
@@ -193,16 +189,23 @@ def reference_simulation(net: ln.FinancialNetwork, decisions, cfg: ln.SimConfig,
             chunks.append(draws)
         z = np.concatenate(chunks, axis=1)
         increments = (mu_eff - 0.5 * sigma**2) * dt + sigma * math.sqrt(dt) * z
-        log_path = np.cumsum(increments, axis=0) + math.log(x0)
-        terminal[i] = np.exp(log_path[-1])
-        values = np.exp(log_path)
+        walk = np.cumsum(increments, axis=0)
+        values = np.exp(walk + math.log(x0))
+        terminal[i] = values[-1]
         if rate > 0:
-            squares = np.square(values)
-            # rows added in step order: an axis-0 ``.sum`` of a single
-            # column is pairwise instead
-            interior = sum(squares[:-1], np.zeros(paths))
-            cost[i] = 0.5 * rate**2 * dt * (
-                0.5 * x0**2 + interior + 0.5 * squares[-1])
+            # a_k = 0.5 psi^2 dt w_k E[X_k^2 | X_N] / r^k on the cost grid,
+            # w_k the trapezoid weights
+            grid = cfg.steps
+            grid_dt = net.horizon / grid
+            k = np.arange(grid + 1)
+            coef = np.exp(2 * sigma**2 * grid_dt * k * (1 - k / grid))
+            coef[[0, -1]] *= 0.5
+            coef *= 0.5 * rate**2 * grid_dt * x0**2
+            r = np.exp(walk[-1] * (2 / grid))
+            total = np.full(paths, coef[-1])
+            for a in coef[-2::-1]:
+                total = total * r + a
+            cost[i] = total
         if record_paths > 0:
             take = min(record_paths, paths)
             rows = np.empty((take, steps + 1))

@@ -8,7 +8,7 @@ import lolrnet as ln
 import lolrnet.simulate as engine
 from _support import (B1_SURVIVAL_UNCONTROLLED, B3_PSI_STAR,
                       B3_SURVIVAL_UNCONTROLLED, reference_simulation,
-                      report_equal, two_sample_z)
+                      report_equal)
 
 
 @pytest.fixture(scope="module")
@@ -195,13 +195,14 @@ class TestKernelMatchesReference:
     is set, so every field must agree bit for bit at any chunk size and any
     thread count.  The shipped chunk is even; the odd chunk 5 checks that
     both sides pair antithetic paths within a chunk, leaving its last path
-    unpaired, as they do for an odd final chunk.  A single path over 60
-    steps is a one-path chunk whose mean cost is its own cost, so it checks
-    that such a chunk sums its cost in step order like every wider one.
-    The slab height follows ``_SLAB`` floats and must not move any bit: one
-    step per slab, 7 (the one-path 60 steps as eight slabs of 7 and one of
-    4) and 100 (two or three steps of a full chunk of the wider runs, with
-    a shorter last slab) against the shipped value.
+    unpaired, as they do for an odd final chunk.  A single path is a
+    one-path chunk whose mean cost is its own cost.  Unrecorded runs take
+    one step whatever ``steps`` is, so the slab height matters only when
+    paths are recorded.  It follows ``_SLAB`` floats and must not move any
+    bit: one step per slab, 7 (the recorded one-path 60 steps as eight
+    slabs of 7 and one of 4) and 100 (two or three steps of a full chunk of
+    the wider recorded runs, with a shorter last slab) against the shipped
+    value.
     """
 
     @pytest.mark.parametrize("chunk,slab", [
@@ -217,6 +218,7 @@ class TestKernelMatchesReference:
         (20, 1, False, 3),
         (31, 13, False, 12),
         (1, 60, False, 0),
+        (1, 60, False, 1),
     ])
     def test_every_field_equal(self, case_network, controlled, monkeypatch,
                                chunk, slab, threads, paths, steps,
@@ -243,14 +245,17 @@ def _peak_bytes(run):
 class TestMemory:
     def test_worker_memory_does_not_grow_with_steps(self, case_network,
                                                     controlled):
-        # two chunks, one per worker; a whole-chunk buffer would hold
-        # 16,384 x 400 x 8 B = 52 MB per worker at 400 steps
+        # two chunks, one per worker.  Recording one path runs the full
+        # grid, where a whole-chunk buffer would hold 16,384 x 400 x 8 B =
+        # 52 MB per worker at 400 steps and a slab holds 1 MiB; unrecorded
+        # paths take one step, so a worker holds one row of its chunk
         peaks = [_peak_bytes(lambda: ln.simulate_network(
                      case_network, controlled,
                      ln.SimConfig(paths=32_768, steps=steps, seed=3),
-                     threads=2))[0]
-                 for steps in (10, 400)]
+                     threads=2, record_paths=record))[0]
+                 for steps, record in ((10, 1), (400, 1), (400, 0))]
         assert peaks[1] <= peaks[0] + 2 * 2**20
+        assert peaks[2] + 2**20 <= peaks[1]
 
     def test_recording_holds_one_trajectories_array(self, case_network,
                                                     controlled):
@@ -300,17 +305,16 @@ class TestStatisticalAgreement:
 
     def test_step_count_does_not_move_default_estimator(self, case_network,
                                                         controlled):
-        n = 40_000
-        coarse = ln.simulate_network(case_network, controlled,
-                                     ln.SimConfig(paths=n, steps=1, seed=11),
-                                     threads=1)
-        fine = ln.simulate_network(case_network, controlled,
-                                   ln.SimConfig(paths=n, steps=200, seed=12),
-                                   threads=1)
-        for i in range(4):
-            z = two_sample_z(coarse.default_freq[i], n, fine.default_freq[i],
-                             n)
-            assert abs(z) < 2.576  # two-sample z-test at 1%
+        # unrecorded paths take one exact step, so ``steps`` sets only the
+        # cost's grid and the terminal draws are the same at any step count
+        coarse, fine = (
+            ln.simulate_network(case_network, controlled,
+                                ln.SimConfig(paths=40_000, steps=steps,
+                                             seed=11), threads=1)
+            for steps in (1, 200))
+        for field in ("default_freq", "terminal_mean", "terminal_logvar"):
+            assert np.array_equal(getattr(coarse, field),
+                                  getattr(fine, field)), field
 
     def test_antithetic_leaves_means_within_ci(self, case_network,
                                                controlled):
@@ -341,7 +345,61 @@ class TestStatisticalAgreement:
                 2 * drift_part, abs=1e-12)
 
 
+def _term_by_term_cost(x0, sigma, psi, horizon, steps, terminal):
+    """Expected trapezoid cost of a path on ``steps`` intervals given its
+    terminal value, summed term by term in plain Python: interior point
+    ``k`` contributes ``E[X_k^2 | X_N] = c_k exp(k log r)``, with
+    ``c_k = x0^2 exp(2 sigma^2 t_k (1 - k/N))`` and
+    ``r = (X_N / x0)^(2/N)``."""
+    dt = horizon / steps
+    log_r = 2 / steps * math.log(terminal / x0)
+    interior = [x0**2 * math.exp(2 * sigma**2 * (k * dt) * (1 - k / steps))
+                * math.exp(k * log_r) for k in range(1, steps)]
+    return 0.5 * psi**2 * dt * math.fsum(
+        [0.5 * x0**2, *interior, 0.5 * terminal**2])
+
+
 class TestCostEstimation:
+    @pytest.mark.parametrize("steps", [1, 2, 200])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_conditional_cost_matches_term_by_term_sum(
+            self, case_network, controlled, steps, seed):
+        # a one-path run reports its path's own cost and terminal value
+        report = ln.simulate_network(
+            case_network, controlled,
+            ln.SimConfig(paths=1, steps=steps, seed=seed), threads=1)
+        expected = _term_by_term_cost(
+            case_network.cash[2], case_network.vol[2],
+            controlled[2].psi_star, case_network.horizon, steps,
+            report.terminal_mean[2])
+        assert report.mean_cost[2] == pytest.approx(expected, rel=1e-12)
+
+    def test_conditional_cost_matches_pathwise_trapezoid(self, case_network,
+                                                         controlled):
+        n, steps = 4_000, 50
+        report = ln.simulate_network(
+            case_network, controlled,
+            ln.SimConfig(paths=n, steps=steps, seed=23), threads=1,
+            record_paths=n)
+        x0, sigma = case_network.cash[2], case_network.vol[2]
+        psi, horizon = controlled[2].psi_star, case_network.horizon
+        paths = report.trajectories[2]
+        squares = paths**2
+        pathwise = 0.5 * psi**2 * (horizon / steps) * (
+            squares[:, 0] / 2 + squares[:, 1:-1].sum(axis=1)
+            + squares[:, -1] / 2)
+        conditional = np.array([
+            _term_by_term_cost(x0, sigma, psi, horizon, steps, terminal)
+            for terminal in paths[:, -1]])
+        assert conditional.mean() == pytest.approx(report.mean_cost[2],
+                                                   rel=1e-12)
+        # both estimate the same mean on the same paths; the 95% half-width
+        # of their per-path differences is at most their combined
+        # half-widths
+        diff = pathwise - conditional
+        halfwidth = 1.959963984540054 * diff.std(ddof=1) / math.sqrt(n)
+        assert abs(pathwise.mean() - report.mean_cost[2]) <= halfwidth
+
     @pytest.mark.parametrize("psi", [math.nan, math.inf, -0.1])
     def test_rejects_bad_rate(self, case_network, psi):
         with pytest.raises(ValueError):

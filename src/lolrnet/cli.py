@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .config import (NetworkConfig, dumps_doc, format_number, load_config,
                      load_matrix, resolve_input_path, write_doc)
-from .control import ControlDecision, Region, network_decision
+from .control import network_decision
 from .errors import LolrnetError
 from .network import clearing_vector, default_boundary, total_obligations
 from .ranking import (UniformPolicy, assign_survival_probabilities,
@@ -191,15 +191,6 @@ def cmd_control(cfg: NetworkConfig, args) -> tuple[dict, list[str]]:
                  "survival_prob_uncontrolled"]
 
 
-def _uncontrolled_variant(decisions):
-    return [ControlDecision(region=Region.NO_ACTION, psi_star=0.0,
-                            expected_cost=0.0,
-                            survival_prob_uncontrolled=
-                                d.survival_prob_uncontrolled,
-                            threshold_log_x=d.threshold_log_x)
-            for d in decisions]
-
-
 def cmd_simulate(cfg: NetworkConfig, args) -> tuple[dict, list[str]]:
     """Monte Carlo run of both scenarios: the uncontrolled baseline and the
     network under the decided lending rates."""
@@ -208,21 +199,20 @@ def cmd_simulate(cfg: NetworkConfig, args) -> tuple[dict, list[str]]:
     sim_cfg = SimConfig(paths=args.paths, steps=args.steps, seed=args.seed,
                         antithetic=args.antithetic)
     record = args.paths if args.dump_paths is not None else 0
-    baseline = simulate_network(net, _uncontrolled_variant(decisions),
-                                sim_cfg, record_paths=record)
-    report = simulate_network(net, decisions, sim_cfg, record_paths=record)
+    reports = dict(zip(_SCENARIOS, simulate_network(
+        net, decisions, sim_cfg, record_paths=record)))
+    controlled = reports["controlled"]
 
-    for i in np.flatnonzero(report.infeasible_fallback):
+    for i in np.flatnonzero(controlled.infeasible_fallback):
         sys.stderr.write(
             f"warning: control for {cfg.names[i]} is infeasible; "
             "simulated uncontrolled\n")
     if args.dump_paths is not None:
-        _write_path_dump(cfg, dict(zip(_SCENARIOS, (baseline, report))),
-                         args)
+        _write_path_dump(cfg, reports, args)
 
     psi = [d.psi_star if d.psi_star is not None else 0.0 for d in decisions]
     sections = {}
-    for scenario, rep in zip(_SCENARIOS, (baseline, report)):
+    for scenario, rep in reports.items():
         banks = []
         for i in range(net.n):
             rate = 0.0 if scenario == "uncontrolled" else psi[i]
@@ -236,8 +226,8 @@ def cmd_simulate(cfg: NetworkConfig, args) -> tuple[dict, list[str]]:
                      "infeasible_fallback": bool(rep.infeasible_fallback[i])}
             banks.append(entry)
         sections[scenario] = banks
-    doc = {"command": "simulate", "paths_used": report.paths_used,
-           "seed_used": report.seed_used, "steps": args.steps,
+    doc = {"command": "simulate", "paths_used": controlled.paths_used,
+           "seed_used": controlled.seed_used, "steps": args.steps,
            "antithetic": args.antithetic, **sections}
     return doc, ["bank", "name", "scenario", "psi", "default_freq",
                  "default_ci_halfwidth", "mean_cost", "terminal_mean",

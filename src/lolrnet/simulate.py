@@ -16,7 +16,17 @@ exact step over the whole horizon unless trajectories are being recorded,
 and the grid of ``steps`` intervals sets only the trapezoid's nodes.  The
 estimator is unbiased for the same grid quantity as the pathwise trapezoid
 with a smaller variance, and it uses only the law of the dynamics, never the
-closed-form value function it is checked against.
+closed-form value function it is checked against.  Each chunk writes its
+paths' ``log(X_N / x0)`` into a bank-wide array, and once the bank's chunks
+are done the polynomial runs on one contiguous slice of paths per worker.
+It is elementwise, so any split gives the same bits.
+
+``simulate_network`` returns two reports, the uncontrolled scenario and the
+controlled one.  A bank's two scenarios read the same chunk streams (common
+random numbers, Glasserman 2004, section 4.2).  A bank whose decided rate is
+zero (no action, or infeasible) is the same run in both, so it is simulated
+once and fills both reports' rows; an action bank runs at rate zero and
+again at its rate.
 
 Reproducibility contract: paths run in fixed chunks of ``_CHUNK`` (16,384).
 Chunk ``c`` of bank ``i`` draws from its own SFC64 stream, seeded by
@@ -41,10 +51,10 @@ A chunk runs one slab of consecutive steps at a time (at most ``_SLAB``
 floats, 8 steps of a full chunk), held as (blocks, steps, columns): one
 block of every path, or for pairs the drawn block and its negation.  The
 stream fills each slab in turn and the path arithmetic runs in place on it,
-so a worker holds one row of a chunk, or about 1.3 MiB when recording,
-whatever the step count.  The chunk is still drawn step-major from its one
-stream, so the slab height is not part of the draw contract: reports are
-bit-identical at any height.
+so a worker holds two rows of a chunk (the slab's one step and the running
+sum), or about 1.1 MiB when recording, whatever the step count.  The chunk
+is still drawn step-major from its one stream, so the slab height is not
+part of the draw contract: reports are bit-identical at any height.
 """
 
 from __future__ import annotations
@@ -112,7 +122,7 @@ class SimReport:
     ``mean_cost`` averages each path's expected trapezoid cost on the
     ``steps`` grid given its terminal value.  ``infeasible_fallback`` flags
     banks whose control decision was infeasible and that were therefore
-    simulated uncontrolled.
+    simulated uncontrolled; it is set only in a controlled report.
     ``trajectories`` (banks x recorded paths x grid points, including the
     starting value) is present only when recording was requested.
     """
@@ -170,23 +180,22 @@ def _chunk_buffers(cfg: SimConfig, workers: int,
     """One set of slab buffers per worker, allocated by the calling thread.
 
     A set is a slab of as many of the ``steps`` rows of a full chunk that
-    run as fit in ``_SLAB`` floats, and two rows of a step (the running sum
-    carried between slabs and the cost): one row of a chunk plus the two
-    when paths are not recorded, and about 1.3 MiB in both draw modes when
-    they are, independent of the step count.  Workers borrow a set for each
-    chunk and put it back, so a run allocates ``workers`` sets whatever its
-    bank and chunk counts.  Buffers allocated by the short-lived worker
-    threads would be kept by the allocator in per-thread arenas, and a run
-    whose threads start before the last run's have fully exited opens new
-    arenas, so peak memory would grow by a set at a time over repeated runs.
+    run as fit in ``_SLAB`` floats, and one row of a step (the running sum
+    carried between slabs): two rows of a chunk when paths are not
+    recorded, and about 1.1 MiB in both draw modes when they are,
+    independent of the step count.  Workers borrow a set for each chunk and
+    put it back, so a run allocates ``workers`` sets whatever its bank and
+    chunk counts.  Buffers allocated by the short-lived worker threads would
+    be kept by the allocator in per-thread arenas, and a run whose threads
+    start before the last run's have fully exited opens new arenas, so peak
+    memory would grow by a set at a time over repeated runs.
     """
     blocks = 2 if cfg.antithetic else 1
     width = blocks * -(-min(_CHUNK, cfg.paths) // blocks)
     height = max(1, min(steps, _SLAB // width))
     buffers = queue.SimpleQueue()
-    for _ in range(min(workers, -(-cfg.paths // _CHUNK))):
-        buffers.put((np.empty((height, width)), np.empty(width),
-                     np.empty(width)))
+    for _ in range(workers):
+        buffers.put((np.empty((height, width)), np.empty(width)))
     return buffers
 
 
@@ -247,8 +256,7 @@ def _expected_cost(coef: np.ndarray, walk: np.ndarray,
 def _run_bank_chunk(x0: float, mu_eff: float, sigma: float, horizon: float,
                     steps_eff: int, cfg: SimConfig, stream: int, lo: int,
                     hi: int, buffers: queue.SimpleQueue,
-                    terminal_out: np.ndarray, coef: np.ndarray | None,
-                    cost_out: np.ndarray | None,
+                    terminal_out: np.ndarray, walk_out: np.ndarray | None,
                     record_out: np.ndarray | None) -> None:
     # the chunk runs one slab of steps at a time, in place, as (blocks,
     # steps, columns): one block of every path, or for an antithetic run the
@@ -261,9 +269,8 @@ def _run_bank_chunk(x0: float, mu_eff: float, sigma: float, horizon: float,
         size = hi - lo
         blocks = 2 if cfg.antithetic else 1
         cols = -(-size // blocks)
-        slab, walk, acc = borrowed
+        slab, walk = borrowed
         walk = walk[:blocks * cols].reshape(blocks, cols)
-        acc = acc[:blocks * cols].reshape(blocks, cols)
         dt = horizon / steps_eff
         gen = _generator(cfg.seed, stream, lo)
         take = (0 if record_out is None
@@ -288,18 +295,22 @@ def _run_bank_chunk(x0: float, mu_eff: float, sigma: float, horizon: float,
                 _scatter(record_out[lo:lo + take, 1 + k0:1 + k1],
                          z.transpose(0, 2, 1))
         _scatter(terminal_out[lo:hi], z[:, -1])
-        if cost_out is not None:
-            _expected_cost(coef, walk, acc)
-            _scatter(cost_out[lo:hi], acc)
+        if walk_out is not None:
+            _scatter(walk_out[lo:hi], walk)
     finally:
         # a lost set would leave a later chunk waiting forever
         buffers.put(borrowed)
 
 
+def _workers(threads: int | None, paths: int) -> int:
+    """The thread cap, but no more workers than a bank has chunks."""
+    return min(_resolve_threads(threads), -(-paths // _CHUNK))
+
+
 def _simulate_bank(x0: float, mu_eff: float, sigma: float, psi: float,
                    horizon: float, cfg: SimConfig, stream: int,
-                   executor: ThreadPoolExecutor, buffers: queue.SimpleQueue,
-                   record: np.ndarray | None
+                   executor: ThreadPoolExecutor, workers: int,
+                   buffers: queue.SimpleQueue, record: np.ndarray | None
                    ) -> tuple[np.ndarray, np.ndarray | None]:
     # zero-rate banks cost nothing on any grid, so they return ``cost`` None.
     # The terminal gives the expected cost, so one exact step suffices
@@ -307,14 +318,24 @@ def _simulate_bank(x0: float, mu_eff: float, sigma: float, psi: float,
     # (recorded paths x steps + 1)
     steps_eff = cfg.steps if record is not None else 1
     terminal = np.empty(cfg.paths)
-    coef = cost = None
-    if psi > 0:
-        coef = _cost_coefficients(x0, sigma, psi, horizon, cfg.steps)
-        cost = np.empty(cfg.paths)
+    walk = np.empty(cfg.paths) if psi > 0 else None
     futures = [executor.submit(_run_bank_chunk, x0, mu_eff, sigma, horizon,
                                steps_eff, cfg, stream, lo, hi, buffers,
-                               terminal, coef, cost, record)
+                               terminal, walk, record)
                for lo, hi in _chunks(cfg.paths)]
+    for future in futures:
+        future.result()
+    if walk is None:
+        return terminal, None
+    # the polynomial is elementwise, so any split of the paths gives the
+    # same bits; one slice per worker keeps each numpy call large, which
+    # spreads the cost of passing the interpreter lock between workers
+    coef = _cost_coefficients(x0, sigma, psi, horizon, cfg.steps)
+    cost = np.empty(cfg.paths)
+    bounds = [cfg.paths * k // workers for k in range(workers + 1)]
+    futures = [executor.submit(_expected_cost, coef, walk[lo:hi],
+                               cost[lo:hi])
+               for lo, hi in zip(bounds, bounds[1:])]
     for future in futures:
         future.result()
     return terminal, cost
@@ -322,14 +343,21 @@ def _simulate_bank(x0: float, mu_eff: float, sigma: float, psi: float,
 
 def simulate_network(net: FinancialNetwork, decisions: list[ControlDecision],
                      cfg: SimConfig, threads: int | None = None,
-                     record_paths: int = 0) -> SimReport:
-    """Simulate every bank under its decided lending rate.
+                     record_paths: int = 0) -> tuple[SimReport, SimReport]:
+    """Simulate every bank uncontrolled and under its decided lending rate.
 
-    Each bank evolves with effective drift ``mu + psi_star`` (zero rate for
-    no-action banks) and independent drivers.  A bank defaults when its
-    terminal value falls strictly below its terminal default boundary;
-    survival is inclusive at equality.  Infeasible decisions are refused: the
-    bank is simulated uncontrolled and flagged in ``infeasible_fallback``.
+    Returns ``(uncontrolled, controlled)``.  The uncontrolled report runs
+    every bank at rate zero.  The controlled one gives each bank effective
+    drift ``mu + psi_star`` (zero rate for no-action and infeasible banks).
+    Banks have independent drivers, and a bank's two scenarios read the
+    same chunk streams (common random numbers, Glasserman 2004, section
+    4.2), so a zero-rate bank is simulated once and its two rows are equal;
+    an action bank runs once at rate zero and once at ``psi_star``.  A bank
+    defaults when its terminal value falls strictly below its terminal
+    default boundary; survival is inclusive at equality.  Infeasible
+    decisions are refused: the bank is simulated uncontrolled and flagged in
+    the controlled report's ``infeasible_fallback``, the only field in which
+    its two rows differ.
 
     Parameters
     ----------
@@ -343,10 +371,10 @@ def simulate_network(net: FinancialNetwork, decisions: list[ControlDecision],
         regardless.
     record_paths : int
         When positive, keep the value grid of the first ``record_paths``
-        paths of every bank in ``trajectories``.  This forces the full step
-        grid for every bank, so each chunk stream is read ``steps`` normals
-        per column instead of one, and every estimate differs from an
-        unrecorded run's.
+        paths of every bank in both reports' ``trajectories``.  This forces
+        the full step grid for every bank, so each chunk stream is read
+        ``steps`` normals per column instead of one, and every estimate
+        differs from an unrecorded run's.
     """
     if len(decisions) != net.n:
         raise ValueError(f"need {net.n} decisions, got {len(decisions)}")
@@ -359,41 +387,56 @@ def simulate_network(net: FinancialNetwork, decisions: list[ControlDecision],
         elif decision.region is Region.INFEASIBLE:
             infeasible[i] = True
 
-    # each bank is reduced as soon as it is simulated, so memory stays
-    # O(paths) at any bank count
+    # row 0 of each estimate is the uncontrolled scenario and row 1 the
+    # controlled one.  Each bank is reduced as soon as it is simulated, so
+    # memory stays O(paths) at any bank count
     boundary = default_boundary(net, net.horizon)
-    freq = np.empty(n)
-    terminal_mean = np.empty(n)
-    logvar = np.zeros(n)
-    mean_cost = np.zeros(n)
-    trajectories = None
+    freq = np.empty((2, n))
+    terminal_mean = np.empty((2, n))
+    logvar = np.zeros((2, n))
+    mean_cost = np.zeros((2, n))
+    trajectories = [None, None]
     if record_paths > 0:
-        trajectories = np.empty((n, min(record_paths, cfg.paths),
-                                 cfg.steps + 1))
-        trajectories[:, :, 0] = net.cash[:, None]
-    workers = _resolve_threads(threads)
+        trajectories = [np.empty((n, min(record_paths, cfg.paths),
+                                  cfg.steps + 1)) for _ in range(2)]
+        for grid in trajectories:
+            grid[:, :, 0] = net.cash[:, None]
+    workers = _workers(threads, cfg.paths)
     buffers = _chunk_buffers(cfg, workers,
-                             1 if trajectories is None else cfg.steps)
+                             1 if trajectories[0] is None else cfg.steps)
     with ThreadPoolExecutor(max_workers=workers) as executor:
         for i in range(n):
-            terminal, cost = _simulate_bank(
-                float(net.cash[i]), float(net.drift[i] + psi_eff[i]),
-                float(net.vol[i]), float(psi_eff[i]), net.horizon, cfg,
-                stream=i, executor=executor, buffers=buffers,
-                record=None if trajectories is None else trajectories[i])
-            freq[i] = (terminal < boundary[i]).mean()
-            terminal_mean[i] = terminal.mean()
-            if cfg.paths > 1:
-                logvar[i] = np.log(terminal, out=terminal).var(ddof=1)
-            if cost is not None:
-                mean_cost[i] = cost.mean()
+            # (rate, scenario rows the run fills)
+            runs = ([(0.0, [0]), (float(psi_eff[i]), [1])] if psi_eff[i] > 0
+                    else [(0.0, [0, 1])])
+            for rate, rows in runs:
+                record = (None if trajectories[0] is None
+                          else trajectories[rows[0]][i])
+                terminal, cost = _simulate_bank(
+                    float(net.cash[i]), float(net.drift[i] + rate),
+                    float(net.vol[i]), rate, net.horizon, cfg, stream=i,
+                    executor=executor, workers=workers, buffers=buffers,
+                    record=record)
+                if record is not None and len(rows) == 2:
+                    trajectories[1][i] = record
+                freq[rows, i] = (terminal < boundary[i]).mean()
+                terminal_mean[rows, i] = terminal.mean()
+                if cfg.paths > 1:
+                    logvar[rows, i] = np.log(terminal,
+                                             out=terminal).var(ddof=1)
+                if cost is not None:
+                    mean_cost[rows, i] = cost.mean()
 
     halfwidth = _Z95 * np.sqrt(freq * (1.0 - freq) / cfg.paths)
-    return SimReport(default_freq=freq, default_ci_halfwidth=halfwidth,
-                     mean_cost=mean_cost, terminal_mean=terminal_mean,
-                     terminal_logvar=logvar, paths_used=cfg.paths,
-                     seed_used=cfg.seed, infeasible_fallback=infeasible,
-                     trajectories=trajectories)
+    return tuple(
+        SimReport(default_freq=freq[s], default_ci_halfwidth=halfwidth[s],
+                  mean_cost=mean_cost[s], terminal_mean=terminal_mean[s],
+                  terminal_logvar=logvar[s], paths_used=cfg.paths,
+                  seed_used=cfg.seed,
+                  infeasible_fallback=(infeasible if s
+                                       else np.zeros(n, dtype=bool)),
+                  trajectories=trajectories[s])
+        for s in (0, 1))
 
 
 def estimate_cost(net: FinancialNetwork, i: int, psi: float, cfg: SimConfig,
@@ -414,13 +457,13 @@ def estimate_cost(net: FinancialNetwork, i: int, psi: float, cfg: SimConfig,
         raise IndexError(f"bank index {i} out of range for {net.n} banks")
     require(math.isfinite(psi), "psi", MUST_BE_FINITE)
     require(psi >= 0, "psi", "must be non-negative")
-    workers = _resolve_threads(threads)
+    workers = _workers(threads, cfg.paths)
     buffers = _chunk_buffers(cfg, workers, 1)
     with ThreadPoolExecutor(max_workers=workers) as executor:
         _, cost = _simulate_bank(
             float(net.cash[i]), float(net.drift[i] + psi), float(net.vol[i]),
             float(psi), net.horizon, cfg, stream=i, executor=executor,
-            buffers=buffers, record=None)
+            workers=workers, buffers=buffers, record=None)
     if cost is None:
         return 0.0, 0.0
     mean = float(cost.mean())

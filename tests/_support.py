@@ -143,6 +143,11 @@ def report_equal(a: ln.SimReport, b: ln.SimReport) -> bool:
     return True
 
 
+def reports_equal(a, b) -> bool:
+    """Bitwise equality of two ``(uncontrolled, controlled)`` report pairs."""
+    return len(a) == len(b) and all(map(report_equal, a, b))
+
+
 def reference_simulation(net: ln.FinancialNetwork, decisions, cfg: ln.SimConfig,
                          record_paths: int = 0) -> ln.SimReport:
     """Unfused reference for ``simulate_network``: whole-bank arrays.

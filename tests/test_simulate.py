@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import lolrnet as ln
+import lolrnet.cli as cli
 import lolrnet.simulate as engine
 from _support import (B1_SURVIVAL_UNCONTROLLED, B3_PSI_STAR,
                       B3_SURVIVAL_UNCONTROLLED, reference_simulation,
-                      report_equal)
+                      report_equal, reports_equal)
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +20,15 @@ def uncontrolled(case_network):
 @pytest.fixture(scope="module")
 def controlled(case_network, case_q):
     return ln.network_decision(case_network, case_q)
+
+
+@pytest.fixture(scope="module")
+def capped(case_network):
+    # the cap leaves bank 3 no feasible rate
+    decisions = ln.network_decision(
+        case_network, np.array([0.9, 0.9, 0.99, 0.9]), psi_cap=0.1)
+    assert decisions[2].region is ln.Region.INFEASIBLE
+    return decisions
 
 
 def _stream_normals(seed, bank, chunk, shape):
@@ -123,7 +133,7 @@ class TestCounterAddressing:
                                               uncontrolled):
         reports = [ln.simulate_network(case_network, uncontrolled,
                                        ln.SimConfig(paths=500, steps=4,
-                                                    seed=seed), threads=1)
+                                                    seed=seed), threads=1)[0]
                    for seed in (0, 2**64 - 1)]
         assert not np.array_equal(reports[0].terminal_mean,
                                   reports[1].terminal_mean)
@@ -131,9 +141,9 @@ class TestCounterAddressing:
     def test_streams_differ_across_banks_and_seeds(self, case_network,
                                                    uncontrolled):
         cfg = ln.SimConfig(paths=500, steps=4, seed=9)
-        report = ln.simulate_network(case_network, uncontrolled, cfg,
-                                     threads=1)
-        other = ln.simulate_network(
+        report, _ = ln.simulate_network(case_network, uncontrolled, cfg,
+                                        threads=1)
+        other, _ = ln.simulate_network(
             case_network, uncontrolled,
             ln.SimConfig(paths=500, steps=4, seed=10), threads=1)
         assert not np.array_equal(report.terminal_mean, other.terminal_mean)
@@ -144,21 +154,21 @@ class TestDeterminism:
         cfg = ln.SimConfig(paths=7_000, steps=16, seed=5)
         a = ln.simulate_network(case_network, controlled, cfg, threads=1)
         b = ln.simulate_network(case_network, controlled, cfg, threads=1)
-        assert report_equal(a, b)
+        assert reports_equal(a, b)
 
     def test_thread_count_invariance(self, case_network, controlled):
         cfg = ln.SimConfig(paths=40_000, steps=32, seed=5)
         reports = [ln.simulate_network(case_network, controlled, cfg,
                                        threads=k) for k in (1, 2, 8)]
-        assert report_equal(reports[0], reports[1])
-        assert report_equal(reports[0], reports[2])
+        assert reports_equal(reports[0], reports[1])
+        assert reports_equal(reports[0], reports[2])
 
     def test_env_variable_caps_threads(self, case_network, controlled,
                                        monkeypatch):
         cfg = ln.SimConfig(paths=5_000, steps=8, seed=5)
         base = ln.simulate_network(case_network, controlled, cfg, threads=1)
         monkeypatch.setenv("LOLRNET_THREADS", "3")
-        assert report_equal(
+        assert reports_equal(
             base, ln.simulate_network(case_network, controlled, cfg))
 
     def test_default_threads_follow_cpu_affinity(self, monkeypatch):
@@ -188,10 +198,32 @@ class TestDeterminism:
             f"threads must be a positive integer, got {value!r}")
 
 
+def _assert_pair_matches_reference(reports, net, uncontrolled, decisions,
+                                   cfg, record):
+    """Both reports equal the reference bit for bit: the uncontrolled one
+    with every rate at zero and the controlled one under ``decisions``.  A
+    zero-rate bank is simulated once, so its rows agree across the two
+    reports in every field but ``infeasible_fallback``."""
+    plain, helped = reports
+    assert report_equal(plain, reference_simulation(
+        net, uncontrolled, cfg, record_paths=record))
+    assert report_equal(helped, reference_simulation(
+        net, decisions, cfg, record_paths=record))
+    assert not plain.infeasible_fallback.any()
+    zero_rate = [d.region is not ln.Region.ACTION for d in decisions]
+    for field in ("default_freq", "default_ci_halfwidth", "mean_cost",
+                  "terminal_mean", "terminal_logvar", "trajectories"):
+        a, b = getattr(plain, field), getattr(helped, field)
+        assert (a is None and b is None) or np.array_equal(
+            a[zero_rate], b[zero_rate]), field
+
+
 class TestKernelMatchesReference:
     """The chunked in-place kernel equals the unfused reference.
 
-    The reference draws the same per-chunk streams at whatever ``_CHUNK``
+    Both reports are checked: the reference runs every rate at zero for the
+    uncontrolled one and the decisions for the controlled one.  The
+    reference draws the same per-chunk streams at whatever ``_CHUNK``
     is set, so every field must agree bit for bit at any chunk size and any
     thread count.  The shipped chunk is even; the odd chunk 5 checks that
     both sides pair antithetic paths within a chunk, leaving its last path
@@ -220,17 +252,66 @@ class TestKernelMatchesReference:
         (1, 60, False, 0),
         (1, 60, False, 1),
     ])
-    def test_every_field_equal(self, case_network, controlled, monkeypatch,
-                               chunk, slab, threads, paths, steps,
-                               antithetic, record):
+    def test_every_field_equal(self, case_network, uncontrolled, controlled,
+                               monkeypatch, chunk, slab, threads, paths,
+                               steps, antithetic, record):
         monkeypatch.setattr(engine, "_SLAB", slab)
         monkeypatch.setattr(engine, "_CHUNK", chunk)
         cfg = ln.SimConfig(paths=paths, steps=steps, seed=17,
                            antithetic=antithetic)
         got = ln.simulate_network(case_network, controlled, cfg,
                                   threads=threads, record_paths=record)
-        assert report_equal(got, reference_simulation(
-            case_network, controlled, cfg, record_paths=record))
+        _assert_pair_matches_reference(got, case_network, uncontrolled,
+                                       controlled, cfg, record)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("paths,steps,antithetic,record", [
+        (37, 7, True, 5),
+        (31, 13, False, 0),
+    ])
+    def test_infeasible_bank_differs_only_in_its_flag(
+            self, case_network, uncontrolled, capped, monkeypatch, threads,
+            paths, steps, antithetic, record):
+        monkeypatch.setattr(engine, "_CHUNK", 6)
+        cfg = ln.SimConfig(paths=paths, steps=steps, seed=17,
+                           antithetic=antithetic)
+        got = ln.simulate_network(case_network, capped, cfg, threads=threads,
+                                  record_paths=record)
+        _assert_pair_matches_reference(got, case_network, uncontrolled,
+                                       capped, cfg, record)
+        assert got[1].infeasible_fallback.tolist() == [False, False, True,
+                                                       False]
+
+
+class TestWork:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_cli_runs_each_zero_rate_bank_once(self, monkeypatch, tmp_path,
+                                               threads):
+        # 40,000 paths are 3 chunks.  Each of the 4 banks runs once at rate
+        # zero for both scenarios, and the one action bank once more at its
+        # rate from the same chunk streams: 4 x 3 + 3 streams.  Its cost
+        # polynomial runs once per worker, not once per chunk
+        streams, costs = [], []
+
+        def counted(fn, calls):
+            def wrapper(*args):
+                calls.append(args)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(engine, "_generator",
+                            counted(engine._generator, streams))
+        monkeypatch.setattr(engine, "_expected_cost",
+                            counted(engine._expected_cost, costs))
+        monkeypatch.setenv("LOLRNET_THREADS", str(threads))
+        assert cli.main(["simulate", "--config", "case_study.json",
+                         "--paths", "40000",
+                         "--output", str(tmp_path / "out.csv")]) == 0
+        assert len(streams) == 15
+        assert sorted({args[1:] for args in streams}) == [
+            (bank, lo) for bank in range(4) for lo in (0, 16_384, 32_768)]
+        assert len(costs) == threads
+        assert sum(len(args[1]) for args in costs) == 40_000
 
 
 def _peak_bytes(run):
@@ -248,7 +329,7 @@ class TestMemory:
         # two chunks, one per worker.  Recording one path runs the full
         # grid, where a whole-chunk buffer would hold 16,384 x 400 x 8 B =
         # 52 MB per worker at 400 steps and a slab holds 1 MiB; unrecorded
-        # paths take one step, so a worker holds one row of its chunk
+        # paths take one step, so a worker holds two rows of its chunk
         peaks = [_peak_bytes(lambda: ln.simulate_network(
                      case_network, controlled,
                      ln.SimConfig(paths=32_768, steps=steps, seed=3),
@@ -259,19 +340,18 @@ class TestMemory:
 
     def test_recording_holds_one_trajectories_array(self, case_network,
                                                     controlled):
-        peak, report = _peak_bytes(lambda: ln.simulate_network(
+        peak, reports = _peak_bytes(lambda: ln.simulate_network(
             case_network, controlled,
             ln.SimConfig(paths=4_000, steps=200, seed=3), threads=2,
             record_paths=4_000))
-        assert peak < report.trajectories.nbytes + 8 * 2**20
+        assert peak < sum(r.trajectories.nbytes for r in reports) + 8 * 2**20
 
 
 class TestStatisticalAgreement:
-    def test_case_study_default_frequencies(self, case_network, uncontrolled,
-                                            controlled):
+    def test_case_study_default_frequencies(self, case_network, controlled):
         cfg = ln.SimConfig(paths=60_000, seed=7)
-        plain = ln.simulate_network(case_network, uncontrolled, cfg,
-                                    threads=1)
+        plain, helped = ln.simulate_network(case_network, controlled, cfg,
+                                            threads=1)
         assert abs(plain.default_freq[0] - (1 - B1_SURVIVAL_UNCONTROLLED)) \
             <= plain.default_ci_halfwidth[0] + 1e-12
         assert abs(plain.default_freq[2] - (1 - B3_SURVIVAL_UNCONTROLLED)) \
@@ -280,7 +360,6 @@ class TestStatisticalAgreement:
         assert plain.default_freq[1] == 0.0
         assert plain.default_freq[3] == 0.0
 
-        helped = ln.simulate_network(case_network, controlled, cfg, threads=1)
         assert abs(helped.default_freq[2] - 0.01) \
             <= helped.default_ci_halfwidth[2] + 1e-12
 
@@ -293,8 +372,8 @@ class TestStatisticalAgreement:
         hits = 0
         for seed in range(20):
             cfg = ln.SimConfig(paths=2_500, seed=seed, antithetic=antithetic)
-            report = ln.simulate_network(case_network, uncontrolled, cfg,
-                                         threads=1)
+            report, _ = ln.simulate_network(case_network, uncontrolled, cfg,
+                                            threads=1)
             ok = True
             for i, survival in ((0, B1_SURVIVAL_UNCONTROLLED),
                                 (2, B3_SURVIVAL_UNCONTROLLED)):
@@ -310,7 +389,7 @@ class TestStatisticalAgreement:
         coarse, fine = (
             ln.simulate_network(case_network, controlled,
                                 ln.SimConfig(paths=40_000, steps=steps,
-                                             seed=11), threads=1)
+                                             seed=11), threads=1)[1]
             for steps in (1, 200))
         for field in ("default_freq", "terminal_mean", "terminal_logvar"):
             assert np.array_equal(getattr(coarse, field),
@@ -319,10 +398,10 @@ class TestStatisticalAgreement:
     def test_antithetic_leaves_means_within_ci(self, case_network,
                                                controlled):
         n = 30_000
-        plain = ln.simulate_network(
+        _, plain = ln.simulate_network(
             case_network, controlled,
             ln.SimConfig(paths=n, seed=21, antithetic=False), threads=1)
-        paired = ln.simulate_network(
+        _, paired = ln.simulate_network(
             case_network, controlled,
             ln.SimConfig(paths=n, seed=21, antithetic=True), threads=1)
         for i in range(4):
@@ -333,8 +412,8 @@ class TestStatisticalAgreement:
 
     def test_antithetic_pairs_mirror_draws(self, case_network, uncontrolled):
         cfg = ln.SimConfig(paths=8, steps=1, seed=3, antithetic=True)
-        report = ln.simulate_network(case_network, uncontrolled, cfg,
-                                     threads=1, record_paths=8)
+        report, _ = ln.simulate_network(case_network, uncontrolled, cfg,
+                                        threads=1, record_paths=8)
         paths = report.trajectories[0]
         x0 = case_network.cash[0]
         # mirrored draw: the log increments of a pair sum to twice the drift part
@@ -365,7 +444,7 @@ class TestCostEstimation:
     def test_conditional_cost_matches_term_by_term_sum(
             self, case_network, controlled, steps, seed):
         # a one-path run reports its path's own cost and terminal value
-        report = ln.simulate_network(
+        _, report = ln.simulate_network(
             case_network, controlled,
             ln.SimConfig(paths=1, steps=steps, seed=seed), threads=1)
         expected = _term_by_term_cost(
@@ -377,7 +456,7 @@ class TestCostEstimation:
     def test_conditional_cost_matches_pathwise_trapezoid(self, case_network,
                                                          controlled):
         n, steps = 4_000, 50
-        report = ln.simulate_network(
+        _, report = ln.simulate_network(
             case_network, controlled,
             ln.SimConfig(paths=n, steps=steps, seed=23), threads=1,
             record_paths=n)
@@ -448,17 +527,12 @@ class TestCostEstimation:
 
 
 class TestInfeasibleFallback:
-    def test_flagged_and_simulated_uncontrolled(self, case_network):
-        q = np.array([0.9, 0.9, 0.99, 0.9])
-        decisions = ln.network_decision(case_network, q, psi_cap=0.1)
-        assert decisions[2].region is ln.Region.INFEASIBLE
+    def test_flagged_and_simulated_uncontrolled(self, case_network, capped):
         cfg = ln.SimConfig(paths=4_000, seed=13)
-        report = ln.simulate_network(case_network, decisions, cfg, threads=1)
+        plain, report = ln.simulate_network(case_network, capped, cfg,
+                                            threads=1)
         assert report.infeasible_fallback.tolist() == [False, False, True,
                                                        False]
-        plain = ln.simulate_network(
-            case_network, ln.network_decision(case_network, np.full(4, 0.5)),
-            cfg, threads=1)
         assert report.default_freq[2] == plain.default_freq[2]
         assert report.mean_cost[2] == 0.0
 
@@ -466,23 +540,24 @@ class TestInfeasibleFallback:
 class TestReportShape:
     def test_fields_and_trajectories(self, case_network, controlled):
         cfg = ln.SimConfig(paths=120, steps=10, seed=6)
-        report = ln.simulate_network(case_network, controlled, cfg,
-                                     threads=1, record_paths=50)
-        assert report.paths_used == 120
-        assert report.seed_used == 6
-        assert report.trajectories.shape == (4, 50, 11)
-        assert np.allclose(report.trajectories[:, :, 0],
-                           case_network.cash[:, None])
-        assert np.all(report.default_ci_halfwidth >= 0)
-        assert np.all((report.default_freq >= 0) & (report.default_freq <= 1))
+        for report in ln.simulate_network(case_network, controlled, cfg,
+                                          threads=1, record_paths=50):
+            assert report.paths_used == 120
+            assert report.seed_used == 6
+            assert report.trajectories.shape == (4, 50, 11)
+            assert np.allclose(report.trajectories[:, :, 0],
+                               case_network.cash[:, None])
+            assert np.all(report.default_ci_halfwidth >= 0)
+            assert np.all((report.default_freq >= 0)
+                          & (report.default_freq <= 1))
 
     def test_ci_shrinks_with_paths(self, case_network, uncontrolled):
-        small = ln.simulate_network(case_network, uncontrolled,
-                                    ln.SimConfig(paths=2_000, seed=8),
-                                    threads=1)
-        large = ln.simulate_network(case_network, uncontrolled,
-                                    ln.SimConfig(paths=32_000, seed=8),
-                                    threads=1)
+        small, _ = ln.simulate_network(case_network, uncontrolled,
+                                       ln.SimConfig(paths=2_000, seed=8),
+                                       threads=1)
+        large, _ = ln.simulate_network(case_network, uncontrolled,
+                                       ln.SimConfig(paths=32_000, seed=8),
+                                       threads=1)
         # quadrupling paths should roughly quarter the squared half-width
         assert large.default_ci_halfwidth[2] < small.default_ci_halfwidth[2] / 2
 
@@ -516,4 +591,4 @@ class TestReportShape:
                                        ln.SimConfig(paths=20, steps=3,
                                                     seed=s), threads=1)
                    for s in (seed, 7)]
-        assert report_equal(*reports)
+        assert reports_equal(*reports)

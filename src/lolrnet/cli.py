@@ -157,7 +157,7 @@ def cmd_regions(cfg: NetworkConfig, args) -> tuple[dict, list[str]]:
     net = cfg.network
     q, decisions = _decisions(cfg, args.time)
     banks = []
-    boundaries = default_boundary(net, net.horizon)
+    boundaries = default_boundary(net)
     for i, decision in enumerate(decisions):
         boundary = float(boundaries[i])
         log_cash = math.log(net.cash[i]) if net.cash[i] > 0 else None

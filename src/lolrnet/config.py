@@ -113,16 +113,15 @@ def _build(doc_path, cls, **fields):
 
 def _network_path(field: str) -> str:
     # a bank column entry vol[2] is banks[2].vol in the document
-    return re.sub(r"^(cash|drift|vol|recovery)\[(\d+)\]$", r"banks[\2].\1",
-                  field)
+    return re.sub(r"^(cash|drift|vol)\[(\d+)\]$", r"banks[\2].\1", field)
 
 
 def _validate_banks(raw) -> tuple[tuple[str, ...], dict[str, list[float]]]:
-    """Bank names and the ``cash``/``drift``/``vol``/``recovery`` columns."""
+    """Bank names and the ``cash``/``drift``/``vol`` columns."""
     _require(isinstance(raw, list) and len(raw) >= 1, "banks",
              "must be a non-empty array")
     names = []
-    columns = {"cash": [], "drift": [], "vol": [], "recovery": []}
+    columns = {"cash": [], "drift": [], "vol": []}
     for k, entry in enumerate(raw):
         path = f"banks[{k}]"
         _require(isinstance(entry, dict), path, "must be an object")
@@ -131,6 +130,11 @@ def _validate_banks(raw) -> tuple[tuple[str, ...], dict[str, list[float]]]:
         names.append(entry["name"])
         for field, column in columns.items():
             column.append(_number(entry, field, path))
+        if "recovery" in entry:  # ignored, but still checked where present
+            value = _number(entry, "recovery", path)
+            _require(math.isfinite(value), f"{path}.recovery", MUST_BE_FINITE)
+            _require(0 < value < 1, f"{path}.recovery",
+                     "must lie strictly inside (0, 1)")
     return tuple(names), columns
 
 

@@ -239,9 +239,10 @@ def network_decision(net: FinancialNetwork, q: np.ndarray, t: float = 0.0,
         raise ValueError("q entries must lie strictly inside (0, 1)")
     if not 0.0 <= t < net.horizon:
         raise ValueError(f"decision time {t} outside [0, {net.horizon})")
+    require(psi_cap > 0, "psi_cap", "must be positive (math.inf for no cap)")
 
     remaining = net.horizon - t
-    boundaries = default_boundary(net, net.horizon)
+    boundaries = default_boundary(net)
     decisions = []
     for i in range(net.n):
         boundary = float(boundaries[i])

@@ -1,4 +1,4 @@
-"""Interbank liabilities network: obligations, clearing payments, default boundaries.
+"""Interbank liabilities: obligations, clearing, terminal default boundaries.
 
 The network is a weighted digraph of nominal liabilities: entry ``(i, j)`` of
 the liabilities matrix is the amount bank ``i`` owes bank ``j`` at time 0
@@ -67,9 +67,6 @@ class FinancialNetwork:
         Per-year drift of each bank's asset value.
     vol : array_like, shape (n,)
         Per-sqrt-year volatility of each bank's asset value; strictly positive.
-    recovery : array_like, shape (n,)
-        Recovery rate of each bank, strictly inside (0, 1); scales the default
-        boundary before the terminal time.
     growth_rate : float
         Common per-year exponential growth rate of all liabilities.
         ``growth_rate * horizon`` may not exceed ``log`` of the largest
@@ -83,7 +80,6 @@ class FinancialNetwork:
     cash: np.ndarray
     drift: np.ndarray
     vol: np.ndarray
-    recovery: np.ndarray
     growth_rate: float
     horizon: float
 
@@ -95,7 +91,7 @@ class FinancialNetwork:
         if n < 1:
             raise ValueError("network needs at least one bank")
         object.__setattr__(self, "liabilities", liab)
-        for name in ("cash", "drift", "vol", "recovery"):
+        for name in ("cash", "drift", "vol"):
             vec = _frozen(getattr(self, name))
             if vec.shape != (n,):
                 raise ValueError(f"{name} must have length {n}")
@@ -103,8 +99,6 @@ class FinancialNetwork:
             object.__setattr__(self, name, vec)
         require(self.cash >= 0, "cash", "must be non-negative")
         require(self.vol > 0, "vol", "must be strictly positive")
-        require((self.recovery > 0) & (self.recovery < 1), "recovery",
-                "must lie strictly inside (0, 1)")
         require(np.isfinite(liab), "liabilities", MUST_BE_FINITE)
         require(liab >= 0, "liabilities", "must be non-negative")
         require((liab == 0) | ~np.eye(n, dtype=bool), "liabilities",
@@ -236,18 +230,13 @@ def clearing_vector(net: FinancialNetwork, t: float = 0.0) -> ClearingResult:
                           iterations=rounds, residual=residual)
 
 
-def default_boundary(net: FinancialNetwork, t: float) -> np.ndarray:
-    """Default threshold of every bank at time ``t``.
+def default_boundary(net: FinancialNetwork) -> np.ndarray:
+    """Terminal default threshold of every bank.
 
-    Entry ``i`` is the net obligation of bank ``i`` (what it owes minus what
-    it is owed, both at their time-``t`` nominal values), scaled by the
-    bank's recovery rate strictly before the horizon and unscaled at the
-    horizon.  Negative for net creditors, which therefore cannot default.
-    One call costs one O(n^2) evaluation for all banks.
+    Entry ``i`` is the net obligation of bank ``i`` at the horizon, where
+    the survival constraints bind: what it owes minus what it is owed.
+    Negative for net creditors, which therefore cannot default.  One call
+    costs one O(n^2) evaluation for all banks.
     """
-    ubar = total_obligations(net, t)
-    net_obligation = ubar - relative_liabilities(net).T @ ubar
-    if t < net.horizon:
-        net_obligation = net.recovery * net_obligation
-    return net_obligation
-
+    ubar = total_obligations(net, net.horizon)
+    return ubar - relative_liabilities(net).T @ ubar

@@ -110,6 +110,9 @@ class SimConfig:
             raise ValueError("steps must be at least 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
+        if not isinstance(self.antithetic, (bool, np.bool_)):
+            raise ValueError(
+                f"antithetic must be a bool, got {self.antithetic!r}")
 
 
 @dataclass(frozen=True)
@@ -390,7 +393,7 @@ def simulate_network(net: FinancialNetwork, decisions: list[ControlDecision],
     # row 0 of each estimate is the uncontrolled scenario and row 1 the
     # controlled one.  Each bank is reduced as soon as it is simulated, so
     # memory stays O(paths) at any bank count
-    boundary = default_boundary(net, net.horizon)
+    boundary = default_boundary(net)
     freq = np.empty((2, n))
     terminal_mean = np.empty((2, n))
     logvar = np.zeros((2, n))

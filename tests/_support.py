@@ -124,7 +124,6 @@ def random_network(rng, max_banks=6, min_banks=2):
         cash=rng.uniform(0.0, 5.0, n),
         drift=rng.uniform(-0.2, 0.4, n),
         vol=rng.uniform(0.05, 0.6, n),
-        recovery=rng.uniform(0.1, 0.9, n),
         growth_rate=float(rng.uniform(0.0, 0.2)),
         horizon=float(rng.uniform(0.5, 2.0)),
     )
@@ -217,7 +216,7 @@ def reference_simulation(net: ln.FinancialNetwork, decisions, cfg: ln.SimConfig,
             rows[:, 0] = x0
             rows[:, 1:] = values[:, :take].T
             recorded.append(rows)
-    boundary = ln.default_boundary(net, net.horizon)
+    boundary = ln.default_boundary(net)
     freq = (terminal < boundary[:, None]).mean(axis=1)
     logvar = (np.log(terminal).var(axis=1, ddof=1) if paths > 1
               else np.zeros(n))

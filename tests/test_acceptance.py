@@ -47,8 +47,8 @@ def test_criterion_1_switching_thresholds(case_config):
 
 def test_criterion_2_closed_form_default_probabilities(case_network, case_q):
     start = time.perf_counter()
-    boundary1 = ln.default_boundary(case_network, 1.0)[0]
-    boundary3 = ln.default_boundary(case_network, 1.0)[2]
+    boundary1 = ln.default_boundary(case_network)[0]
+    boundary3 = ln.default_boundary(case_network)[2]
     bank1 = ln.ControlProblem(mu=0.2, sigma=0.1, v_terminal=boundary1,
                               horizon_remaining=1.0, q=float(case_q[0]))
     bank3 = ln.ControlProblem(mu=0.3, sigma=0.2, v_terminal=boundary3,
@@ -117,7 +117,7 @@ def test_criterion_5_policy_mapping():
 
 def test_criterion_6_value_function_oracle(case_network):
     psi = 0.40837
-    boundary3 = ln.default_boundary(case_network, 1.0)[2]
+    boundary3 = ln.default_boundary(case_network)[2]
     problem = ln.ControlProblem(mu=0.3, sigma=0.2, v_terminal=boundary3,
                                 horizon_remaining=1.0, q=0.99)
     closed = ln.value_function(problem, 13.0, psi)
@@ -163,8 +163,7 @@ def test_criterion_7_property_suites(case_network, decisions):
         richer_cash[k] += float(rng.uniform(0.1, 4.0))
         richer = ln.FinancialNetwork(
             liabilities=net.liabilities, cash=richer_cash, drift=net.drift,
-            vol=net.vol, recovery=net.recovery, growth_rate=net.growth_rate,
-            horizon=net.horizon)
+            vol=net.vol, growth_rate=net.growth_rate, horizon=net.horizon)
         if np.any(ln.clearing_vector(richer).payments
                   < res.payments - 1e-9):
             failures.append(f"monotonicity violated on trial {trial}")

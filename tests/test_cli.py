@@ -55,7 +55,7 @@ def sparse_config(path, n, seed):
     config = {
         "schema_version": "1",
         "banks": [{"name": f"B{i}", "cash": float(c), "drift": 0.1,
-                   "vol": 0.2, "recovery": 0.5}
+                   "vol": 0.2}
                   for i, c in enumerate(rng.uniform(1, 50, n))],
         "liabilities": liabilities.tolist(),
         "growth_rate": 0.05, "horizon": 1.0,
@@ -78,6 +78,8 @@ class TestConfigLoading:
 
     def test_fixture_matches_config_schema(self):
         doc = json.loads(ln.case_study_path().read_text())
+        # the example carries no ignored field
+        assert not any("recovery" in bank for bank in doc["banks"])
         jsonschema.validate(doc, load_schema("config"))
 
     def test_parse_error_is_distinct(self, tmp_path):
@@ -466,6 +468,26 @@ class TestDeterministicOutput:
         _, explicit, _ = run_cli(capsys, *argv, "--antithetic")
         assert first == second == explicit
 
+    @pytest.mark.parametrize("fmt", ["doc", "table"])
+    @pytest.mark.parametrize("argv", COMMAND_ARGV, ids=" ".join)
+    def test_recovery_is_ignored(self, capsys, tmp_path, argv, fmt):
+        # default boundaries are terminal, so no command reads recovery
+        sparse = sparse_config(tmp_path / "sparse.json", 60, seed=3)
+        for source in (ln.case_study_path(), sparse):
+            doc = json.loads(source.read_text())
+            runs = []
+            for recovery in (None, 0.5, 0.9):
+                for bank in doc["banks"]:
+                    bank.pop("recovery", None)
+                    if recovery is not None:
+                        bank["recovery"] = recovery
+                jsonschema.validate(doc, load_schema("config"))
+                path = tmp_path / f"recovery-{recovery}.json"
+                path.write_text(json.dumps(doc))
+                runs.append(run_cli(capsys, argv[0], "--config", str(path),
+                                    *argv[1:], "--format", fmt))
+            assert runs[0] == runs[1] == runs[2], source.name
+
     def test_output_file_matches_stdout(self, capsys, tmp_path):
         target = tmp_path / "out"
         for argv in COMMAND_ARGV:
@@ -696,6 +718,7 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize("keys, value", [
         (("banks", 2, "drift"), math.nan),
+        (("banks", 1, "recovery"), math.nan),
         (("banks", 0, "cash"), math.inf),
         (("growth_rate",), math.inf),
         (("horizon",), math.inf),

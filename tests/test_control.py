@@ -342,7 +342,7 @@ class TestNetworkDecision:
                     mu=float(case_network.drift[i]),
                     sigma=float(case_network.vol[i]),
                     v_terminal=float(
-                        ln.default_boundary(case_network, 1.0)[i]),
+                        ln.default_boundary(case_network)[i]),
                     horizon_remaining=1.0, q=float(case_q[i]))
                 per_bank.append(ln.value_function(
                     p, float(case_network.cash[i]), d.psi_star))
@@ -359,3 +359,17 @@ class TestNetworkDecision:
     def test_decision_time_inside_horizon(self, case_network, case_q):
         with pytest.raises(ValueError):
             ln.network_decision(case_network, case_q, t=1.0)
+
+    @pytest.mark.parametrize("psi_cap", [math.nan, -1.0, 0.0])
+    def test_psi_cap_checked_when_no_bank_can_default(self, psi_cap):
+        # nobody owes anything, so no bank builds a ControlProblem
+        net = ln.FinancialNetwork(liabilities=np.zeros((3, 3)),
+                                  cash=[1.0, 2.0, 3.0], drift=[0.1] * 3,
+                                  vol=[0.2] * 3, growth_rate=0.0, horizon=1.0)
+        q = np.full(3, 0.9)
+        assert all(d.region is ln.Region.NO_ACTION
+                   for d in ln.network_decision(net, q))
+        with pytest.raises(ln.InvalidValueError) as info:
+            ln.network_decision(net, q, psi_cap=psi_cap)
+        assert str(info.value) == (
+            "psi_cap: must be positive (math.inf for no cap)")

@@ -10,8 +10,7 @@ NAN = math.nan
 VALID = {
     ln.FinancialNetwork: dict(liabilities=[[0.0, 1.0], [2.0, 0.0]],
                               cash=[1.0, 1.0], drift=[0.1, 0.1],
-                              vol=[0.2, 0.2], recovery=[0.5, 0.5],
-                              growth_rate=0.0, horizon=1.0),
+                              vol=[0.2, 0.2], growth_rate=0.0, horizon=1.0),
     ln.RankWeights: dict(c_plus=1.0, c_minus=0.0, damping=0.85, epsilon=0.0),
     ln.UniformPolicy: dict(q=0.9),
     ln.RankThresholdsPolicy: dict(base=0.9,
@@ -25,7 +24,7 @@ NAN_CASES = [
     (ln.FinancialNetwork, "liabilities", [[0.0, NAN], [2.0, 0.0]],
      "liabilities[0][1]"),
     *[(ln.FinancialNetwork, name, [0.5, NAN], f"{name}[1]")
-      for name in ("cash", "drift", "vol", "recovery")],
+      for name in ("cash", "drift", "vol")],
     (ln.FinancialNetwork, "growth_rate", NAN, "growth_rate"),
     (ln.FinancialNetwork, "horizon", NAN, "horizon"),
     *[(ln.RankWeights, name, NAN, name)

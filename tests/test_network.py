@@ -14,8 +14,7 @@ def tiny_net(liabilities, cash, growth=0.0, horizon=1.0):
     n = len(cash)
     return ln.FinancialNetwork(liabilities=liabilities, cash=cash,
                                drift=[0.1] * n, vol=[0.2] * n,
-                               recovery=[0.5] * n, growth_rate=growth,
-                               horizon=horizon)
+                               growth_rate=growth, horizon=horizon)
 
 
 class TestFinancialNetworkInvariants:
@@ -30,15 +29,7 @@ class TestFinancialNetworkInvariants:
     def test_rejects_nonpositive_vol(self):
         with pytest.raises(ValueError, match="vol"):
             ln.FinancialNetwork(liabilities=[[0]], cash=[1], drift=[0],
-                                vol=[0], recovery=[0.5], growth_rate=0,
-                                horizon=1)
-
-    def test_rejects_recovery_outside_open_interval(self):
-        for r in (0.0, 1.0):
-            with pytest.raises(ValueError, match="recovery"):
-                ln.FinancialNetwork(liabilities=[[0]], cash=[1], drift=[0],
-                                    vol=[1], recovery=[r], growth_rate=0,
-                                    horizon=1)
+                                vol=[0], growth_rate=0, horizon=1)
 
     def test_rejects_overflowing_obligations(self):
         big = 1e308
@@ -218,8 +209,8 @@ class TestClearingVector:
             bumped_cash[k] += float(rng.uniform(0.1, 3.0))
             bumped = ln.FinancialNetwork(
                 liabilities=net.liabilities, cash=bumped_cash,
-                drift=net.drift, vol=net.vol, recovery=net.recovery,
-                growth_rate=net.growth_rate, horizon=net.horizon)
+                drift=net.drift, vol=net.vol, growth_rate=net.growth_rate,
+                horizon=net.horizon)
             res_up = ln.clearing_vector(bumped)
             assert np.all(res_up.payments >= res.payments - 1e-9)
 
@@ -239,39 +230,15 @@ class TestClearingVector:
 class TestDefaultBoundary:
     def test_case_study_bank3_at_horizon(self, case_network):
         # nobody owes bank 3, so the boundary is its full grown obligation
-        assert ln.default_boundary(case_network, 1.0)[2] == pytest.approx(
+        assert ln.default_boundary(case_network)[2] == pytest.approx(
             B3_OBLIGATION_T1, abs=1e-12)
 
     def test_case_study_bank1_at_horizon(self, case_network):
         # owes 15, is owed 10, grown by exp(0.08)
-        assert ln.default_boundary(case_network, 1.0)[0] == pytest.approx(
+        assert ln.default_boundary(case_network)[0] == pytest.approx(
             B1_BOUNDARY_T1, abs=1e-12)
 
     def test_net_creditors_have_negative_boundary(self, case_network):
-        boundary = ln.default_boundary(case_network, 1.0)
+        boundary = ln.default_boundary(case_network)
         assert boundary[1] < 0
         assert boundary[3] < 0
-
-    def test_recovery_scales_pre_horizon_boundary(self, case_network):
-        # recovery 0.5 in the fixture: half the unscaled net obligation
-        ubar = ln.total_obligations(case_network, 0.4)
-        incoming = ln.relative_liabilities(case_network).T @ ubar
-        unscaled = ubar[0] - incoming[0]
-        assert ln.default_boundary(case_network, 0.4)[0] == pytest.approx(
-            0.5 * unscaled, abs=1e-12)
-
-    def test_linear_in_recovery_before_horizon(self):
-        nets = [tiny_net([[0, 3], [1, 0]], [1, 1]) for _ in range(1)]
-        base = nets[0]
-        scaled = ln.FinancialNetwork(
-            liabilities=base.liabilities, cash=base.cash, drift=base.drift,
-            vol=base.vol, recovery=[0.8, 0.8], growth_rate=0.0, horizon=1.0)
-        v_half = ln.default_boundary(base, 0.3)[0]
-        v_08 = ln.default_boundary(scaled, 0.3)[0]
-        assert v_08 == pytest.approx(v_half * 0.8 / 0.5, abs=1e-12)
-
-    def test_continuous_in_time_before_horizon(self, case_network):
-        times = np.linspace(0.0, 0.999, 200)
-        values = [ln.default_boundary(case_network, t)[0] for t in times]
-        diffs = np.abs(np.diff(values))
-        assert diffs.max() < 1e-2  # smooth exponential, no jumps before T

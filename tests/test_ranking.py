@@ -14,8 +14,7 @@ from _support import (CASE_CASH, CREDITOR_TABLE, FIXTURE_EIGENVALUE,
 def as_network(table, cash):
     n = len(cash)
     return ln.FinancialNetwork(liabilities=table, cash=cash, drift=[0.1] * n,
-                               vol=[0.2] * n, recovery=[0.5] * n,
-                               growth_rate=0.0, horizon=1.0)
+                               vol=[0.2] * n, growth_rate=0.0, horizon=1.0)
 
 
 @pytest.fixture(scope="module")
@@ -112,8 +111,7 @@ def with_pure_lenders(net, lenders, isolated=()):
     liab[list(isolated)] = 0.0
     return ln.FinancialNetwork(
         liabilities=liab, cash=net.cash, drift=net.drift, vol=net.vol,
-        recovery=net.recovery, growth_rate=net.growth_rate,
-        horizon=net.horizon)
+        growth_rate=net.growth_rate, horizon=net.horizon)
 
 
 class TestGoogleMatrix:
@@ -146,7 +144,6 @@ class TestGoogleMatrix:
             cash=[*case_network.cash, 1.0],
             drift=[*case_network.drift, 0.1],
             vol=[*case_network.vol, 0.2],
-            recovery=[*case_network.recovery, 0.5],
             growth_rate=case_network.growth_rate,
             horizon=case_network.horizon)
         result = ln.rank_network(net, ln.RankWeights(c_plus=0.5, c_minus=0.5,

@@ -498,7 +498,7 @@ class TestCostEstimation:
                                            threads=1)
         p = ln.ControlProblem(mu=0.3, sigma=0.2,
                               v_terminal=float(
-                                  ln.default_boundary(case_network, 1.0)[2]),
+                                  ln.default_boundary(case_network)[2]),
                               horizon_remaining=1.0, q=0.99)
         closed = ln.value_function(p, 13.0, B3_PSI_STAR)
         assert abs(mean - closed) <= 3 * halfwidth
@@ -517,8 +517,8 @@ class TestCostEstimation:
             return 0.5 * psi**2 * integral
 
         net = ln.FinancialNetwork(liabilities=[[0.0]], cash=[x0], drift=[mu],
-                                  vol=[1e-12], recovery=[0.5],
-                                  growth_rate=0.0, horizon=horizon)
+                                  vol=[1e-12], growth_rate=0.0,
+                                  horizon=horizon)
         cfg = ln.SimConfig(paths=64, steps=steps, seed=4)
         low, _ = ln.estimate_cost(net, 0, 0.2, cfg, threads=1)
         high, _ = ln.estimate_cost(net, 0, 0.4, cfg, threads=1)
@@ -578,6 +578,15 @@ class TestReportShape:
     def test_config_requires_integers(self, kwargs):
         with pytest.raises(ValueError, match="must be an integer"):
             ln.SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", ["no", 1, None])
+    def test_config_requires_bool_antithetic(self, value):
+        with pytest.raises(ValueError) as info:
+            ln.SimConfig(paths=10, antithetic=value)
+        assert str(info.value) == f"antithetic must be a bool, got {value!r}"
+
+    def test_config_accepts_numpy_bool_antithetic(self):
+        assert not ln.SimConfig(paths=10, antithetic=np.bool_(False)).antithetic
 
     def test_config_accepts_numpy_integers(self):
         cfg = ln.SimConfig(paths=np.int64(3), steps=np.int32(2),

@@ -10,16 +10,22 @@ drift, so with ``r = (X_N / x0)^(2/N)`` and ``t_k = k T / N``
 
     E[X_k^2 | X_N] = x0^2 exp(2 sigma^2 t_k (1 - k/N)) r^k,
 
-and the cost is a polynomial in ``r`` with coefficients fixed per bank,
-evaluated by Horner's rule.  Every bank is therefore simulated on a single
-exact step over the whole horizon unless trajectories are being recorded,
-and the grid of ``steps`` intervals sets only the trapezoid's nodes.  The
-estimator is unbiased for the same grid quantity as the pathwise trapezoid
-with a smaller variance, and it uses only the law of the dynamics, never the
-closed-form value function it is checked against.  Each chunk writes its
-paths' ``log(X_N / x0)`` into a bank-wide array, and once the bank's chunks
-are done the polynomial runs on one contiguous slice of paths per worker.
-It is elementwise, so any split gives the same bits.
+and the cost is a polynomial in ``r`` with coefficients fixed per bank.
+They are palindromic, so in ``w = log(X_N / x0)`` the cost is ``X_N``
+times an even power series in ``w`` with positive coefficients, cut where
+its relative tail is below ``2^-54`` for the bank's largest ``|w|`` and
+evaluated by Horner's rule (``_cost_coefficients``).  Its degree depends
+on that largest ``|w|`` alone, about 10 terms for the case study, so the
+work per path is the same at any step count.  Every bank is therefore
+simulated on a single exact step over the whole horizon unless
+trajectories are being recorded, and the grid of ``steps`` intervals sets
+only the series' coefficients.  The estimator is unbiased for the same
+grid quantity as the pathwise trapezoid with a smaller variance, and it
+uses only the law of the dynamics, never the closed-form value function it
+is checked against.  Each chunk writes its paths' ``w`` into a bank-wide
+array, and once the bank's chunks are done the series runs on one
+contiguous slice of paths per worker.  Its degree and scale are taken over
+the whole bank and it is elementwise, so any split gives the same bits.
 
 ``simulate_network`` returns two reports, the uncontrolled scenario and the
 controlled one.  A bank's two scenarios read the same chunk streams (common
@@ -81,6 +87,9 @@ _CHUNK = 16_384
 _SLAB = 2**17
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
+
+# bound on the first omitted term of the cost series, relative to the sum
+_TAIL = 2.0**-55
 
 
 @dataclass(frozen=True)
@@ -226,34 +235,67 @@ def _chunks(paths: int):
 
 
 def _cost_coefficients(x0: float, sigma: float, psi: float,
-                       horizon: float, steps: int) -> np.ndarray:
-    """Coefficients ``a_0 .. a_N`` (``N = steps``) of a path's expected
-    trapezoid cost as a polynomial in ``r = (X_N / x0)^(2/N)``.
+                       horizon: float, steps: int,
+                       wmax: float) -> np.ndarray:
+    """Coefficients ``c_0 .. c_K`` of the expected trapezoid cost of paths
+    with ``|w| <= wmax``, ``w = log(X_N / x0)``, as the even series
+    ``X_N sum_m c_m (w / wmax)^(2m)``.
 
-    ``a_k = 0.5 psi^2 dt w_k x0^2 exp(2 sigma^2 t_k (1 - k/N))`` with the
-    trapezoid weights ``w_k``, 1/2 at both ends and 1 inside.  The exponent
-    vanishes at both ends, so ``a_0`` and ``a_N r^N`` weigh ``x0^2`` and
-    ``X_N^2`` exactly.
+    With ``N = steps``, the cost's polynomial in ``r = (X_N / x0)^(2/N)``
+    has coefficients ``a_k = 0.5 psi^2 dt w_k x0^2 exp(2 sigma^2 t_k (1 -
+    k/N))``, ``w_k`` the trapezoid weights (1/2 at both ends, 1 inside).
+    They are palindromic, ``a_k = a_(N-k)``, so with ``u_k = 2k/N - 1``
+    the cost is ``X_N / x0 sum_k a_k exp(u_k w)``, and pairing ``k`` with
+    ``N - k`` turns it into ``X_N / x0 sum_k a_k cosh(u_k w)``.  Expanding
+    the cosh,
+
+        c_m = rho_m wmax^(2m) / ((2m)! x0),  rho_m = sum_k a_k u_k^(2m).
+
+    Every term is positive and ``rho_m <= rho_0`` (``|u_k| <= 1``), so
+    cutting the series after the smallest ``K`` with ``W^(K+1) / (2K+2)!
+    <= 2^-55`` and ``W <= (2K+3)(K+2)``, ``W = wmax^2`` (each later term
+    at most half of the one before), leaves a relative tail of at most
+    ``2^-54``.  ``K`` depends on ``wmax`` alone, not on ``steps``.
+    Scaled by ``wmax^(2m)``, no coefficient underflows as ``m`` grows;
+    ``wmax^(2m) / (2m)!`` overflows only for ``wmax`` past about 709,
+    where ``X_N = x0 e^w`` leaves the float range, and then it raises.
     """
     dt = horizon / steps
     k = np.arange(steps + 1)
-    coef = np.exp(2 * sigma**2 * dt * k * (1 - k / steps))
-    coef[[0, -1]] *= 0.5
-    coef *= 0.5 * psi**2 * dt * x0**2
-    return coef
+    a = np.exp(2 * sigma**2 * dt * k * (1 - k / steps))
+    a[[0, -1]] *= 0.5
+    a *= 0.5 * psi**2 * dt * x0
+    u2 = ((2 * k - steps) / steps) ** 2
+    big = wmax**2
+    # term = W^m / (2m)!, the bound on term m relative to the sum
+    coef, term, m = [a.sum()], 1.0, 0
+    while True:
+        m += 1
+        term *= big / ((2 * m - 1) * (2 * m))
+        if term <= _TAIL and 2 * big <= (2 * m + 1) * (2 * m + 2):
+            return np.array(coef)
+        if not math.isfinite(term):
+            raise ValueError(
+                f"the lending cost of a path with |log(X_N / x0)| = {wmax!r}"
+                " overflows")
+        a *= u2
+        coef.append(a.sum() * term)
 
 
-def _expected_cost(coef: np.ndarray, walk: np.ndarray,
-                   out: np.ndarray) -> None:
+def _expected_cost(coef: np.ndarray, walk: np.ndarray, terminal: np.ndarray,
+                   out: np.ndarray, wmax: float) -> None:
     """Write each path's expected trapezoid cost given its terminal value
-    into ``out``, by Horner's rule on ``coef``.  ``walk`` holds
-    ``log(X_N / x0)`` and is overwritten by ``r``."""
-    r = np.multiply(walk, 2 / (len(coef) - 1), out=walk)
-    np.exp(r, out=r)
+    into ``out``: the even series ``coef`` in ``(w / wmax)^2`` by Horner's
+    rule, times ``terminal``.  ``walk`` holds ``w = log(X_N / x0)`` and is
+    overwritten by ``(w / wmax)^2``."""
+    # wmax is 0 only when every w is
+    x = np.multiply(walk, 1 / wmax if wmax else 0.0, out=walk)
+    np.square(x, out=x)
     out[...] = coef[-1]
-    for a in coef[-2::-1]:
-        out *= r
-        out += a
+    for c in coef[-2::-1]:
+        out *= x
+        out += c
+    out *= terminal
 
 
 def _run_bank_chunk(x0: float, mu_eff: float, sigma: float, horizon: float,
@@ -330,14 +372,16 @@ def _simulate_bank(x0: float, mu_eff: float, sigma: float, psi: float,
         future.result()
     if walk is None:
         return terminal, None
-    # the polynomial is elementwise, so any split of the paths gives the
-    # same bits; one slice per worker keeps each numpy call large, which
-    # spreads the cost of passing the interpreter lock between workers
-    coef = _cost_coefficients(x0, sigma, psi, horizon, cfg.steps)
+    # the series' degree and scale come from the whole bank and the series
+    # is elementwise, so any split of the paths gives the same bits; one
+    # slice per worker keeps each numpy call large, which spreads the cost
+    # of passing the interpreter lock between workers
+    wmax = float(max(walk.max(), -walk.min()))
+    coef = _cost_coefficients(x0, sigma, psi, horizon, cfg.steps, wmax)
     cost = np.empty(cfg.paths)
     bounds = [cfg.paths * k // workers for k in range(workers + 1)]
     futures = [executor.submit(_expected_cost, coef, walk[lo:hi],
-                               cost[lo:hi])
+                               terminal[lo:hi], cost[lo:hi], wmax)
                for lo, hi in zip(bounds, bounds[1:])]
     for future in futures:
         future.result()
@@ -373,14 +417,17 @@ def simulate_network(net: FinancialNetwork, decisions: list[ControlDecision],
         then to the CPUs this process may run on.  Results are bit-identical
         regardless.
     record_paths : int
-        When positive, keep the value grid of the first ``record_paths``
-        paths of every bank in both reports' ``trajectories``.  This forces
-        the full step grid for every bank, so each chunk stream is read
-        ``steps`` normals per column instead of one, and every estimate
-        differs from an unrecorded run's.
+        A non-negative integer.  When positive, keep the value grid of the
+        first ``record_paths`` paths of every bank in both reports'
+        ``trajectories``.  This forces the full step grid for every bank,
+        so each chunk stream is read ``steps`` normals per column instead
+        of one, and every estimate differs from an unrecorded run's.
     """
     if len(decisions) != net.n:
         raise ValueError(f"need {net.n} decisions, got {len(decisions)}")
+    if not (is_int(record_paths) and record_paths >= 0):
+        raise ValueError(f"record_paths must be a non-negative integer, "
+                         f"got {record_paths!r}")
     n = net.n
     psi_eff = np.zeros(n)
     infeasible = np.zeros(n, dtype=bool)

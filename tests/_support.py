@@ -164,8 +164,12 @@ def reference_simulation(net: ln.FinancialNetwork, decisions, cfg: ln.SimConfig,
     along the path axis and the path arithmetic is the textbook expression
     along the step axis (axis 0) on fresh arrays.  A path's cost is the
     expectation of its trapezoid sum on the ``steps`` grid given its
-    terminal value, ``sum_k a_k r^k`` with ``r = (X_N / x0)^(2/N)``, by
-    Horner's rule.  It must agree with the engine bit for bit.
+    terminal value, the even series ``X_N sum_m c_m (w / wmax)^(2m)`` in
+    ``w = log(X_N / x0)`` by Horner's rule, with ``c_m = wmax^(2m) / (2m)!
+    sum_k a_k u_k^(2m) / x0``, ``u_k = 2k/N - 1`` and ``a_k`` the
+    coefficients of the cost as a polynomial in ``r = (X_N / x0)^(2/N)``.
+    The degree and ``wmax``, the largest ``|w|``, are taken over the whole
+    bank.  It must agree with the engine bit for bit.
     """
     n, paths = net.n, cfg.paths
     psi = np.array([d.psi_star if d.region is ln.Region.ACTION else 0.0
@@ -198,18 +202,36 @@ def reference_simulation(net: ln.FinancialNetwork, decisions, cfg: ln.SimConfig,
         terminal[i] = values[-1]
         if rate > 0:
             # a_k = 0.5 psi^2 dt w_k E[X_k^2 | X_N] / r^k on the cost grid,
-            # w_k the trapezoid weights
+            # w_k the trapezoid weights, divided by x0
             grid = cfg.steps
             grid_dt = net.horizon / grid
             k = np.arange(grid + 1)
-            coef = np.exp(2 * sigma**2 * grid_dt * k * (1 - k / grid))
-            coef[[0, -1]] *= 0.5
-            coef *= 0.5 * rate**2 * grid_dt * x0**2
-            r = np.exp(walk[-1] * (2 / grid))
+            a = np.exp(2 * sigma**2 * grid_dt * k * (1 - k / grid))
+            a[[0, -1]] *= 0.5
+            a *= 0.5 * rate**2 * grid_dt * x0
+            u2 = ((2 * k - grid) / grid) ** 2
+            w = walk[-1]
+            wmax = float(np.abs(w).max())
+            # factors wmax^(2m) / (2m)! up to the degree: the smallest K
+            # with W^(K+1) / (2K+2)! <= 2^-55 and W <= (2K+3)(K+2)
+            big = wmax**2
+            factors = [1.0]
+            while True:
+                m = len(factors)
+                factor = factors[-1] * (big / ((2 * m - 1) * (2 * m)))
+                if factor <= 2.0**-55 and big <= (2 * m + 1) * (m + 1):
+                    break
+                factors.append(factor)
+            coef = [a.sum()]
+            powers = a
+            for factor in factors[1:]:
+                powers = powers * u2
+                coef.append(powers.sum() * factor)
+            x = (w * (1 / wmax if wmax else 0.0)) ** 2
             total = np.full(paths, coef[-1])
-            for a in coef[-2::-1]:
-                total = total * r + a
-            cost[i] = total
+            for c in coef[-2::-1]:
+                total = total * x + c
+            cost[i] = total * terminal[i]
         if record_paths > 0:
             take = min(record_paths, paths)
             rows = np.empty((take, steps + 1))

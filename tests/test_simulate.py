@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -163,6 +164,27 @@ class TestDeterminism:
         assert reports_equal(reports[0], reports[1])
         assert reports_equal(reports[0], reports[2])
 
+    def test_path_costs_do_not_depend_on_workers(self, case_network,
+                                                 controlled):
+        # a mean can hide a last-bit change in a few paths' costs, so the
+        # costs are compared path by path: three workers split the 40,000
+        # paths into three slices, and the series' degree and scale must
+        # still come from the whole bank
+        cfg = ln.SimConfig(paths=40_000, steps=200, seed=5)
+        psi = controlled[2].psi_star
+        costs = []
+        for workers in (1, 3):
+            with ThreadPoolExecutor(max_workers=workers) as executor:
+                _, cost = engine._simulate_bank(
+                    float(case_network.cash[2]),
+                    float(case_network.drift[2] + psi),
+                    float(case_network.vol[2]), psi, case_network.horizon,
+                    cfg, stream=2, executor=executor, workers=workers,
+                    buffers=engine._chunk_buffers(cfg, workers, 1),
+                    record=None)
+            costs.append(cost)
+        assert np.array_equal(*costs)
+
     def test_env_variable_caps_threads(self, case_network, controlled,
                                        monkeypatch):
         cfg = ln.SimConfig(paths=5_000, steps=8, seed=5)
@@ -290,7 +312,7 @@ class TestWork:
         # 40,000 paths are 3 chunks.  Each of the 4 banks runs once at rate
         # zero for both scenarios, and the one action bank once more at its
         # rate from the same chunk streams: 4 x 3 + 3 streams.  Its cost
-        # polynomial runs once per worker, not once per chunk
+        # series runs once per worker, not once per chunk
         streams, costs = [], []
 
         def counted(fn, calls):
@@ -439,7 +461,7 @@ def _term_by_term_cost(x0, sigma, psi, horizon, steps, terminal):
 
 
 class TestCostEstimation:
-    @pytest.mark.parametrize("steps", [1, 2, 200])
+    @pytest.mark.parametrize("steps", [1, 2, 7, 200, 2000])
     @pytest.mark.parametrize("seed", range(4))
     def test_conditional_cost_matches_term_by_term_sum(
             self, case_network, controlled, steps, seed):
@@ -452,6 +474,36 @@ class TestCostEstimation:
             controlled[2].psi_star, case_network.horizon, steps,
             report.terminal_mean[2])
         assert report.mean_cost[2] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("steps", [1, 2, 7, 200, 2000])
+    @pytest.mark.parametrize("wmax", [0.0, 1.0, 10.0])
+    def test_series_matches_term_by_term_sum(self, case_network, controlled,
+                                             steps, wmax):
+        # |w| = 10 needs the series up to its 26th power of w^2
+        x0, sigma = case_network.cash[2], case_network.vol[2]
+        psi, horizon = controlled[2].psi_star, case_network.horizon
+        walk = np.linspace(-wmax, wmax, 41)
+        terminal = x0 * np.exp(walk)
+        expected = [_term_by_term_cost(x0, sigma, psi, horizon, steps, t)
+                    for t in terminal]
+        coef = engine._cost_coefficients(x0, sigma, psi, horizon, steps,
+                                         wmax)
+        cost = np.empty_like(walk)
+        engine._expected_cost(coef, walk, terminal, cost, wmax)
+        np.testing.assert_allclose(cost, expected, rtol=1e-13)
+
+    @pytest.mark.parametrize("wmax,degree", [(0.0, 0), (1.0, 9), (8.0, 23),
+                                             (10.0, 26)])
+    def test_series_degree_does_not_grow_with_steps(self, wmax, degree):
+        for steps in (1, 200, 20_000):
+            coef = engine._cost_coefficients(13.0, 0.2, 0.4, 1.0, steps,
+                                             wmax)
+            assert len(coef) == degree + 1
+
+    @pytest.mark.parametrize("wmax", [800.0, math.inf, math.nan])
+    def test_series_refuses_an_unrepresentable_path(self, wmax):
+        with pytest.raises(ValueError, match="overflows"):
+            engine._cost_coefficients(13.0, 0.2, 0.4, 1.0, 200, wmax)
 
     def test_conditional_cost_matches_pathwise_trapezoid(self, case_network,
                                                          controlled):
@@ -560,6 +612,16 @@ class TestReportShape:
                                        threads=1)
         # quadrupling paths should roughly quarter the squared half-width
         assert large.default_ci_halfwidth[2] < small.default_ci_halfwidth[2] / 2
+
+    @pytest.mark.parametrize("value", [-1, math.nan, 2.5, "3", True])
+    def test_record_paths_must_be_non_negative_integer(
+            self, case_network, controlled, value):
+        cfg = ln.SimConfig(paths=10, steps=2, seed=5)
+        with pytest.raises(ValueError) as info:
+            ln.simulate_network(case_network, controlled, cfg, threads=1,
+                                record_paths=value)
+        assert str(info.value) == (
+            f"record_paths must be a non-negative integer, got {value!r}")
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

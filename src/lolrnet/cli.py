@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import itertools
 import math
 import os
 import sys
@@ -31,7 +32,7 @@ from .errors import LolrnetError
 from .network import clearing_vector, default_boundary, total_obligations
 from .ranking import (UniformPolicy, assign_survival_probabilities,
                       net_positions, perron_rank, rank_network)
-from .simulate import SimConfig, simulate_network
+from .simulate import SimConfig, bank_paths, simulate_network
 
 __all__ = ["main", "run_command"]
 
@@ -198,19 +199,17 @@ def cmd_simulate(cfg: NetworkConfig, args) -> tuple[dict, list[str]]:
     q, decisions = _decisions(cfg, 0.0)
     sim_cfg = SimConfig(paths=args.paths, steps=args.steps, seed=args.seed,
                         antithetic=args.antithetic)
-    record = args.paths if args.dump_paths is not None else 0
-    reports = dict(zip(_SCENARIOS, simulate_network(
-        net, decisions, sim_cfg, record_paths=record)))
+    reports = dict(zip(_SCENARIOS, simulate_network(net, decisions, sim_cfg)))
     controlled = reports["controlled"]
 
     for i in np.flatnonzero(controlled.infeasible_fallback):
         sys.stderr.write(
             f"warning: control for {cfg.names[i]} is infeasible; "
             "simulated uncontrolled\n")
-    if args.dump_paths is not None:
-        _write_path_dump(cfg, reports, args)
-
     psi = [d.psi_star if d.psi_star is not None else 0.0 for d in decisions]
+    if args.dump_paths is not None:
+        _write_path_dump(cfg, psi, sim_cfg, args)
+
     sections = {}
     for scenario, rep in reports.items():
         banks = []
@@ -234,7 +233,9 @@ def cmd_simulate(cfg: NetworkConfig, args) -> tuple[dict, list[str]]:
                  "terminal_logvar", "infeasible_fallback"]
 
 
-def _write_path_dump(cfg: NetworkConfig, reports: dict, args) -> None:
+def _write_path_dump(cfg: NetworkConfig, psi: list[float],
+                     sim_cfg: SimConfig, args) -> None:
+    """Write every bank's paths in both scenarios, one chunk at a time."""
     if args.dump_paths:
         target = Path(args.dump_paths)
     elif args.output:
@@ -245,16 +246,18 @@ def _write_path_dump(cfg: NetworkConfig, reports: dict, args) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["bank", "name", "scenario", "path", "step", "time",
                          "value"])
-        for scenario, report in reports.items():
-            trajectories = report.trajectories
-            steps = trajectories.shape[2] - 1
-            dt = cfg.network.horizon / steps
+        dt = cfg.network.horizon / sim_cfg.steps
+        times = [_cell(s * dt) for s in range(sim_cfg.steps + 1)]
+        for scenario in _SCENARIOS:
             for i, name in enumerate(cfg.names):
-                for p in range(trajectories.shape[1]):
-                    for s in range(steps + 1):
-                        writer.writerow([i + 1, name, scenario, p, s,
-                                         _cell(s * dt),
-                                         _cell(trajectories[i, p, s])])
+                rate = 0.0 if scenario == "uncontrolled" else psi[i]
+                paths = itertools.chain.from_iterable(
+                    bank_paths(cfg.network, i, rate, sim_cfg))
+                for p, values in enumerate(paths):
+                    for s, (time, value) in enumerate(zip(times,
+                                                          values.tolist())):
+                        writer.writerow([i + 1, name, scenario, p, s, time,
+                                         _cell(value)])
 
 
 _COMMANDS = {
@@ -328,7 +331,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "--no-antithetic draws them iid")
     p_sim.add_argument("--dump-paths", nargs="?", const="", default=None,
                        metavar="PATH",
-                       help="also dump per-path trajectories as CSV "
+                       help="also dump per-path trajectories as CSV, "
+                            "rebuilt from the simulated terminal values "
                             f"(default {_DEFAULT_DUMP} or OUTPUT.paths.csv)")
     return parser
 

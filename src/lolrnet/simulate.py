@@ -1,11 +1,11 @@
 """Monte Carlo engine for controlled lognormal bank dynamics.
 
-Transitions are sampled exactly (lognormal increments), so the terminal
-distribution carries no discretization bias.  The step grid only matters for
-the cost integral, which uses the trapezoid rule, and each path's cost is
-the exact conditional expectation of that trapezoid sum given the path's
-terminal value (conditional Monte Carlo, Glasserman 2004, section 4.1).
-Given its end points, a Brownian path is a Brownian bridge whatever its
+Every path takes one exact step over the horizon (a lognormal transition),
+so the terminal distribution carries no discretization bias.  The step grid
+only matters for the cost integral, which uses the trapezoid rule, and each
+path's cost is the exact conditional expectation of that trapezoid sum given
+the path's terminal value (conditional Monte Carlo, Glasserman 2004, section
+4.1).  Given its end points, a Brownian path is a Brownian bridge whatever its
 drift, so with ``r = (X_N / x0)^(2/N)`` and ``t_k = k T / N``
 
     E[X_k^2 | X_N] = x0^2 exp(2 sigma^2 t_k (1 - k/N)) r^k,
@@ -16,16 +16,15 @@ times an even power series in ``w`` with positive coefficients, cut where
 its relative tail is below ``2^-54`` for the bank's largest ``|w|`` and
 evaluated by Horner's rule (``_cost_coefficients``).  Its degree depends
 on that largest ``|w|`` alone, about 10 terms for the case study, so the
-work per path is the same at any step count.  Every bank is therefore
-simulated on a single exact step over the whole horizon unless
-trajectories are being recorded, and the grid of ``steps`` intervals sets
-only the series' coefficients.  The estimator is unbiased for the same
-grid quantity as the pathwise trapezoid with a smaller variance, and it
-uses only the law of the dynamics, never the closed-form value function it
-is checked against.  Each chunk writes its paths' ``w`` into a bank-wide
-array, and once the bank's chunks are done the series runs on one
-contiguous slice of paths per worker.  Its degree and scale are taken over
-the whole bank and it is elementwise, so any split gives the same bits.
+work per path is the same at any step count, and the grid of ``steps``
+intervals sets only the series' coefficients.  The estimator is unbiased
+for the same grid quantity as the pathwise trapezoid with a smaller
+variance, and it uses only the law of the dynamics, never the closed-form
+value function it is checked against.  Each chunk writes its paths' ``w``
+into a bank-wide array, and once the bank's chunks are done the series runs
+on one contiguous slice of paths per worker.  Its degree and scale are
+taken over the whole bank and it is elementwise, so any split gives the
+same bits.
 
 ``simulate_network`` returns two reports, the uncontrolled scenario and the
 controlled one.  A bank's two scenarios read the same chunk streams (common
@@ -38,29 +37,35 @@ Reproducibility contract: paths run in fixed chunks of ``_CHUNK`` (16,384).
 Chunk ``c`` of bank ``i`` draws from its own SFC64 stream, seeded by
 ``SeedSequence`` hashing (numpy's documented mechanism for independent
 parallel streams) of the low and high 32-bit words of the seed, ``i`` and
-``c``.  It takes ``standard_normal`` (numpy's ziggurat) step-major, of shape
-``(steps_eff, columns)``, with ``steps_eff`` one row unless paths are
-recorded, so a partial chunk's draws depend on its path count.  Antithetic
-pairing is the default: a chunk draws one column per path pair, taken by
-the pair's even path and negated for its odd path, and ``antithetic=False``
-draws one column per path.  The chunk size is part of the draw contract and
-the thread count is not: a fixed seed yields bit-identical reports at any
-parallelism level, within one numpy version (NEP 19).  Each bank is reduced
-in path order as soon as it is simulated.
+``c``.  It takes ``standard_normal`` (numpy's ziggurat) step-major, one
+row of one normal per column at a time.  Row 0 is the terminal step, the
+only row the estimates read, so a partial chunk's draws depend on its path
+count.  Antithetic pairing is the default: a chunk draws one column per
+path pair, taken by the pair's even path and negated for its odd path, and
+``antithetic=False`` draws one column per path.  The chunk size is part of
+the draw contract and the thread count is not: a fixed seed yields
+bit-identical reports at any parallelism level, within one numpy version
+(NEP 19).  A worker holds one row of a chunk, as (blocks, columns): one
+block of every path, or for pairs the drawn block and its negation.  Each
+bank is reduced in path order as soon as it is simulated.
 
 The 95% half-widths use the iid formula.  It is conservative under
 pairing: the default indicator, the terminal value and the conditional cost
 are each monotone in the draws, so a pair's negated draws never raise their
 variance (Glasserman 2004, section 4.2).
 
-A chunk runs one slab of consecutive steps at a time (at most ``_SLAB``
-floats, 8 steps of a full chunk), held as (blocks, steps, columns): one
-block of every path, or for pairs the drawn block and its negation.  The
-stream fills each slab in turn and the path arithmetic runs in place on it,
-so a worker holds two rows of a chunk (the slab's one step and the running
-sum), or about 1.1 MiB when recording, whatever the step count.  The chunk
-is still drawn step-major from its one stream, so the slab height is not
-part of the draw contract: reports are bit-identical at any height.
+``bank_paths`` rebuilds a bank's paths on the grid of ``steps`` intervals,
+one chunk at a time.  It reads row 0 of the chunk's stream as the
+simulation does, then rows 1 to ``steps``, and fills the interior by
+Brownian bridge (Glasserman 2004, section 3.1).  With ``W`` the terminal
+step's ``log(X_N / x0)`` and ``S_k`` the running sum of ``sigma sqrt(dt)
+z_k`` over those rows,
+
+    log(X_k / x0) = (k/N) W + (S_k - (k/N) S_N),
+
+a Brownian bridge from 0 to ``W`` whatever the drift.  At ``k = N`` the
+bracket is exactly 0, so every rebuilt terminal value is bit for bit the one
+behind the estimates, and rebuilding paths moves no estimate.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ from __future__ import annotations
 import math
 import os
 import queue
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -77,14 +83,12 @@ from .control import ControlDecision, Region
 from .errors import MUST_BE_FINITE, is_int, require
 from .network import FinancialNetwork, default_boundary
 
-__all__ = ["SimConfig", "SimReport", "simulate_network", "estimate_cost"]
+__all__ = ["SimConfig", "SimReport", "simulate_network", "estimate_cost",
+           "bank_paths"]
 
 # fixed work unit and draw-addressing unit, so chunk boundaries never
 # depend on the thread count; even, so no antithetic pair spans two chunks
 _CHUNK = 16_384
-# floats per slab of consecutive steps that a chunk runs at a time; any
-# height gives bit-identical results
-_SLAB = 2**17
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -97,10 +101,10 @@ class SimConfig:
     """Monte Carlo run parameters.
 
     ``steps`` is the number of intervals of the cost's trapezoid grid and
-    of recorded trajectories; unrecorded paths take one exact step whatever
-    its value.  ``antithetic`` (the default) pairs consecutive paths with
-    mirrored draws; an odd trailing path stays unmirrored.  False draws
-    every path iid.
+    of the paths ``bank_paths`` rebuilds; the simulation itself takes one
+    exact step whatever its value.  ``antithetic`` (the default) pairs
+    consecutive paths with mirrored draws; an odd trailing path stays
+    unmirrored.  False draws every path iid.
     """
 
     paths: int
@@ -135,8 +139,6 @@ class SimReport:
     ``steps`` grid given its terminal value.  ``infeasible_fallback`` flags
     banks whose control decision was infeasible and that were therefore
     simulated uncontrolled; it is set only in a controlled report.
-    ``trajectories`` (banks x recorded paths x grid points, including the
-    starting value) is present only when recording was requested.
     """
 
     default_freq: np.ndarray
@@ -147,7 +149,6 @@ class SimReport:
     paths_used: int
     seed_used: int
     infeasible_fallback: np.ndarray
-    trajectories: np.ndarray | None = None
 
 
 def _generator(seed: int, stream: int, lo: int) -> np.random.Generator:
@@ -161,13 +162,12 @@ def _generator(seed: int, stream: int, lo: int) -> np.random.Generator:
 
 
 def _draw(gen: np.random.Generator, z: np.ndarray) -> None:
-    """Fill slab ``z`` (blocks, steps, columns) with the chunk's next normals.
+    """Fill ``z`` (blocks, [rows,] columns) with the chunk's next normals.
 
     Block 0 takes the stream step-major, and successive fills continue it
-    row by row, so any split of the steps into slabs gives the draws of one
-    whole-chunk fill.  An antithetic slab's block 1 is the negation of
-    block 0: column ``j`` of the two blocks holds paths ``2j`` and
-    ``2j + 1`` of the chunk.
+    row by row.  An antithetic fill's block 1 is the negation of block 0:
+    column ``j`` of the two blocks holds paths ``2j`` and ``2j + 1`` of the
+    chunk.
     """
     gen.standard_normal(out=z[0])
     if len(z) == 2:
@@ -187,27 +187,21 @@ def _scatter(dst: np.ndarray, src: np.ndarray) -> None:
         part[...] = src[b, :len(part)]
 
 
-def _chunk_buffers(cfg: SimConfig, workers: int,
-                   steps: int) -> queue.SimpleQueue:
-    """One set of slab buffers per worker, allocated by the calling thread.
+def _chunk_buffers(cfg: SimConfig, workers: int) -> queue.SimpleQueue:
+    """One row of a full chunk per worker, allocated by the calling thread.
 
-    A set is a slab of as many of the ``steps`` rows of a full chunk that
-    run as fit in ``_SLAB`` floats, and one row of a step (the running sum
-    carried between slabs): two rows of a chunk when paths are not
-    recorded, and about 1.1 MiB in both draw modes when they are,
-    independent of the step count.  Workers borrow a set for each chunk and
-    put it back, so a run allocates ``workers`` sets whatever its bank and
-    chunk counts.  Buffers allocated by the short-lived worker threads would
-    be kept by the allocator in per-thread arenas, and a run whose threads
-    start before the last run's have fully exited opens new arenas, so peak
-    memory would grow by a set at a time over repeated runs.
+    Workers borrow a row for each chunk and put it back, so a run
+    allocates ``workers`` rows whatever its bank and chunk counts.  Buffers
+    allocated by the short-lived worker threads would be kept by the
+    allocator in per-thread arenas, and a run whose threads start before
+    the last run's have fully exited opens new arenas, so peak memory would
+    grow by a row at a time over repeated runs.
     """
     blocks = 2 if cfg.antithetic else 1
     width = blocks * -(-min(_CHUNK, cfg.paths) // blocks)
-    height = max(1, min(steps, _SLAB // width))
     buffers = queue.SimpleQueue()
     for _ in range(workers):
-        buffers.put((np.empty((height, width)), np.empty(width)))
+        buffers.put(np.empty(width))
     return buffers
 
 
@@ -298,52 +292,44 @@ def _expected_cost(coef: np.ndarray, walk: np.ndarray, terminal: np.ndarray,
     out *= terminal
 
 
+def _check_bank(net: FinancialNetwork, i: int, psi: float) -> None:
+    require(is_int(i) and 0 <= i < net.n, "i",
+            f"must be an integer bank index in [0, {net.n}), got {i!r}")
+    require(math.isfinite(psi), "psi", MUST_BE_FINITE)
+    require(psi >= 0, "psi", "must be non-negative")
+
+
+def _terminal_walk(mu_eff: float, sigma: float, horizon: float,
+                   cfg: SimConfig, stream: int, lo: int,
+                   walk: np.ndarray) -> np.random.Generator:
+    """Fill ``walk`` (blocks, columns) with ``log(X_N / x0)`` of the chunk
+    that starts at path ``lo``, one exact step over the horizon from row 0
+    of the chunk's stream, and return the stream positioned after it."""
+    # the same IEEE operations as the textbook one-step
+    # ``(mu - sigma^2/2) T + sigma sqrt(T) z``
+    gen = _generator(cfg.seed, stream, lo)
+    _draw(gen, walk)
+    walk *= sigma * math.sqrt(horizon)
+    walk += (mu_eff - 0.5 * sigma**2) * horizon
+    return gen
+
+
 def _run_bank_chunk(x0: float, mu_eff: float, sigma: float, horizon: float,
-                    steps_eff: int, cfg: SimConfig, stream: int, lo: int,
-                    hi: int, buffers: queue.SimpleQueue,
-                    terminal_out: np.ndarray, walk_out: np.ndarray | None,
-                    record_out: np.ndarray | None) -> None:
-    # the chunk runs one slab of steps at a time, in place, as (blocks,
-    # steps, columns): one block of every path, or for an antithetic run the
-    # even paths and their mirrored odd partners.  Each step below is the
-    # same IEEE operation on the same operands as the textbook
-    # ``log x0 + cumsum((mu - sigma^2/2) dt + sigma sqrt(dt) z)``, summed
-    # along steps one row add at a time
+                    cfg: SimConfig, stream: int, lo: int, hi: int,
+                    buffers: queue.SimpleQueue, terminal_out: np.ndarray,
+                    walk_out: np.ndarray | None) -> None:
     borrowed = buffers.get()
     try:
-        size = hi - lo
         blocks = 2 if cfg.antithetic else 1
-        cols = -(-size // blocks)
-        slab, walk = borrowed
-        walk = walk[:blocks * cols].reshape(blocks, cols)
-        dt = horizon / steps_eff
-        gen = _generator(cfg.seed, stream, lo)
-        take = (0 if record_out is None
-                else max(0, min(hi, len(record_out)) - lo))
-        for k0 in range(0, steps_eff, len(slab)):
-            k1 = min(k0 + len(slab), steps_eff)
-            z = slab.ravel()[:blocks * (k1 - k0) * cols].reshape(
-                blocks, k1 - k0, cols)
-            _draw(gen, z)
-            z *= sigma * math.sqrt(dt)
-            z += (mu_eff - 0.5 * sigma**2) * dt
-            if k0:
-                np.add(z[:, 0], walk, out=z[:, 0])
-            for k in range(1, k1 - k0):
-                np.add(z[:, k], z[:, k - 1], out=z[:, k])
-            walk[:] = z[:, -1]
-            if not take and k1 < steps_eff:
-                continue  # only the terminal row is kept
-            z += math.log(x0)
-            np.exp(z, out=z)
-            if take:
-                _scatter(record_out[lo:lo + take, 1 + k0:1 + k1],
-                         z.transpose(0, 2, 1))
-        _scatter(terminal_out[lo:hi], z[:, -1])
+        z = borrowed[:blocks * -(-(hi - lo) // blocks)].reshape(blocks, -1)
+        _terminal_walk(mu_eff, sigma, horizon, cfg, stream, lo, z)
         if walk_out is not None:
-            _scatter(walk_out[lo:hi], walk)
+            _scatter(walk_out[lo:hi], z)
+        z += math.log(x0)
+        np.exp(z, out=z)
+        _scatter(terminal_out[lo:hi], z)
     finally:
-        # a lost set would leave a later chunk waiting forever
+        # a lost row would leave a later chunk waiting forever
         buffers.put(borrowed)
 
 
@@ -355,18 +341,13 @@ def _workers(threads: int | None, paths: int) -> int:
 def _simulate_bank(x0: float, mu_eff: float, sigma: float, psi: float,
                    horizon: float, cfg: SimConfig, stream: int,
                    executor: ThreadPoolExecutor, workers: int,
-                   buffers: queue.SimpleQueue, record: np.ndarray | None
+                   buffers: queue.SimpleQueue
                    ) -> tuple[np.ndarray, np.ndarray | None]:
-    # zero-rate banks cost nothing on any grid, so they return ``cost`` None.
-    # The terminal gives the expected cost, so one exact step suffices
-    # unless the caller wants the trajectory on the full grid in ``record``
-    # (recorded paths x steps + 1)
-    steps_eff = cfg.steps if record is not None else 1
+    # zero-rate banks cost nothing on any grid, so they return ``cost`` None
     terminal = np.empty(cfg.paths)
     walk = np.empty(cfg.paths) if psi > 0 else None
     futures = [executor.submit(_run_bank_chunk, x0, mu_eff, sigma, horizon,
-                               steps_eff, cfg, stream, lo, hi, buffers,
-                               terminal, walk, record)
+                               cfg, stream, lo, hi, buffers, terminal, walk)
                for lo, hi in _chunks(cfg.paths)]
     for future in futures:
         future.result()
@@ -389,8 +370,8 @@ def _simulate_bank(x0: float, mu_eff: float, sigma: float, psi: float,
 
 
 def simulate_network(net: FinancialNetwork, decisions: list[ControlDecision],
-                     cfg: SimConfig, threads: int | None = None,
-                     record_paths: int = 0) -> tuple[SimReport, SimReport]:
+                     cfg: SimConfig, threads: int | None = None
+                     ) -> tuple[SimReport, SimReport]:
     """Simulate every bank uncontrolled and under its decided lending rate.
 
     Returns ``(uncontrolled, controlled)``.  The uncontrolled report runs
@@ -416,18 +397,9 @@ def simulate_network(net: FinancialNetwork, decisions: list[ControlDecision],
         Worker cap; falls back to the LOLRNET_THREADS environment variable,
         then to the CPUs this process may run on.  Results are bit-identical
         regardless.
-    record_paths : int
-        A non-negative integer.  When positive, keep the value grid of the
-        first ``record_paths`` paths of every bank in both reports'
-        ``trajectories``.  This forces the full step grid for every bank,
-        so each chunk stream is read ``steps`` normals per column instead
-        of one, and every estimate differs from an unrecorded run's.
     """
     if len(decisions) != net.n:
         raise ValueError(f"need {net.n} decisions, got {len(decisions)}")
-    if not (is_int(record_paths) and record_paths >= 0):
-        raise ValueError(f"record_paths must be a non-negative integer, "
-                         f"got {record_paths!r}")
     n = net.n
     psi_eff = np.zeros(n)
     infeasible = np.zeros(n, dtype=bool)
@@ -445,30 +417,18 @@ def simulate_network(net: FinancialNetwork, decisions: list[ControlDecision],
     terminal_mean = np.empty((2, n))
     logvar = np.zeros((2, n))
     mean_cost = np.zeros((2, n))
-    trajectories = [None, None]
-    if record_paths > 0:
-        trajectories = [np.empty((n, min(record_paths, cfg.paths),
-                                  cfg.steps + 1)) for _ in range(2)]
-        for grid in trajectories:
-            grid[:, :, 0] = net.cash[:, None]
     workers = _workers(threads, cfg.paths)
-    buffers = _chunk_buffers(cfg, workers,
-                             1 if trajectories[0] is None else cfg.steps)
+    buffers = _chunk_buffers(cfg, workers)
     with ThreadPoolExecutor(max_workers=workers) as executor:
         for i in range(n):
             # (rate, scenario rows the run fills)
             runs = ([(0.0, [0]), (float(psi_eff[i]), [1])] if psi_eff[i] > 0
                     else [(0.0, [0, 1])])
             for rate, rows in runs:
-                record = (None if trajectories[0] is None
-                          else trajectories[rows[0]][i])
                 terminal, cost = _simulate_bank(
                     float(net.cash[i]), float(net.drift[i] + rate),
                     float(net.vol[i]), rate, net.horizon, cfg, stream=i,
-                    executor=executor, workers=workers, buffers=buffers,
-                    record=record)
-                if record is not None and len(rows) == 2:
-                    trajectories[1][i] = record
+                    executor=executor, workers=workers, buffers=buffers)
                 freq[rows, i] = (terminal < boundary[i]).mean()
                 terminal_mean[rows, i] = terminal.mean()
                 if cfg.paths > 1:
@@ -484,8 +444,7 @@ def simulate_network(net: FinancialNetwork, decisions: list[ControlDecision],
                   terminal_logvar=logvar[s], paths_used=cfg.paths,
                   seed_used=cfg.seed,
                   infeasible_fallback=(infeasible if s
-                                       else np.zeros(n, dtype=bool)),
-                  trajectories=trajectories[s])
+                                       else np.zeros(n, dtype=bool)))
         for s in (0, 1))
 
 
@@ -503,22 +462,52 @@ def estimate_cost(net: FinancialNetwork, i: int, psi: float, cfg: SimConfig,
     the iid formula, conservative under ``cfg.antithetic`` because the
     conditional cost is monotone in the draws.
     """
-    if not 0 <= i < net.n:
-        raise IndexError(f"bank index {i} out of range for {net.n} banks")
-    require(math.isfinite(psi), "psi", MUST_BE_FINITE)
-    require(psi >= 0, "psi", "must be non-negative")
+    _check_bank(net, i, psi)
     workers = _workers(threads, cfg.paths)
-    buffers = _chunk_buffers(cfg, workers, 1)
     with ThreadPoolExecutor(max_workers=workers) as executor:
         _, cost = _simulate_bank(
             float(net.cash[i]), float(net.drift[i] + psi), float(net.vol[i]),
-            float(psi), net.horizon, cfg, stream=i, executor=executor,
-            workers=workers, buffers=buffers, record=None)
+            float(psi), net.horizon, cfg, stream=int(i), executor=executor,
+            workers=workers, buffers=_chunk_buffers(cfg, workers))
     if cost is None:
         return 0.0, 0.0
-    mean = float(cost.mean())
-    if cfg.paths > 1:
-        halfwidth = _Z95 * float(cost.std(ddof=1)) / math.sqrt(cfg.paths)
-    else:
-        halfwidth = 0.0
-    return mean, halfwidth
+    halfwidth = (_Z95 * float(cost.std(ddof=1)) / math.sqrt(cfg.paths)
+                 if cfg.paths > 1 else 0.0)
+    return float(cost.mean()), halfwidth
+
+
+def bank_paths(net: FinancialNetwork, i: int, psi: float,
+               cfg: SimConfig) -> Iterator[np.ndarray]:
+    """Bank ``i``'s paths at constant rate ``psi`` on the ``cfg.steps``
+    grid, one (chunk paths, steps + 1) array per chunk in path order, each
+    built on the calling thread when it is asked for.  Column 0 is the
+    bank's cash and column ``steps`` bit for bit the terminal value behind
+    the estimates for the same bank, rate and ``cfg``; the interior is a
+    Brownian bridge between them (see the module docstring)."""
+    _check_bank(net, i, psi)
+    return (_chunk_paths(float(net.cash[i]), float(net.drift[i] + psi),
+                         float(net.vol[i]), net.horizon, cfg, int(i), lo, hi)
+            for lo, hi in _chunks(cfg.paths))
+
+
+def _chunk_paths(x0: float, mu_eff: float, sigma: float, horizon: float,
+                 cfg: SimConfig, stream: int, lo: int, hi: int) -> np.ndarray:
+    blocks = 2 if cfg.antithetic else 1
+    cols = -(-(hi - lo) // blocks)
+    walk = np.empty((blocks, cols))
+    gen = _terminal_walk(mu_eff, sigma, horizon, cfg, stream, lo, walk)
+    # (blocks, steps, columns): row k - 1 holds step k
+    z = np.empty((blocks, cfg.steps, cols))
+    _draw(gen, z)
+    z *= sigma * math.sqrt(horizon / cfg.steps)
+    np.cumsum(z, axis=1, out=z)
+    # the bracket S_k - (k/N) S_N first, so it is exactly 0 at k = N
+    frac = (np.arange(1, cfg.steps + 1) / cfg.steps)[:, None]
+    z -= frac * z[:, -1:]
+    z += frac * walk[:, None]
+    z += math.log(x0)
+    np.exp(z, out=z)
+    paths = np.empty((hi - lo, cfg.steps + 1))
+    paths[:, 0] = x0
+    _scatter(paths[:, 1:], z.transpose(0, 2, 1))
+    return paths

@@ -147,70 +147,78 @@ def reports_equal(a, b) -> bool:
     return len(a) == len(b) and all(map(report_equal, a, b))
 
 
-def reference_simulation(net: ln.FinancialNetwork, decisions, cfg: ln.SimConfig,
-                         record_paths: int = 0) -> ln.SimReport:
+def _reference_normals(cfg: ln.SimConfig, i: int, rows: int,
+                       slab: int | None = None) -> list[np.ndarray]:
+    """Each chunk's first ``rows`` rows of normals of bank ``i``, one
+    (rows, paths in chunk) array per chunk.
+
+    Chunk ``c`` (``engine._CHUNK`` paths, read at call time) reads
+    ``standard_normal`` step-major from ``SFC64(SeedSequence(words))``,
+    where ``words`` holds the low and high 32-bit words of ``seed``, ``i``
+    and ``c``, in fills of ``slab`` rows (all at once when None); when
+    antithetic, one column per path pair, negated for the pair's odd path.
+    """
+    chunks = []
+    for c, lo in enumerate(range(0, cfg.paths, engine._CHUNK)):
+        size = min(engine._CHUNK, cfg.paths - lo)
+        cols = -(-size // 2) if cfg.antithetic else size
+        words = np.array([*divmod(cfg.seed, 2**32)[::-1],
+                          *divmod(i, 2**32)[::-1],
+                          *divmod(c, 2**32)[::-1]], dtype=np.uint32)
+        gen = np.random.Generator(np.random.SFC64(
+            np.random.SeedSequence(words)))
+        height = slab or rows
+        draws = np.concatenate([
+            gen.standard_normal((min(height, rows - k), cols))
+            for k in range(0, rows, height)])
+        if cfg.antithetic:
+            signs = np.where(np.arange(size) % 2 == 0, 1.0, -1.0)
+            draws = draws[:, np.arange(size) // 2] * signs
+        chunks.append(draws)
+    return chunks
+
+
+def reference_simulation(net: ln.FinancialNetwork, decisions,
+                         cfg: ln.SimConfig) -> ln.SimReport:
     """Unfused reference for ``simulate_network``: whole-bank arrays.
 
-    Draws follow the documented chunk layout: chunk ``c`` of bank ``i``
-    (``engine._CHUNK`` paths, read at call time) takes ``standard_normal``
-    of shape (steps, paths in chunk) from
-    ``SFC64(SeedSequence(words))``, where ``words`` holds the low and high
-    32-bit words of ``seed``, ``i`` and ``c``; when antithetic, one column
-    per path pair, negated for the pair's odd path.  Stream independence
-    rests on ``SeedSequence`` hashing, a partial chunk's draws depend on its
-    path count, and the draws are fixed only within one numpy version
-    (NEP 19).  Every bank takes one exact step over the horizon unless
-    paths are recorded, when it takes ``steps``.  The chunks are joined
-    along the path axis and the path arithmetic is the textbook expression
-    along the step axis (axis 0) on fresh arrays.  A path's cost is the
-    expectation of its trapezoid sum on the ``steps`` grid given its
-    terminal value, the even series ``X_N sum_m c_m (w / wmax)^(2m)`` in
-    ``w = log(X_N / x0)`` by Horner's rule, with ``c_m = wmax^(2m) / (2m)!
-    sum_k a_k u_k^(2m) / x0``, ``u_k = 2k/N - 1`` and ``a_k`` the
-    coefficients of the cost as a polynomial in ``r = (X_N / x0)^(2/N)``.
-    The degree and ``wmax``, the largest ``|w|``, are taken over the whole
-    bank.  It must agree with the engine bit for bit.
+    Draws follow the documented chunk layout (``_reference_normals``): every
+    path takes one exact step over the horizon from row 0 of its chunk's
+    stream.  Stream independence rests on ``SeedSequence`` hashing, a
+    partial chunk's draws depend on its path count, and the draws are fixed
+    only within one numpy version (NEP 19).  The chunks are joined along
+    the path axis and the path arithmetic is the textbook expression on
+    fresh arrays.  A path's cost is the expectation of its trapezoid sum on
+    the ``steps`` grid given its terminal value, the even series ``X_N
+    sum_m c_m (w / wmax)^(2m)`` in ``w = log(X_N / x0)`` by Horner's rule,
+    with ``c_m = wmax^(2m) / (2m)! sum_k a_k u_k^(2m) / x0``, ``u_k = 2k/N -
+    1`` and ``a_k`` the coefficients of the cost as a polynomial in ``r =
+    (X_N / x0)^(2/N)``.  The degree and ``wmax``, the largest ``|w|``, are
+    taken over the whole bank.  It must agree with the engine bit for bit.
     """
     n, paths = net.n, cfg.paths
     psi = np.array([d.psi_star if d.region is ln.Region.ACTION else 0.0
                     for d in decisions])
     terminal = np.empty((n, paths))
     cost = np.zeros((n, paths))
-    recorded = []
     for i in range(n):
         x0, sigma, rate = float(net.cash[i]), float(net.vol[i]), float(psi[i])
         mu_eff = float(net.drift[i] + psi[i])
-        steps = cfg.steps if record_paths > 0 else 1
-        dt = net.horizon / steps
-        chunks = []
-        for c, lo in enumerate(range(0, paths, engine._CHUNK)):
-            size = min(engine._CHUNK, paths - lo)
-            cols = -(-size // 2) if cfg.antithetic else size
-            words = np.array([*divmod(cfg.seed, 2**32)[::-1],
-                              *divmod(i, 2**32)[::-1],
-                              *divmod(c, 2**32)[::-1]], dtype=np.uint32)
-            draws = np.random.Generator(np.random.SFC64(
-                np.random.SeedSequence(words))).standard_normal((steps, cols))
-            if cfg.antithetic:
-                signs = np.where(np.arange(size) % 2 == 0, 1.0, -1.0)
-                draws = draws[:, np.arange(size) // 2] * signs
-            chunks.append(draws)
-        z = np.concatenate(chunks, axis=1)
-        increments = (mu_eff - 0.5 * sigma**2) * dt + sigma * math.sqrt(dt) * z
-        walk = np.cumsum(increments, axis=0)
-        values = np.exp(walk + math.log(x0))
-        terminal[i] = values[-1]
+        horizon = net.horizon
+        z = np.concatenate(_reference_normals(cfg, i, 1), axis=1)[0]
+        w = ((mu_eff - 0.5 * sigma**2) * horizon
+             + sigma * math.sqrt(horizon) * z)
+        terminal[i] = np.exp(w + math.log(x0))
         if rate > 0:
             # a_k = 0.5 psi^2 dt w_k E[X_k^2 | X_N] / r^k on the cost grid,
             # w_k the trapezoid weights, divided by x0
             grid = cfg.steps
-            grid_dt = net.horizon / grid
+            grid_dt = horizon / grid
             k = np.arange(grid + 1)
             a = np.exp(2 * sigma**2 * grid_dt * k * (1 - k / grid))
             a[[0, -1]] *= 0.5
             a *= 0.5 * rate**2 * grid_dt * x0
             u2 = ((2 * k - grid) / grid) ** 2
-            w = walk[-1]
             wmax = float(np.abs(w).max())
             # factors wmax^(2m) / (2m)! up to the degree: the smallest K
             # with W^(K+1) / (2K+2)! <= 2^-55 and W <= (2K+3)(K+2)
@@ -232,12 +240,6 @@ def reference_simulation(net: ln.FinancialNetwork, decisions, cfg: ln.SimConfig,
             for c in coef[-2::-1]:
                 total = total * x + c
             cost[i] = total * terminal[i]
-        if record_paths > 0:
-            take = min(record_paths, paths)
-            rows = np.empty((take, steps + 1))
-            rows[:, 0] = x0
-            rows[:, 1:] = values[:, :take].T
-            recorded.append(rows)
     boundary = ln.default_boundary(net)
     freq = (terminal < boundary[:, None]).mean(axis=1)
     logvar = (np.log(terminal).var(axis=1, ddof=1) if paths > 1
@@ -249,5 +251,30 @@ def reference_simulation(net: ln.FinancialNetwork, decisions, cfg: ln.SimConfig,
         mean_cost=cost.mean(axis=1), terminal_mean=terminal.mean(axis=1),
         terminal_logvar=logvar, paths_used=paths, seed_used=cfg.seed,
         infeasible_fallback=np.array(
-            [d.region is ln.Region.INFEASIBLE for d in decisions]),
-        trajectories=np.stack(recorded) if record_paths > 0 else None)
+            [d.region is ln.Region.INFEASIBLE for d in decisions]))
+
+
+def reference_paths(net: ln.FinancialNetwork, i: int, psi: float,
+                    cfg: ln.SimConfig, slab: int | None = None) -> np.ndarray:
+    """Unfused reference for ``bank_paths``: bank ``i``'s paths at rate
+    ``psi`` as one (paths, steps + 1) array.
+
+    Row 0 of each chunk's stream (``_reference_normals``, read in fills of
+    ``slab`` rows) gives the terminal step ``W``, as in
+    ``reference_simulation``, and rows 1 to ``N = steps`` the interior:
+    with ``S_k`` the running sum of ``sigma sqrt(dt) z_k``, ``log(X_k /
+    x0) = (k/N) W + (S_k - (k/N) S_N)``, a Brownian bridge from 0 to ``W``.
+    Column 0 is ``x0``.  It must agree with the engine bit for bit.
+    """
+    x0, sigma = float(net.cash[i]), float(net.vol[i])
+    mu_eff = float(net.drift[i] + psi)
+    horizon, steps = net.horizon, cfg.steps
+    z = np.concatenate(_reference_normals(cfg, i, steps + 1, slab), axis=1)
+    w = (mu_eff - 0.5 * sigma**2) * horizon + sigma * math.sqrt(horizon) * z[0]
+    s = np.cumsum(sigma * math.sqrt(horizon / steps) * z[1:], axis=0)
+    frac = (np.arange(1, steps + 1) / steps)[:, None]
+    bridge = frac * w + (s - frac * s[-1])
+    paths = np.empty((cfg.paths, steps + 1))
+    paths[:, 0] = x0
+    paths[:, 1:] = np.exp(bridge + math.log(x0)).T
+    return paths

@@ -25,6 +25,7 @@ PUBLIC_NAMES = {
     "classify", "value_function", "network_decision",
     # simulate
     "SimConfig", "SimReport", "simulate_network", "estimate_cost",
+    "bank_paths",
     # config
     "NetworkConfig", "load_config", "case_study_path", "printed_google_path",
     # errors
@@ -34,7 +35,7 @@ PUBLIC_NAMES = {
 
 
 def test_package_exports_exactly_the_public_names():
-    assert len(ln.__all__) == len(set(ln.__all__)) == 43
+    assert len(ln.__all__) == len(set(ln.__all__)) == 44
     assert set(ln.__all__) == PUBLIC_NAMES
 
 

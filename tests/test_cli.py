@@ -659,6 +659,39 @@ class TestPathDump:
             outputs.append((out, dump.read_bytes()))
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("mode", ["--antithetic", "--no-antithetic"])
+    def test_dumped_terminals_reproduce_the_doc(self, capsys, tmp_path,
+                                                monkeypatch, mode):
+        # each dumped X_N is bit for bit the terminal behind the estimates,
+        # across chunk boundaries and an odd last chunk
+        monkeypatch.setattr(engine, "_CHUNK", 8)
+        dump = tmp_path / "paths.csv"
+        code, out, _ = run_cli(capsys, "simulate", "--config",
+                               "case_study.json", "--paths", "37", "--steps",
+                               "7", mode, "--format", "doc", "--dump-paths",
+                               str(dump))
+        assert code == 0
+        doc = json.loads(out)
+        header, rows = parse_csv(dump.read_text())
+        boundary = ln.default_boundary(
+            ln.load_config(ln.case_study_path()).network)
+        for scenario in ("uncontrolled", "controlled"):
+            for i, entry in enumerate(doc[scenario]):
+                ends = np.array([float(row[6]) for row in rows
+                                 if row[0] == str(i + 1)
+                                 and row[2] == scenario and row[4] == "7"])
+                assert len(ends) == 37
+                assert ends.mean() == entry["terminal_mean"]
+                assert (ends < boundary[i]).mean() == entry["default_freq"]
+
+    def test_dump_leaves_the_doc_unchanged(self, capsys, tmp_path):
+        argv = ["simulate", "--config", "case_study.json", "--paths", "300",
+                "--steps", "9", "--format", "doc"]
+        plain = run_cli(capsys, *argv)
+        dumped = run_cli(capsys, *argv, "--dump-paths",
+                         str(tmp_path / "paths.csv"))
+        assert plain == dumped
+
     def test_bare_flag_writes_sibling_of_output(self, capsys, tmp_path):
         target = tmp_path / "report.csv"
         code, _, _ = run_cli(capsys, "simulate", "--config",

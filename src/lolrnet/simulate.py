@@ -13,25 +13,22 @@ drift, so with ``r = (X_N / x0)^(2/N)`` and ``t_k = k T / N``
 and the cost is a polynomial in ``r`` with coefficients fixed per bank.
 They are palindromic, so in ``w = log(X_N / x0)`` the cost is ``X_N``
 times an even power series in ``w`` with positive coefficients, cut where
-its relative tail is below ``2^-54`` for the bank's largest ``|w|`` and
-evaluated by Horner's rule (``_cost_coefficients``).  Its degree depends
-on that largest ``|w|`` alone, about 10 terms for the case study, so the
-work per path is the same at any step count, and the grid of ``steps``
-intervals sets only the series' coefficients.  The estimator is unbiased
-for the same grid quantity as the pathwise trapezoid with a smaller
-variance, and it uses only the law of the dynamics, never the closed-form
-value function it is checked against.  Each chunk writes its paths' ``w``
-into a bank-wide array, and once the bank's chunks are done the series runs
-on one contiguous slice of paths per worker.  Its degree and scale are
-taken over the whole bank and it is elementwise, so any split gives the
-same bits.
+its relative tail is below ``2^-54`` for the largest ``|w|`` of the chunk
+of paths it runs on, and evaluated by Horner's rule
+(``_cost_coefficients``).  Its degree depends on that largest ``|w|``
+alone, about 10 terms for the case study, so the work per path is the same
+at any step count, and the grid of ``steps`` intervals sets only the
+series' coefficients.  The estimator is unbiased for the same grid quantity
+as the pathwise trapezoid with a smaller variance, and it uses only the law
+of the dynamics, never the closed-form value function it is checked
+against.
 
 ``simulate_network`` returns two reports, the uncontrolled scenario and the
-controlled one.  A bank's two scenarios read the same chunk streams (common
-random numbers, Glasserman 2004, section 4.2).  A bank whose decided rate is
-zero (no action, or infeasible) is the same run in both, so it is simulated
-once and fills both reports' rows; an action bank runs at rate zero and
-again at its rate.
+controlled one.  At a constant rate ``psi`` the controlled ``w`` is the
+uncontrolled one plus ``psi T`` (common random numbers by construction,
+Glasserman 2004, section 4.2), so each bank is simulated once: one task per
+chunk draws the rate-zero walk and finishes both scenarios, cost included.
+A zero-rate bank (no action, or infeasible) fills both reports' rows.
 
 Reproducibility contract: paths run in fixed chunks of ``_CHUNK`` (16,384).
 Chunk ``c`` of bank ``i`` draws from its own SFC64 stream, seeded by
@@ -43,11 +40,12 @@ only row the estimates read, so a partial chunk's draws depend on its path
 count.  Antithetic pairing is the default: a chunk draws one column per
 path pair, taken by the pair's even path and negated for its odd path, and
 ``antithetic=False`` draws one column per path.  The chunk size is part of
-the draw contract and the thread count is not: a fixed seed yields
-bit-identical reports at any parallelism level, within one numpy version
-(NEP 19).  A worker holds one row of a chunk, as (blocks, columns): one
-block of every path, or for pairs the drawn block and its negation.  Each
-bank is reduced in path order as soon as it is simulated.
+the draw contract, and it fixes which paths share a cost series, but the
+thread count is not: a fixed seed yields bit-identical reports at any
+parallelism level, within one numpy version (NEP 19).  A worker holds one
+row of a chunk, as (blocks, columns): one block of every path, or for pairs
+the drawn block and its negation.  Each bank is reduced in path order as
+soon as it is simulated.
 
 The 95% half-widths use the iid formula.  It is conservative under
 pairing: the default indicator, the terminal value and the conditional cost
@@ -55,11 +53,11 @@ are each monotone in the draws, so a pair's negated draws never raise their
 variance (Glasserman 2004, section 4.2).
 
 ``bank_paths`` rebuilds a bank's paths on the grid of ``steps`` intervals,
-one chunk at a time.  It reads row 0 of the chunk's stream as the
-simulation does, then rows 1 to ``steps``, and fills the interior by
-Brownian bridge (Glasserman 2004, section 3.1).  With ``W`` the terminal
-step's ``log(X_N / x0)`` and ``S_k`` the running sum of ``sigma sqrt(dt)
-z_k`` over those rows,
+one chunk at a time.  It reads row 0 of the chunk's stream and adds ``psi
+T`` as the simulation does, then reads rows 1 to ``steps``, and fills the
+interior by Brownian bridge (Glasserman 2004, section 3.1).  With ``W`` the
+terminal step's ``log(X_N / x0)`` and ``S_k`` the running sum of ``sigma
+sqrt(dt) z_k`` over those rows,
 
     log(X_k / x0) = (k/N) W + (S_k - (k/N) S_N),
 
@@ -71,6 +69,7 @@ behind the estimates, and rebuilding paths moves no estimate.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import queue
 from collections.abc import Iterator
@@ -276,58 +275,71 @@ def _cost_coefficients(x0: float, sigma: float, psi: float,
         coef.append(a.sum() * term)
 
 
-def _expected_cost(coef: np.ndarray, walk: np.ndarray, terminal: np.ndarray,
-                   out: np.ndarray, wmax: float) -> None:
-    """Write each path's expected trapezoid cost given its terminal value
-    into ``out``: the even series ``coef`` in ``(w / wmax)^2`` by Horner's
-    rule, times ``terminal``.  ``walk`` holds ``w = log(X_N / x0)`` and is
-    overwritten by ``(w / wmax)^2``."""
+def _cost_series(coef: np.ndarray, walk: np.ndarray, wmax: float,
+                 scratch: np.ndarray, out: np.ndarray) -> None:
+    """Write the even series ``coef`` in ``(w / wmax)^2``, ``w`` from
+    ``walk``, into ``out`` by Horner's rule, ``(w / wmax)^2`` into
+    ``scratch``.  Times ``X_N`` it is each path's expected cost."""
     # wmax is 0 only when every w is
-    x = np.multiply(walk, 1 / wmax if wmax else 0.0, out=walk)
+    x = np.multiply(walk, 1 / wmax if wmax else 0.0, out=scratch)
     np.square(x, out=x)
     out[...] = coef[-1]
     for c in coef[-2::-1]:
         out *= x
         out += c
-    out *= terminal
 
 
 def _check_bank(net: FinancialNetwork, i: int, psi: float) -> None:
     require(is_int(i) and 0 <= i < net.n, "i",
             f"must be an integer bank index in [0, {net.n}), got {i!r}")
+    require(isinstance(psi, numbers.Real) and not isinstance(psi, bool),
+            "psi", f"must be a real number, got {psi!r}")
     require(math.isfinite(psi), "psi", MUST_BE_FINITE)
     require(psi >= 0, "psi", "must be non-negative")
 
 
-def _terminal_walk(mu_eff: float, sigma: float, horizon: float,
-                   cfg: SimConfig, stream: int, lo: int,
+def _terminal_walk(mu: float, sigma: float, horizon: float, cfg: SimConfig,
+                   stream: int, lo: int,
                    walk: np.ndarray) -> np.random.Generator:
-    """Fill ``walk`` (blocks, columns) with ``log(X_N / x0)`` of the chunk
-    that starts at path ``lo``, one exact step over the horizon from row 0
-    of the chunk's stream, and return the stream positioned after it."""
+    """Fill ``walk`` (blocks, columns) with the rate-zero ``log(X_N / x0)``
+    of the chunk that starts at path ``lo``, one exact step over the
+    horizon from row 0 of the chunk's stream, and return the stream
+    positioned after it."""
     # the same IEEE operations as the textbook one-step
     # ``(mu - sigma^2/2) T + sigma sqrt(T) z``
     gen = _generator(cfg.seed, stream, lo)
     _draw(gen, walk)
     walk *= sigma * math.sqrt(horizon)
-    walk += (mu_eff - 0.5 * sigma**2) * horizon
+    walk += (mu - 0.5 * sigma**2) * horizon
     return gen
 
 
-def _run_bank_chunk(x0: float, mu_eff: float, sigma: float, horizon: float,
-                    cfg: SimConfig, stream: int, lo: int, hi: int,
-                    buffers: queue.SimpleQueue, terminal_out: np.ndarray,
-                    walk_out: np.ndarray | None) -> None:
+def _run_bank_chunk(x0: float, mu: float, sigma: float, psi: float,
+                    horizon: float, cfg: SimConfig, stream: int, lo: int,
+                    hi: int, buffers: queue.SimpleQueue,
+                    terminal_out: np.ndarray,
+                    cost_out: np.ndarray | None) -> None:
+    # terminal row 0 at rate zero; row 1 and the costs at psi, when given
     borrowed = buffers.get()
     try:
         blocks = 2 if cfg.antithetic else 1
         z = borrowed[:blocks * -(-(hi - lo) // blocks)].reshape(blocks, -1)
-        _terminal_walk(mu_eff, sigma, horizon, cfg, stream, lo, z)
-        if walk_out is not None:
-            _scatter(walk_out[lo:hi], z)
-        z += math.log(x0)
-        np.exp(z, out=z)
-        _scatter(terminal_out[lo:hi], z)
+        _terminal_walk(mu, sigma, horizon, cfg, stream, lo, z)
+        terminal = terminal_out[:, lo:hi]
+        _scatter(terminal[0], z)
+        if cost_out is not None:
+            # a constant rate shifts the walk by psi T; the spent draws'
+            # buffer takes the series' (w / wmax)^2
+            walk = np.add(terminal[0], psi * horizon, out=terminal[1])
+            wmax = float(max(walk.max(), -walk.min()))
+            coef = _cost_coefficients(x0, sigma, psi, horizon, cfg.steps,
+                                      wmax)
+            _cost_series(coef, walk, wmax, borrowed[:hi - lo],
+                         cost_out[lo:hi])
+        terminal += math.log(x0)
+        np.exp(terminal, out=terminal)
+        if cost_out is not None:
+            cost_out[lo:hi] *= terminal[1]
     finally:
         # a lost row would leave a later chunk waiting forever
         buffers.put(borrowed)
@@ -338,32 +350,17 @@ def _workers(threads: int | None, paths: int) -> int:
     return min(_resolve_threads(threads), -(-paths // _CHUNK))
 
 
-def _simulate_bank(x0: float, mu_eff: float, sigma: float, psi: float,
+def _simulate_bank(x0: float, mu: float, sigma: float, psi: float,
                    horizon: float, cfg: SimConfig, stream: int,
-                   executor: ThreadPoolExecutor, workers: int,
-                   buffers: queue.SimpleQueue
+                   executor: ThreadPoolExecutor, buffers: queue.SimpleQueue
                    ) -> tuple[np.ndarray, np.ndarray | None]:
-    # zero-rate banks cost nothing on any grid, so they return ``cost`` None
-    terminal = np.empty(cfg.paths)
-    walk = np.empty(cfg.paths) if psi > 0 else None
-    futures = [executor.submit(_run_bank_chunk, x0, mu_eff, sigma, horizon,
-                               cfg, stream, lo, hi, buffers, terminal, walk)
+    # rate zero costs nothing on any grid, so a zero-rate bank returns one
+    # row of terminal values and ``cost`` None
+    terminal = np.empty((2 if psi > 0 else 1, cfg.paths))
+    cost = np.empty(cfg.paths) if psi > 0 else None
+    futures = [executor.submit(_run_bank_chunk, x0, mu, sigma, psi, horizon,
+                               cfg, stream, lo, hi, buffers, terminal, cost)
                for lo, hi in _chunks(cfg.paths)]
-    for future in futures:
-        future.result()
-    if walk is None:
-        return terminal, None
-    # the series' degree and scale come from the whole bank and the series
-    # is elementwise, so any split of the paths gives the same bits; one
-    # slice per worker keeps each numpy call large, which spreads the cost
-    # of passing the interpreter lock between workers
-    wmax = float(max(walk.max(), -walk.min()))
-    coef = _cost_coefficients(x0, sigma, psi, horizon, cfg.steps, wmax)
-    cost = np.empty(cfg.paths)
-    bounds = [cfg.paths * k // workers for k in range(workers + 1)]
-    futures = [executor.submit(_expected_cost, coef, walk[lo:hi],
-                               terminal[lo:hi], cost[lo:hi], wmax)
-               for lo, hi in zip(bounds, bounds[1:])]
     for future in futures:
         future.result()
     return terminal, cost
@@ -377,10 +374,10 @@ def simulate_network(net: FinancialNetwork, decisions: list[ControlDecision],
     Returns ``(uncontrolled, controlled)``.  The uncontrolled report runs
     every bank at rate zero.  The controlled one gives each bank effective
     drift ``mu + psi_star`` (zero rate for no-action and infeasible banks).
-    Banks have independent drivers, and a bank's two scenarios read the
-    same chunk streams (common random numbers, Glasserman 2004, section
-    4.2), so a zero-rate bank is simulated once and its two rows are equal;
-    an action bank runs once at rate zero and once at ``psi_star``.  A bank
+    Banks have independent drivers and each is simulated once: an action
+    bank's controlled ``log(X_N / x0)`` is its uncontrolled one plus
+    ``psi_star T`` (common random numbers, Glasserman 2004, section 4.2),
+    and a zero-rate bank's two rows are equal.  A bank
     defaults when its terminal value falls strictly below its terminal
     default boundary; survival is inclusive at equality.  Infeasible
     decisions are refused: the bank is simulated uncontrolled and flagged in
@@ -421,21 +418,19 @@ def simulate_network(net: FinancialNetwork, decisions: list[ControlDecision],
     buffers = _chunk_buffers(cfg, workers)
     with ThreadPoolExecutor(max_workers=workers) as executor:
         for i in range(n):
-            # (rate, scenario rows the run fills)
-            runs = ([(0.0, [0]), (float(psi_eff[i]), [1])] if psi_eff[i] > 0
-                    else [(0.0, [0, 1])])
-            for rate, rows in runs:
-                terminal, cost = _simulate_bank(
-                    float(net.cash[i]), float(net.drift[i] + rate),
-                    float(net.vol[i]), rate, net.horizon, cfg, stream=i,
-                    executor=executor, workers=workers, buffers=buffers)
-                freq[rows, i] = (terminal < boundary[i]).mean()
-                terminal_mean[rows, i] = terminal.mean()
+            terminal, cost = _simulate_bank(
+                float(net.cash[i]), float(net.drift[i]), float(net.vol[i]),
+                float(psi_eff[i]), net.horizon, cfg, stream=i,
+                executor=executor, buffers=buffers)
+            # a zero-rate bank's one row fills both scenarios
+            scenarios = [[0, 1]] if cost is None else [[0], [1]]
+            for rows, x in zip(scenarios, terminal):
+                freq[rows, i] = (x < boundary[i]).mean()
+                terminal_mean[rows, i] = x.mean()
                 if cfg.paths > 1:
-                    logvar[rows, i] = np.log(terminal,
-                                             out=terminal).var(ddof=1)
-                if cost is not None:
-                    mean_cost[rows, i] = cost.mean()
+                    logvar[rows, i] = np.log(x, out=x).var(ddof=1)
+            if cost is not None:
+                mean_cost[1, i] = cost.mean()
 
     halfwidth = _Z95 * np.sqrt(freq * (1.0 - freq) / cfg.paths)
     return tuple(
@@ -455,10 +450,10 @@ def estimate_cost(net: FinancialNetwork, i: int, psi: float, cfg: SimConfig,
     Mean over paths of half the trapezoid integral of the squared loan flow
     at constant rate ``psi`` on the ``cfg.steps`` grid, each path's integral
     taken as its exact expectation given the path's terminal value, with a
-    95% confidence half-width.  Each path takes one exact step, drawn from
-    the same SFC64 chunk streams as ``simulate_network``, independent by
-    ``SeedSequence`` hashing; a partial chunk's draws depend on its path
-    count, and hold within one numpy version (NEP 19).  The half-width uses
+    95% confidence half-width.  The paths are ``simulate_network``'s, so
+    the mean is bit for bit its controlled ``mean_cost`` at rate ``psi``;
+    a partial chunk's draws depend on its path count, and hold within one
+    numpy version (NEP 19).  The half-width uses
     the iid formula, conservative under ``cfg.antithetic`` because the
     conditional cost is monotone in the draws.
     """
@@ -466,9 +461,9 @@ def estimate_cost(net: FinancialNetwork, i: int, psi: float, cfg: SimConfig,
     workers = _workers(threads, cfg.paths)
     with ThreadPoolExecutor(max_workers=workers) as executor:
         _, cost = _simulate_bank(
-            float(net.cash[i]), float(net.drift[i] + psi), float(net.vol[i]),
+            float(net.cash[i]), float(net.drift[i]), float(net.vol[i]),
             float(psi), net.horizon, cfg, stream=int(i), executor=executor,
-            workers=workers, buffers=_chunk_buffers(cfg, workers))
+            buffers=_chunk_buffers(cfg, workers))
     if cost is None:
         return 0.0, 0.0
     halfwidth = (_Z95 * float(cost.std(ddof=1)) / math.sqrt(cfg.paths)
@@ -485,17 +480,21 @@ def bank_paths(net: FinancialNetwork, i: int, psi: float,
     the estimates for the same bank, rate and ``cfg``; the interior is a
     Brownian bridge between them (see the module docstring)."""
     _check_bank(net, i, psi)
-    return (_chunk_paths(float(net.cash[i]), float(net.drift[i] + psi),
-                         float(net.vol[i]), net.horizon, cfg, int(i), lo, hi)
+    return (_chunk_paths(float(net.cash[i]), float(net.drift[i]),
+                         float(net.vol[i]), float(psi), net.horizon, cfg,
+                         int(i), lo, hi)
             for lo, hi in _chunks(cfg.paths))
 
 
-def _chunk_paths(x0: float, mu_eff: float, sigma: float, horizon: float,
-                 cfg: SimConfig, stream: int, lo: int, hi: int) -> np.ndarray:
+def _chunk_paths(x0: float, mu: float, sigma: float, psi: float,
+                 horizon: float, cfg: SimConfig, stream: int, lo: int,
+                 hi: int) -> np.ndarray:
     blocks = 2 if cfg.antithetic else 1
     cols = -(-(hi - lo) // blocks)
     walk = np.empty((blocks, cols))
-    gen = _terminal_walk(mu_eff, sigma, horizon, cfg, stream, lo, walk)
+    gen = _terminal_walk(mu, sigma, horizon, cfg, stream, lo, walk)
+    # the same shift as the simulation's, so X_N is bit for bit its own
+    walk += psi * horizon
     # (blocks, steps, columns): row k - 1 holds step k
     z = np.empty((blocks, cfg.steps, cols))
     _draw(gen, z)

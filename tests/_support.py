@@ -4,6 +4,8 @@ The closed-form oracles are deliberately written in plain Python (lists and
 loops, no numpy) so they cannot share a code path with the library.  The
 simulation reference needs numpy's generator and operations to be bitwise
 comparable, but it shares no code with the engine's chunked, in-place kernel.
+The Euler-Maruyama oracle uses numpy for speed, with its own stream and its
+own discretisation of the dynamics.
 """
 
 from __future__ import annotations
@@ -184,17 +186,19 @@ def reference_simulation(net: ln.FinancialNetwork, decisions,
 
     Draws follow the documented chunk layout (``_reference_normals``): every
     path takes one exact step over the horizon from row 0 of its chunk's
-    stream.  Stream independence rests on ``SeedSequence`` hashing, a
-    partial chunk's draws depend on its path count, and the draws are fixed
-    only within one numpy version (NEP 19).  The chunks are joined along
-    the path axis and the path arithmetic is the textbook expression on
-    fresh arrays.  A path's cost is the expectation of its trapezoid sum on
-    the ``steps`` grid given its terminal value, the even series ``X_N
-    sum_m c_m (w / wmax)^(2m)`` in ``w = log(X_N / x0)`` by Horner's rule,
-    with ``c_m = wmax^(2m) / (2m)! sum_k a_k u_k^(2m) / x0``, ``u_k = 2k/N -
-    1`` and ``a_k`` the coefficients of the cost as a polynomial in ``r =
-    (X_N / x0)^(2/N)``.  The degree and ``wmax``, the largest ``|w|``, are
-    taken over the whole bank.  It must agree with the engine bit for bit.
+    stream, at the bank's own drift.  Stream independence rests on
+    ``SeedSequence`` hashing, a partial chunk's draws depend on its path
+    count, and the draws are fixed only within one numpy version (NEP 19).
+    The chunks are joined along the path axis and the path arithmetic is
+    the textbook expression on fresh arrays.  A bank at rate ``psi`` takes
+    the rate-zero walk ``w = log(X_N / x0)`` plus ``psi T``.  A path's cost
+    is the expectation of its trapezoid sum on the ``steps`` grid given its
+    terminal value, the even series ``X_N sum_m c_m (w / wmax)^(2m)`` by
+    Horner's rule, with ``c_m = wmax^(2m) / (2m)! sum_k a_k u_k^(2m) / x0``,
+    ``u_k = 2k/N - 1`` and ``a_k`` the coefficients of the cost as a
+    polynomial in ``r = (X_N / x0)^(2/N)``.  The degree and ``wmax``, the
+    largest ``|w|``, are taken per chunk of ``engine._CHUNK`` paths.  It
+    must agree with the engine bit for bit.
     """
     n, paths = net.n, cfg.paths
     psi = np.array([d.psi_star if d.region is ln.Region.ACTION else 0.0
@@ -203,11 +207,11 @@ def reference_simulation(net: ln.FinancialNetwork, decisions,
     cost = np.zeros((n, paths))
     for i in range(n):
         x0, sigma, rate = float(net.cash[i]), float(net.vol[i]), float(psi[i])
-        mu_eff = float(net.drift[i] + psi[i])
-        horizon = net.horizon
+        mu, horizon = float(net.drift[i]), net.horizon
         z = np.concatenate(_reference_normals(cfg, i, 1), axis=1)[0]
-        w = ((mu_eff - 0.5 * sigma**2) * horizon
-             + sigma * math.sqrt(horizon) * z)
+        w = (mu - 0.5 * sigma**2) * horizon + sigma * math.sqrt(horizon) * z
+        if rate > 0:
+            w = w + rate * horizon
         terminal[i] = np.exp(w + math.log(x0))
         if rate > 0:
             # a_k = 0.5 psi^2 dt w_k E[X_k^2 | X_N] / r^k on the cost grid,
@@ -219,27 +223,29 @@ def reference_simulation(net: ln.FinancialNetwork, decisions,
             a[[0, -1]] *= 0.5
             a *= 0.5 * rate**2 * grid_dt * x0
             u2 = ((2 * k - grid) / grid) ** 2
-            wmax = float(np.abs(w).max())
-            # factors wmax^(2m) / (2m)! up to the degree: the smallest K
-            # with W^(K+1) / (2K+2)! <= 2^-55 and W <= (2K+3)(K+2)
-            big = wmax**2
-            factors = [1.0]
-            while True:
-                m = len(factors)
-                factor = factors[-1] * (big / ((2 * m - 1) * (2 * m)))
-                if factor <= 2.0**-55 and big <= (2 * m + 1) * (m + 1):
-                    break
-                factors.append(factor)
-            coef = [a.sum()]
-            powers = a
-            for factor in factors[1:]:
-                powers = powers * u2
-                coef.append(powers.sum() * factor)
-            x = (w * (1 / wmax if wmax else 0.0)) ** 2
-            total = np.full(paths, coef[-1])
-            for c in coef[-2::-1]:
-                total = total * x + c
-            cost[i] = total * terminal[i]
+            for lo in range(0, paths, engine._CHUNK):
+                part = slice(lo, lo + engine._CHUNK)
+                wmax = float(np.abs(w[part]).max())
+                # factors wmax^(2m) / (2m)! up to the degree: the smallest
+                # K with W^(K+1) / (2K+2)! <= 2^-55 and W <= (2K+3)(K+2)
+                big = wmax**2
+                factors = [1.0]
+                while True:
+                    m = len(factors)
+                    factor = factors[-1] * (big / ((2 * m - 1) * (2 * m)))
+                    if factor <= 2.0**-55 and big <= (2 * m + 1) * (m + 1):
+                        break
+                    factors.append(factor)
+                coef = [a.sum()]
+                powers = a
+                for factor in factors[1:]:
+                    powers = powers * u2
+                    coef.append(powers.sum() * factor)
+                x = (w[part] * (1 / wmax if wmax else 0.0)) ** 2
+                total = np.full(len(x), coef[-1])
+                for c in coef[-2::-1]:
+                    total = total * x + c
+                cost[i, part] = total * terminal[i, part]
     boundary = ln.default_boundary(net)
     freq = (terminal < boundary[:, None]).mean(axis=1)
     logvar = (np.log(terminal).var(axis=1, ddof=1) if paths > 1
@@ -266,11 +272,11 @@ def reference_paths(net: ln.FinancialNetwork, i: int, psi: float,
     x0) = (k/N) W + (S_k - (k/N) S_N)``, a Brownian bridge from 0 to ``W``.
     Column 0 is ``x0``.  It must agree with the engine bit for bit.
     """
-    x0, sigma = float(net.cash[i]), float(net.vol[i])
-    mu_eff = float(net.drift[i] + psi)
+    x0, sigma, mu = float(net.cash[i]), float(net.vol[i]), float(net.drift[i])
     horizon, steps = net.horizon, cfg.steps
     z = np.concatenate(_reference_normals(cfg, i, steps + 1, slab), axis=1)
-    w = (mu_eff - 0.5 * sigma**2) * horizon + sigma * math.sqrt(horizon) * z[0]
+    w = ((mu - 0.5 * sigma**2) * horizon + sigma * math.sqrt(horizon) * z[0]
+         + psi * horizon)
     s = np.cumsum(sigma * math.sqrt(horizon / steps) * z[1:], axis=0)
     frac = (np.arange(1, steps + 1) / steps)[:, None]
     bridge = frac * w + (s - frac * s[-1])
@@ -278,3 +284,36 @@ def reference_paths(net: ln.FinancialNetwork, i: int, psi: float,
     paths[:, 0] = x0
     paths[:, 1:] = np.exp(bridge + math.log(x0)).T
     return paths
+
+
+def euler_maruyama(x0: float, drift: float, sigma: float, horizon: float,
+                   steps: int, paths: int, seed: int):
+    """Plain Euler-Maruyama on ``dX = drift X dt + sigma X dW``, an oracle
+    that shares nothing with the engine's exact step.
+
+    Runs ``2 * steps`` fine intervals and ``steps`` coarse ones on the same
+    Brownian path, a coarse increment being the sum of two fine ones, so
+    the gap between the two runs measures the scheme's weak error.  The
+    increments come from its own ``SFC64(seed)`` stream, one fine step of
+    ``paths`` normals at a time.  Returns ``(coarse, fine)``, each a pair
+    of per-path arrays: the terminal value and the trapezoid integral of
+    ``X^2`` over the horizon on that run's grid.
+    """
+    gen = np.random.Generator(np.random.SFC64(seed))
+    dt = horizon / (2 * steps)
+    coarse, fine = np.full(paths, x0), np.full(paths, x0)
+    # trapezoid sums of X^2, each end point at half weight
+    coarse_sq = np.full(paths, 0.5 * x0**2 * 2 * dt)
+    fine_sq = np.full(paths, 0.5 * x0**2 * dt)
+    for _ in range(steps):
+        dw = [math.sqrt(dt) * gen.standard_normal(paths) for _ in range(2)]
+        for w in dw:
+            fine = fine + drift * fine * dt + sigma * fine * w
+            fine_sq += fine**2 * dt
+        coarse = (coarse + drift * coarse * 2 * dt
+                  + sigma * coarse * (dw[0] + dw[1]))
+        coarse_sq += coarse**2 * 2 * dt
+    # the terminal point was summed at full weight, and takes half
+    fine_sq -= 0.5 * fine**2 * dt
+    coarse_sq -= coarse**2 * dt
+    return (coarse, coarse_sq), (fine, fine_sq)

@@ -9,8 +9,9 @@ import lolrnet as ln
 import lolrnet.cli as cli
 import lolrnet.simulate as engine
 from _support import (B1_SURVIVAL_UNCONTROLLED, B3_PSI_STAR,
-                      B3_SURVIVAL_UNCONTROLLED, reference_paths,
-                      reference_simulation, report_equal, reports_equal)
+                      B3_SURVIVAL_UNCONTROLLED, euler_maruyama,
+                      reference_paths, reference_simulation, report_equal,
+                      reports_equal)
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +67,18 @@ def _chunk_normals(seed, bank, chunk, paths, steps=3):
 
 
 class TestCounterAddressing:
+    def test_draw_contract_is_pinned(self):
+        # every other simulate test compares the engine with a reference
+        # drawn by the same numpy, so only pinned values notice a numpy
+        # release that changes SFC64 or its ziggurat normals
+        pinned = ["0x1.f072d3b06814bp-5", "0x1.c76c2c8ae382ep+0",
+                  "0x1.085fc543a403dp-1", "-0x1.35f15ad5f9d58p-7"]
+        drawn = [float(z).hex()
+                 for z in engine._generator(42, 0, 0).standard_normal(4)]
+        assert drawn == pinned, (
+            f"numpy {np.__version__} moved the SFC64 / ziggurat draw "
+            "contract (NEP 19): every fixed-seed report and dump changes")
+
     def test_chunk_is_even(self):
         # an odd chunk would split an antithetic pair across two streams
         assert engine._CHUNK % 2 == 0
@@ -167,22 +180,23 @@ class TestDeterminism:
     def test_path_costs_do_not_depend_on_workers(self, case_network,
                                                  controlled):
         # a mean can hide a last-bit change in a few paths' costs, so the
-        # costs are compared path by path: three workers split the 40,000
-        # paths into three slices, and the series' degree and scale must
-        # still come from the whole bank
+        # costs are compared path by path: 40,000 paths are three chunks,
+        # one per worker at three workers, and each chunk's series takes
+        # its degree and scale from that chunk alone
         cfg = ln.SimConfig(paths=40_000, steps=200, seed=5)
         psi = controlled[2].psi_star
-        costs = []
+        runs = []
         for workers in (1, 3):
             with ThreadPoolExecutor(max_workers=workers) as executor:
-                _, cost = engine._simulate_bank(
-                    float(case_network.cash[2]),
-                    float(case_network.drift[2] + psi),
+                runs.append(engine._simulate_bank(
+                    float(case_network.cash[2]), float(case_network.drift[2]),
                     float(case_network.vol[2]), psi, case_network.horizon,
-                    cfg, stream=2, executor=executor, workers=workers,
-                    buffers=engine._chunk_buffers(cfg, workers))
-            costs.append(cost)
-        assert np.array_equal(*costs)
+                    cfg, stream=2, executor=executor,
+                    buffers=engine._chunk_buffers(cfg, workers)))
+        (terminal, cost), (other_terminal, other_cost) = runs
+        assert terminal.shape == (2, 40_000)
+        assert np.array_equal(terminal, other_terminal)
+        assert np.array_equal(cost, other_cost)
 
     def test_env_variable_caps_threads(self, case_network, controlled,
                                        monkeypatch):
@@ -317,12 +331,11 @@ class TestKernelMatchesReference:
 
 class TestWork:
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_cli_runs_each_zero_rate_bank_once(self, monkeypatch, tmp_path,
-                                               threads):
-        # 40,000 paths are 3 chunks.  Each of the 4 banks runs once at rate
-        # zero for both scenarios, and the one action bank once more at its
-        # rate from the same chunk streams: 4 x 3 + 3 streams.  Its cost
-        # series runs once per worker, not once per chunk
+    def test_cli_runs_each_bank_once(self, monkeypatch, tmp_path, threads):
+        # 40,000 paths are 3 chunks.  Each of the 4 banks draws its chunk
+        # streams once for both scenarios, the action bank's controlled
+        # walk being its uncontrolled one plus psi T: 4 x 3 streams.  Its
+        # cost series runs once per chunk, in the chunk's task
         streams, costs = [], []
 
         def counted(fn, calls):
@@ -333,17 +346,17 @@ class TestWork:
 
         monkeypatch.setattr(engine, "_generator",
                             counted(engine._generator, streams))
-        monkeypatch.setattr(engine, "_expected_cost",
-                            counted(engine._expected_cost, costs))
+        monkeypatch.setattr(engine, "_cost_series",
+                            counted(engine._cost_series, costs))
         monkeypatch.setenv("LOLRNET_THREADS", str(threads))
         assert cli.main(["simulate", "--config", "case_study.json",
                          "--paths", "40000",
                          "--output", str(tmp_path / "out.csv")]) == 0
-        assert len(streams) == 15
-        assert sorted({args[1:] for args in streams}) == [
+        assert len(streams) == 12
+        assert sorted(args[1:] for args in streams) == [
             (bank, lo) for bank in range(4) for lo in (0, 16_384, 32_768)]
-        assert len(costs) == threads
-        assert sum(len(args[1]) for args in costs) == 40_000
+        assert sorted(len(args[1]) for args in costs) == [
+            40_000 - 2 * 16_384, 16_384, 16_384]
 
 
 def _peak_bytes(run):
@@ -539,7 +552,8 @@ class TestCostEstimation:
         coef = engine._cost_coefficients(x0, sigma, psi, horizon, steps,
                                          wmax)
         cost = np.empty_like(walk)
-        engine._expected_cost(coef, walk, terminal, cost, wmax)
+        engine._cost_series(coef, walk, wmax, np.empty_like(walk), cost)
+        cost *= terminal
         np.testing.assert_allclose(cost, expected, rtol=1e-13)
 
     @pytest.mark.parametrize("wmax,degree", [(0.0, 0), (1.0, 9), (8.0, 23),
@@ -584,7 +598,8 @@ class TestCostEstimation:
         halfwidth = 1.959963984540054 * diff.std(ddof=1) / math.sqrt(n)
         assert abs(pathwise.mean() - report.mean_cost[2]) <= halfwidth
 
-    @pytest.mark.parametrize("psi", [math.nan, math.inf, -0.1])
+    @pytest.mark.parametrize("psi", [math.nan, math.inf, -0.1, True, "0.1",
+                                     None])
     def test_rejects_bad_rate(self, case_network, psi):
         for run in (ln.estimate_cost, ln.bank_paths):
             with pytest.raises(ln.InvalidValueError) as info:
@@ -608,6 +623,19 @@ class TestCostEstimation:
             ln.estimate_cost(case_network, 2, 0.1, cfg)
         assert np.array_equal(_dumped(case_network, np.uint8(2), 0.1, cfg),
                               _dumped(case_network, 2, 0.1, cfg))
+
+    @pytest.mark.parametrize("antithetic", [True, False],
+                             ids=["antithetic", "iid"])
+    def test_matches_simulated_cost_bit_for_bit(self, case_network,
+                                                controlled, antithetic):
+        # one cost path: 40,000 paths are three chunks, each with its own
+        # series, and estimate_cost runs them as simulate_network does
+        cfg = ln.SimConfig(paths=40_000, steps=50, seed=12,
+                           antithetic=antithetic)
+        _, report = ln.simulate_network(case_network, controlled, cfg)
+        mean, _ = ln.estimate_cost(case_network, 2, controlled[2].psi_star,
+                                   cfg)
+        assert mean == report.mean_cost[2]
 
     def test_zero_rate_costs_exactly_zero(self, case_network):
         mean, halfwidth = ln.estimate_cost(case_network, 2, 0.0,
@@ -648,6 +676,44 @@ class TestCostEstimation:
         high, _ = ln.estimate_cost(net, 0, 0.4, cfg, threads=1)
         ratio = deterministic_cost(0.4) / deterministic_cost(0.2)
         assert high / low == pytest.approx(ratio, rel=1e-6)
+
+
+class TestEulerOracle:
+    """Plain Euler-Maruyama with the rate in the drift, against the closed
+    forms.  The engine takes a controlled walk as the rate-zero one plus
+    ``psi T``; this oracle puts ``mu + psi`` in every Euler step instead.
+
+    Each estimate must lie within three standard errors of the fine run
+    plus a weak-error allowance: Euler's weak error is first order in the
+    step, so the fine run's is about the coarse-to-fine gap, taken with
+    three standard errors of that coupled difference.
+    """
+
+    @pytest.mark.parametrize("psi", [0.0, B3_PSI_STAR],
+                             ids=["uncontrolled", "controlled"])
+    def test_bank3_matches_closed_forms(self, case_network, psi):
+        x0, mu = float(case_network.cash[2]), float(case_network.drift[2])
+        sigma, horizon = float(case_network.vol[2]), case_network.horizon
+        problem = ln.ControlProblem(
+            mu=mu, sigma=sigma,
+            v_terminal=float(ln.default_boundary(case_network)[2]),
+            horizon_remaining=horizon, q=0.99)
+        coarse, fine = euler_maruyama(x0, mu + psi, sigma, horizon,
+                                      steps=100, paths=100_000, seed=2019)
+        checks = [(
+            [(terminal < problem.v_terminal).astype(float)
+             for terminal, _ in (coarse, fine)],
+            1 - ln.survival_probability(problem, x0, psi))]
+        if psi:
+            checks.append((
+                [0.5 * psi**2 * squares for _, squares in (coarse, fine)],
+                ln.value_function(problem, x0, psi)))
+        for (on_coarse, on_fine), exact in checks:
+            n = len(on_fine)
+            gap = on_coarse - on_fine
+            allowance = abs(gap.mean()) + 3 * gap.std(ddof=1) / math.sqrt(n)
+            tolerance = 3 * on_fine.std(ddof=1) / math.sqrt(n) + allowance
+            assert abs(on_fine.mean() - exact) <= tolerance
 
 
 class TestInfeasibleFallback:

@@ -26,9 +26,13 @@ against.
 ``simulate_network`` returns two reports, the uncontrolled scenario and the
 controlled one.  At a constant rate ``psi`` the controlled ``w`` is the
 uncontrolled one plus ``psi T`` (common random numbers by construction,
-Glasserman 2004, section 4.2), so each bank is simulated once: one task per
-chunk draws the rate-zero walk and finishes both scenarios, cost included.
-A zero-rate bank (no action, or infeasible) fills both reports' rows.
+Glasserman 2004, section 4.2), so each bank is simulated once.  All chunks
+of all banks go out in one fan-out, and each chunk task reduces both
+scenarios of its paths, in draw order, to default counts, sums and M2s
+(summed squared deviations); the calling thread combines them in chunk
+order, counts as integers, sums by ``math.fsum`` and M2s by Chan, Golub
+and LeVeque's update (1983).  The log-variance is that of ``w``, which the
+shift ``psi T`` leaves alone.
 
 Reproducibility contract: paths run in fixed chunks of ``_CHUNK`` (16,384).
 Chunk ``c`` of bank ``i`` draws from its own SFC64 stream, seeded by
@@ -40,12 +44,11 @@ only row the estimates read, so a partial chunk's draws depend on its path
 count.  Antithetic pairing is the default: a chunk draws one column per
 path pair, taken by the pair's even path and negated for its odd path, and
 ``antithetic=False`` draws one column per path.  The chunk size is part of
-the draw contract, and it fixes which paths share a cost series, but the
-thread count is not: a fixed seed yields bit-identical reports at any
-parallelism level, within one numpy version (NEP 19).  A worker holds one
-row of a chunk, as (blocks, columns): one block of every path, or for pairs
-the drawn block and its negation.  Each bank is reduced in path order as
-soon as it is simulated.
+the draw contract, and it fixes which paths share a cost series and a sum,
+but the thread count is not: a fixed seed yields bit-identical reports at
+any parallelism level, within one numpy version (NEP 19).  A worker holds
+three rows of a chunk, and draws into the first as (blocks, columns), the
+draw order: one block of every path, or the drawn block and its negation.
 
 The 95% half-widths use the iid formula.  It is conservative under
 pairing: the default indicator, the terminal value and the conditional cost
@@ -186,24 +189,6 @@ def _scatter(dst: np.ndarray, src: np.ndarray) -> None:
         part[...] = src[b, :len(part)]
 
 
-def _chunk_buffers(cfg: SimConfig, workers: int) -> queue.SimpleQueue:
-    """One row of a full chunk per worker, allocated by the calling thread.
-
-    Workers borrow a row for each chunk and put it back, so a run
-    allocates ``workers`` rows whatever its bank and chunk counts.  Buffers
-    allocated by the short-lived worker threads would be kept by the
-    allocator in per-thread arenas, and a run whose threads start before
-    the last run's have fully exited opens new arenas, so peak memory would
-    grow by a row at a time over repeated runs.
-    """
-    blocks = 2 if cfg.antithetic else 1
-    width = blocks * -(-min(_CHUNK, cfg.paths) // blocks)
-    buffers = queue.SimpleQueue()
-    for _ in range(workers):
-        buffers.put(np.empty(width))
-    return buffers
-
-
 def _resolve_threads(threads: int | None) -> int:
     if threads is not None:
         if not (is_int(threads) and threads >= 1):
@@ -314,56 +299,101 @@ def _terminal_walk(mu: float, sigma: float, horizon: float, cfg: SimConfig,
     return gen
 
 
-def _run_bank_chunk(x0: float, mu: float, sigma: float, psi: float,
-                    horizon: float, cfg: SimConfig, stream: int, lo: int,
-                    hi: int, buffers: queue.SimpleQueue,
-                    terminal_out: np.ndarray,
-                    cost_out: np.ndarray | None) -> None:
-    # terminal row 0 at rate zero; row 1 and the costs at psi, when given
-    borrowed = buffers.get()
-    try:
-        blocks = 2 if cfg.antithetic else 1
-        z = borrowed[:blocks * -(-(hi - lo) // blocks)].reshape(blocks, -1)
-        _terminal_walk(mu, sigma, horizon, cfg, stream, lo, z)
-        terminal = terminal_out[:, lo:hi]
-        _scatter(terminal[0], z)
-        if cost_out is not None:
-            # a constant rate shifts the walk by psi T; the spent draws'
-            # buffer takes the series' (w / wmax)^2
-            walk = np.add(terminal[0], psi * horizon, out=terminal[1])
-            wmax = float(max(walk.max(), -walk.min()))
-            coef = _cost_coefficients(x0, sigma, psi, horizon, cfg.steps,
-                                      wmax)
-            _cost_series(coef, walk, wmax, borrowed[:hi - lo],
-                         cost_out[lo:hi])
-        terminal += math.log(x0)
-        np.exp(terminal, out=terminal)
-        if cost_out is not None:
-            cost_out[lo:hi] *= terminal[1]
-    finally:
-        # a lost row would leave a later chunk waiting forever
-        buffers.put(borrowed)
+def _sum_m2(values: np.ndarray, scratch: np.ndarray) -> tuple[float, float]:
+    """Sum of ``values`` and of their squared deviations from their mean."""
+    total = values.sum()
+    deviation = np.subtract(values, total / len(values), out=scratch)
+    return total, np.square(deviation, out=deviation).sum()
 
 
-def _workers(threads: int | None, paths: int) -> int:
-    """The thread cap, but no more workers than a bank has chunks."""
-    return min(_resolve_threads(threads), -(-paths // _CHUNK))
+def _reduce_chunk(net: FinancialNetwork, i: int, psi: float,
+                  boundary: float, cfg: SimConfig, lo: int, hi: int,
+                  buf: np.ndarray, out: np.ndarray) -> None:
+    """Draw paths ``[lo, hi)`` of bank ``i`` into ``buf`` and write to
+    ``out`` the default count and terminal sum at rate zero and at ``psi``,
+    then the sum and M2 of the rate-zero ``log(X_N / x0)`` and of the cost."""
+    x0, sigma, horizon = float(net.cash[i]), float(net.vol[i]), net.horizon
+    size = hi - lo
+    blocks = 2 if cfg.antithetic else 1
+    _terminal_walk(float(net.drift[i]), sigma, horizon, cfg, i, lo,
+                   buf[0, :blocks * -(-size // blocks)].reshape(blocks, -1))
+    # the chunk's paths in draw order, without an odd chunk's unpaired
+    # mirror.  Only ufunc reductions: a BLAS call (np.dot, @, vdot, inner)
+    # wakes OpenBLAS's own spinning threads, which doubled a chunk's CPU
+    # time over its wall time on one worker
+    w, x, scratch = buf[:, :size]
+
+    def terminal_stats() -> tuple[int, float]:
+        np.exp(np.add(w, math.log(x0), out=x), out=x)
+        return np.count_nonzero(x < boundary), x.sum()
+
+    out[4:6] = _sum_m2(w, scratch)
+    out[0:2] = terminal_stats()
+    if psi == 0:
+        # rate zero costs nothing, and both scenarios are this one
+        out[2:4], out[6:8] = out[0:2], 0.0
+        return
+    # a constant rate shifts the walk by psi T and leaves var(w) alone
+    w += psi * horizon
+    out[2:4] = terminal_stats()
+    wmax = float(max(w.max(), -w.min()))
+    coef = _cost_coefficients(x0, sigma, psi, horizon, cfg.steps, wmax)
+    # the walk's row takes the series, then the cost
+    _cost_series(coef, w, wmax, scratch, w)
+    out[6:8] = _sum_m2(np.multiply(w, x, out=w), scratch)
 
 
-def _simulate_bank(x0: float, mu: float, sigma: float, psi: float,
-                   horizon: float, cfg: SimConfig, stream: int,
-                   executor: ThreadPoolExecutor, buffers: queue.SimpleQueue
-                   ) -> tuple[np.ndarray, np.ndarray | None]:
-    # rate zero costs nothing on any grid, so a zero-rate bank returns one
-    # row of terminal values and ``cost`` None
-    terminal = np.empty((2 if psi > 0 else 1, cfg.paths))
-    cost = np.empty(cfg.paths) if psi > 0 else None
-    futures = [executor.submit(_run_bank_chunk, x0, mu, sigma, psi, horizon,
-                               cfg, stream, lo, hi, buffers, terminal, cost)
-               for lo, hi in _chunks(cfg.paths)]
-    for future in futures:
-        future.result()
-    return terminal, cost
+def _fan_out(net: FinancialNetwork, banks: list[tuple], cfg: SimConfig,
+             threads: int | None) -> np.ndarray:
+    """``_reduce_chunk``'s statistics, (banks, chunks, 8), of ``banks``,
+    each ``(i, psi, boundary)``.  ``min(threads, banks x chunks)`` workers
+    pull (bank, chunk) jobs in that order from one queue.  The calling
+    thread allocates each worker's three rows of an even chunk width: the
+    allocator keeps a worker thread's buffers in a per-thread arena, and a
+    run whose threads start before the last run's exit opens new arenas,
+    so peak memory would grow over repeated runs.
+    """
+    spans = list(_chunks(cfg.paths))
+    stats = np.empty((len(banks), len(spans), 8))
+    jobs = queue.SimpleQueue()
+    for job in np.ndindex(stats.shape[:2]):
+        jobs.put(job)
+
+    def drain(buf: np.ndarray) -> None:
+        try:
+            while True:
+                b, c = jobs.get_nowait()
+                _reduce_chunk(net, *banks[b], cfg, *spans[c], buf, stats[b, c])
+        except queue.Empty:
+            pass
+
+    width = 2 * -(-min(_CHUNK, cfg.paths) // 2)
+    workers = min(_resolve_threads(threads), len(banks) * len(spans))
+    with ThreadPoolExecutor(max_workers=workers) as executor:
+        list(executor.map(drain, [np.empty((3, width))
+                                  for _ in range(workers)]))
+    return stats
+
+
+def _combine(stats: np.ndarray, paths: int
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_fan_out``'s statistics combined in chunk order: the default
+    counts (2, banks), the means (3, banks) of the terminal value in each
+    scenario and of the cost, ``math.fsum``s of chunk sums, and the M2s (2,
+    banks) of ``log(X_N / x0)`` and of the cost, by Chan et al.'s update."""
+    counts = stats[:, :, [0, 2]].astype(np.int64).sum(axis=1).T
+    means = np.array([[math.fsum(row) for row in stats[:, :, k]]
+                      for k in (1, 3, 6)]) / paths
+    sizes = [hi - lo for lo, hi in _chunks(paths)]
+    m2 = stats[:, 0, [5, 7]].T.copy()
+    for row, k in enumerate((4, 6)):
+        size, total = sizes[0], stats[:, 0, k]
+        for c, part in enumerate(sizes[1:], 1):
+            delta = stats[:, c, k] / part - total / size
+            m2[row] += stats[:, c, k + 1] + delta * delta * (
+                size * part / (size + part))
+            total, size = total + stats[:, c, k], size + part
+    return counts, means, m2
 
 
 def simulate_network(net: FinancialNetwork, decisions: list[ControlDecision],
@@ -377,9 +407,10 @@ def simulate_network(net: FinancialNetwork, decisions: list[ControlDecision],
     Banks have independent drivers and each is simulated once: an action
     bank's controlled ``log(X_N / x0)`` is its uncontrolled one plus
     ``psi_star T`` (common random numbers, Glasserman 2004, section 4.2),
-    and a zero-rate bank's two rows are equal.  A bank
-    defaults when its terminal value falls strictly below its terminal
-    default boundary; survival is inclusive at equality.  Infeasible
+    so its ``terminal_logvar`` is the same in both reports, and a
+    zero-rate bank's two rows are equal.  A bank defaults when its terminal
+    value falls strictly below its terminal default boundary; survival is
+    inclusive at equality.  Infeasible
     decisions are refused: the bank is simulated uncontrolled and flagged in
     the controlled report's ``infeasible_fallback``, the only field in which
     its two rows differ.
@@ -397,49 +428,23 @@ def simulate_network(net: FinancialNetwork, decisions: list[ControlDecision],
     """
     if len(decisions) != net.n:
         raise ValueError(f"need {net.n} decisions, got {len(decisions)}")
-    n = net.n
-    psi_eff = np.zeros(n)
-    infeasible = np.zeros(n, dtype=bool)
-    for i, decision in enumerate(decisions):
-        if decision.region is Region.ACTION:
-            psi_eff[i] = decision.psi_star
-        elif decision.region is Region.INFEASIBLE:
-            infeasible[i] = True
-
-    # row 0 of each estimate is the uncontrolled scenario and row 1 the
-    # controlled one.  Each bank is reduced as soon as it is simulated, so
-    # memory stays O(paths) at any bank count
+    infeasible = np.array([d.region is Region.INFEASIBLE for d in decisions])
+    # row 0 of each estimate is the uncontrolled scenario, row 1 controlled
     boundary = default_boundary(net)
-    freq = np.empty((2, n))
-    terminal_mean = np.empty((2, n))
-    logvar = np.zeros((2, n))
-    mean_cost = np.zeros((2, n))
-    workers = _workers(threads, cfg.paths)
-    buffers = _chunk_buffers(cfg, workers)
-    with ThreadPoolExecutor(max_workers=workers) as executor:
-        for i in range(n):
-            terminal, cost = _simulate_bank(
-                float(net.cash[i]), float(net.drift[i]), float(net.vol[i]),
-                float(psi_eff[i]), net.horizon, cfg, stream=i,
-                executor=executor, buffers=buffers)
-            # a zero-rate bank's one row fills both scenarios
-            scenarios = [[0, 1]] if cost is None else [[0], [1]]
-            for rows, x in zip(scenarios, terminal):
-                freq[rows, i] = (x < boundary[i]).mean()
-                terminal_mean[rows, i] = x.mean()
-                if cfg.paths > 1:
-                    logvar[rows, i] = np.log(x, out=x).var(ddof=1)
-            if cost is not None:
-                mean_cost[1, i] = cost.mean()
-
+    stats = _fan_out(net, [(i, d.psi_star if d.region is Region.ACTION
+                            else 0.0, boundary[i])
+                           for i, d in enumerate(decisions)], cfg, threads)
+    counts, means, m2 = _combine(stats, cfg.paths)
+    freq = counts / cfg.paths
+    logvar = m2[0] / max(cfg.paths - 1, 1)  # one path has M2 0
+    mean_cost = np.stack([np.zeros_like(means[2]), means[2]])
     halfwidth = _Z95 * np.sqrt(freq * (1.0 - freq) / cfg.paths)
     return tuple(
         SimReport(default_freq=freq[s], default_ci_halfwidth=halfwidth[s],
-                  mean_cost=mean_cost[s], terminal_mean=terminal_mean[s],
-                  terminal_logvar=logvar[s], paths_used=cfg.paths,
+                  mean_cost=mean_cost[s], terminal_mean=means[s],
+                  terminal_logvar=logvar.copy(), paths_used=cfg.paths,
                   seed_used=cfg.seed,
-                  infeasible_fallback=(infeasible if s
-                                       else np.zeros(n, dtype=bool)))
+                  infeasible_fallback=infeasible & bool(s))
         for s in (0, 1))
 
 
@@ -450,25 +455,20 @@ def estimate_cost(net: FinancialNetwork, i: int, psi: float, cfg: SimConfig,
     Mean over paths of half the trapezoid integral of the squared loan flow
     at constant rate ``psi`` on the ``cfg.steps`` grid, each path's integral
     taken as its exact expectation given the path's terminal value, with a
-    95% confidence half-width.  The paths are ``simulate_network``'s, so
-    the mean is bit for bit its controlled ``mean_cost`` at rate ``psi``;
-    a partial chunk's draws depend on its path count, and hold within one
-    numpy version (NEP 19).  The half-width uses
-    the iid formula, conservative under ``cfg.antithetic`` because the
-    conditional cost is monotone in the draws.
+    95% confidence half-width.  The paths, chunk tasks and chunk-order
+    combination are ``simulate_network``'s, so the mean is bit for bit its
+    controlled ``mean_cost`` at rate ``psi``; a partial chunk's draws
+    depend on its path count, and hold within one numpy version (NEP 19).
+    The half-width uses the iid formula, conservative under
+    ``cfg.antithetic`` because the conditional cost is monotone in the draws.
     """
     _check_bank(net, i, psi)
-    workers = _workers(threads, cfg.paths)
-    with ThreadPoolExecutor(max_workers=workers) as executor:
-        _, cost = _simulate_bank(
-            float(net.cash[i]), float(net.drift[i]), float(net.vol[i]),
-            float(psi), net.horizon, cfg, stream=int(i), executor=executor,
-            buffers=_chunk_buffers(cfg, workers))
-    if cost is None:
-        return 0.0, 0.0
-    halfwidth = (_Z95 * float(cost.std(ddof=1)) / math.sqrt(cfg.paths)
-                 if cfg.paths > 1 else 0.0)
-    return float(cost.mean()), halfwidth
+    # the default count is not read, so any boundary will do
+    stats = _fan_out(net, [(int(i), float(psi), 0.0)], cfg, threads)
+    _, means, m2 = _combine(stats, cfg.paths)
+    halfwidth = (_Z95 * math.sqrt(m2[1, 0] / (cfg.paths - 1))
+                 / math.sqrt(cfg.paths) if cfg.paths > 1 else 0.0)
+    return float(means[2, 0]), halfwidth
 
 
 def bank_paths(net: FinancialNetwork, i: int, psi: float,

@@ -180,9 +180,11 @@ def _reference_normals(cfg: ln.SimConfig, i: int, rows: int,
     return chunks
 
 
-def reference_simulation(net: ln.FinancialNetwork, decisions,
-                         cfg: ln.SimConfig) -> ln.SimReport:
-    """Unfused reference for ``simulate_network``: whole-bank arrays.
+def _reference_arrays(net: ln.FinancialNetwork, decisions, cfg: ln.SimConfig
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Whole-bank arrays (banks, paths) behind ``simulate_network``: the
+    rate-zero walk ``w = log(X_N / x0)``, the terminal values and the costs
+    under ``decisions``.
 
     Draws follow the documented chunk layout (``_reference_normals``): every
     path takes one exact step over the horizon from row 0 of its chunk's
@@ -191,18 +193,18 @@ def reference_simulation(net: ln.FinancialNetwork, decisions,
     count, and the draws are fixed only within one numpy version (NEP 19).
     The chunks are joined along the path axis and the path arithmetic is
     the textbook expression on fresh arrays.  A bank at rate ``psi`` takes
-    the rate-zero walk ``w = log(X_N / x0)`` plus ``psi T``.  A path's cost
+    the rate-zero walk plus ``psi T``.  A path's cost
     is the expectation of its trapezoid sum on the ``steps`` grid given its
     terminal value, the even series ``X_N sum_m c_m (w / wmax)^(2m)`` by
     Horner's rule, with ``c_m = wmax^(2m) / (2m)! sum_k a_k u_k^(2m) / x0``,
     ``u_k = 2k/N - 1`` and ``a_k`` the coefficients of the cost as a
     polynomial in ``r = (X_N / x0)^(2/N)``.  The degree and ``wmax``, the
-    largest ``|w|``, are taken per chunk of ``engine._CHUNK`` paths.  It
-    must agree with the engine bit for bit.
+    largest ``|w|``, are taken per chunk of ``engine._CHUNK`` paths.
     """
     n, paths = net.n, cfg.paths
     psi = np.array([d.psi_star if d.region is ln.Region.ACTION else 0.0
                     for d in decisions])
+    walk = np.empty((n, paths))
     terminal = np.empty((n, paths))
     cost = np.zeros((n, paths))
     for i in range(n):
@@ -210,6 +212,7 @@ def reference_simulation(net: ln.FinancialNetwork, decisions,
         mu, horizon = float(net.drift[i]), net.horizon
         z = np.concatenate(_reference_normals(cfg, i, 1), axis=1)[0]
         w = (mu - 0.5 * sigma**2) * horizon + sigma * math.sqrt(horizon) * z
+        walk[i] = w
         if rate > 0:
             w = w + rate * horizon
         terminal[i] = np.exp(w + math.log(x0))
@@ -246,18 +249,92 @@ def reference_simulation(net: ln.FinancialNetwork, decisions,
                 for c in coef[-2::-1]:
                     total = total * x + c
                 cost[i, part] = total * terminal[i, part]
-    boundary = ln.default_boundary(net)
-    freq = (terminal < boundary[:, None]).mean(axis=1)
-    logvar = (np.log(terminal).var(axis=1, ddof=1) if paths > 1
-              else np.zeros(n))
+    return walk, terminal, cost
+
+
+def _draw_order_chunks(values: np.ndarray, cfg: ln.SimConfig):
+    """``values`` (paths,) split into chunks of ``engine._CHUNK`` paths,
+    each in draw order: for pairs, every pair's first path, then every
+    pair's second."""
+    for lo in range(0, cfg.paths, engine._CHUNK):
+        part = values[lo:lo + engine._CHUNK]
+        yield (np.concatenate([part[0::2], part[1::2]]) if cfg.antithetic
+               else part)
+
+
+def chunked_mean(values: np.ndarray, cfg: ln.SimConfig) -> float:
+    """The engine's mean of per-path ``values``: each chunk summed in draw
+    order, the chunk sums added by ``math.fsum``."""
+    return math.fsum(part.sum()
+                     for part in _draw_order_chunks(values, cfg)) / cfg.paths
+
+
+def _chan_m2(values: np.ndarray, cfg: ln.SimConfig) -> float:
+    """Sum of squared deviations of ``values``: per chunk about the chunk's
+    mean, combined in chunk order by Chan, Golub and LeVeque's update,
+    the running mean taken from the running sum."""
+    size = 0
+    for part in _draw_order_chunks(values, cfg):
+        chunk_sum = part.sum()
+        chunk_m2 = ((part - chunk_sum / len(part)) ** 2).sum()
+        if size:
+            delta = chunk_sum / len(part) - total / size
+            m2 += chunk_m2 + delta * delta * (
+                size * len(part) / (size + len(part)))
+            total, size = total + chunk_sum, size + len(part)
+        else:
+            size, total, m2 = len(part), chunk_sum, chunk_m2
+    return m2
+
+
+def _report(freq, mean_cost, terminal_mean, logvar, decisions,
+            cfg: ln.SimConfig) -> ln.SimReport:
+    freq = np.asarray(freq, dtype=float)
     return ln.SimReport(
         default_freq=freq,
         default_ci_halfwidth=1.959963984540054 * np.sqrt(
-            freq * (1.0 - freq) / paths),
-        mean_cost=cost.mean(axis=1), terminal_mean=terminal.mean(axis=1),
-        terminal_logvar=logvar, paths_used=paths, seed_used=cfg.seed,
+            freq * (1.0 - freq) / cfg.paths),
+        mean_cost=np.asarray(mean_cost, dtype=float),
+        terminal_mean=np.asarray(terminal_mean, dtype=float),
+        terminal_logvar=np.asarray(logvar, dtype=float),
+        paths_used=cfg.paths, seed_used=cfg.seed,
         infeasible_fallback=np.array(
             [d.region is ln.Region.INFEASIBLE for d in decisions]))
+
+
+def reference_simulation(net: ln.FinancialNetwork, decisions,
+                         cfg: ln.SimConfig) -> ln.SimReport:
+    """Unfused reference for ``simulate_network``, on whole-bank arrays
+    (``_reference_arrays``) reduced chunk by chunk.
+
+    A default count is an integer.  The terminal mean and the mean cost
+    are ``chunked_mean``s.  The log-variance is that of the rate-zero walk
+    ``w`` in either scenario (a shift by ``psi T`` leaves a variance
+    alone), its M2 combined over the chunks in chunk order
+    (``_chan_m2``).  It must agree with the engine bit for bit.
+    """
+    walk, terminal, cost = _reference_arrays(net, decisions, cfg)
+    boundary = ln.default_boundary(net)
+    return _report(
+        [int(np.count_nonzero(x < b)) / cfg.paths
+         for x, b in zip(terminal, boundary)],
+        [chunked_mean(c, cfg) for c in cost],
+        [chunked_mean(x, cfg) for x in terminal],
+        [_chan_m2(w, cfg) / (cfg.paths - 1) if cfg.paths > 1 else 0.0
+         for w in walk], decisions, cfg)
+
+
+def whole_array_simulation(net: ln.FinancialNetwork, decisions,
+                           cfg: ln.SimConfig) -> ln.SimReport:
+    """``simulate_network``'s estimates by whole-array numpy on the same
+    draws: each field one numpy reduction over a bank's paths in path
+    order, the log-variance that of the rate-zero walk ``w``."""
+    walk, terminal, cost = _reference_arrays(net, decisions, cfg)
+    return _report(
+        (terminal < ln.default_boundary(net)[:, None]).mean(axis=1),
+        cost.mean(axis=1), terminal.mean(axis=1),
+        (walk.var(axis=1, ddof=1) if cfg.paths > 1 else np.zeros(net.n)),
+        decisions, cfg)
 
 
 def reference_paths(net: ln.FinancialNetwork, i: int, psi: float,

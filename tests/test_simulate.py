@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,9 +8,9 @@ import lolrnet as ln
 import lolrnet.cli as cli
 import lolrnet.simulate as engine
 from _support import (B1_SURVIVAL_UNCONTROLLED, B3_PSI_STAR,
-                      B3_SURVIVAL_UNCONTROLLED, euler_maruyama,
+                      B3_SURVIVAL_UNCONTROLLED, chunked_mean, euler_maruyama,
                       reference_paths, reference_simulation, report_equal,
-                      reports_equal)
+                      reports_equal, whole_array_simulation)
 
 
 @pytest.fixture(scope="module")
@@ -179,24 +178,21 @@ class TestDeterminism:
 
     def test_path_costs_do_not_depend_on_workers(self, case_network,
                                                  controlled):
-        # a mean can hide a last-bit change in a few paths' costs, so the
-        # costs are compared path by path: 40,000 paths are three chunks,
-        # one per worker at three workers, and each chunk's series takes
-        # its degree and scale from that chunk alone
+        # a combined mean can hide a last-bit change in one chunk, so each
+        # chunk's statistics are compared: 40,000 paths are three chunks,
+        # one per worker at three workers, and each chunk's cost series
+        # takes its degree and scale from that chunk alone
         cfg = ln.SimConfig(paths=40_000, steps=200, seed=5)
-        psi = controlled[2].psi_star
-        runs = []
-        for workers in (1, 3):
-            with ThreadPoolExecutor(max_workers=workers) as executor:
-                runs.append(engine._simulate_bank(
-                    float(case_network.cash[2]), float(case_network.drift[2]),
-                    float(case_network.vol[2]), psi, case_network.horizon,
-                    cfg, stream=2, executor=executor,
-                    buffers=engine._chunk_buffers(cfg, workers)))
-        (terminal, cost), (other_terminal, other_cost) = runs
-        assert terminal.shape == (2, 40_000)
-        assert np.array_equal(terminal, other_terminal)
-        assert np.array_equal(cost, other_cost)
+        bank = (2, controlled[2].psi_star,
+                ln.default_boundary(case_network)[2])
+        one, three = (engine._fan_out(case_network, [bank], cfg,
+                                      threads=workers)
+                      for workers in (1, 3))
+        assert one.shape == (1, 3, 8)
+        # the controlled row defaults less and costs something
+        assert (one[0, :, 2] < one[0, :, 0]).all()
+        assert (one[0, :, 6:] > 0).all()
+        assert np.array_equal(one, three)
 
     def test_env_variable_caps_threads(self, case_network, controlled,
                                        monkeypatch):
@@ -328,6 +324,31 @@ class TestKernelMatchesReference:
         assert got[1].infeasible_fallback.tolist() == [False, False, True,
                                                        False]
 
+    @pytest.mark.parametrize("antithetic", [True, False],
+                             ids=["antithetic", "iid"])
+    @pytest.mark.parametrize("paths", [1, 2, 7, 16_385, 40_001])
+    def test_close_to_whole_array_numpy(self, case_network, uncontrolled,
+                                        controlled, paths, antithetic):
+        # the chunked sums and Chan's combination only regroup float
+        # additions of positive terms (values, or squared deviations about
+        # a mean): each side's relative error is at most about log2(paths)
+        # + 2 ulps, under 1e-14 at these sizes, so 1e-13 is a float64
+        # bound with room.  A count is exact; one path has no variance
+        cfg = ln.SimConfig(paths=paths, steps=50, seed=29,
+                           antithetic=antithetic)
+        got = ln.simulate_network(case_network, controlled, cfg, threads=2)
+        _assert_pair_matches_reference(got, case_network, uncontrolled,
+                                       controlled, cfg, 0)
+        for report, decisions in zip(got, (uncontrolled, controlled)):
+            want = whole_array_simulation(case_network, decisions, cfg)
+            assert np.array_equal(report.default_freq, want.default_freq)
+            for field in ("mean_cost", "terminal_mean", "terminal_logvar"):
+                np.testing.assert_allclose(getattr(report, field),
+                                           getattr(want, field), rtol=1e-13,
+                                           atol=0, err_msg=field)
+            if paths == 1:
+                assert not report.terminal_logvar.any()
+
 
 class TestWork:
     @pytest.mark.parametrize("threads", [1, 2])
@@ -379,6 +400,18 @@ class TestMemory:
                      ln.SimConfig(paths=32_768, steps=steps, seed=3),
                      threads=2))[0]
                  for steps in (10, 4_000)]
+        assert peaks[1] <= peaks[0] + 2**20
+
+    def test_memory_does_not_grow_with_paths(self, case_network,
+                                             controlled):
+        # each chunk task reduces its own chunk, so ten times the paths
+        # add only each chunk's few statistics, where whole-bank arrays
+        # would add 3 x 294,912 x 8 B = 7.1 MB for the action bank
+        peaks = [_peak_bytes(lambda: ln.simulate_network(
+                     case_network, controlled,
+                     ln.SimConfig(paths=paths, steps=200, seed=3),
+                     threads=2))[0]
+                 for paths in (32_768, 327_680)]
         assert peaks[1] <= peaks[0] + 2**20
 
     def test_recording_holds_one_trajectories_array(self, case_network,
@@ -581,7 +614,7 @@ class TestCostEstimation:
         x0, sigma = case_network.cash[2], case_network.vol[2]
         psi, horizon = controlled[2].psi_star, case_network.horizon
         paths = _dumped(case_network, 2, psi, cfg)
-        assert paths[:, -1].mean() == report.terminal_mean[2]
+        assert chunked_mean(paths[:, -1], cfg) == report.terminal_mean[2]
         squares = paths**2
         pathwise = 0.5 * psi**2 * (horizon / steps) * (
             squares[:, 0] / 2 + squares[:, 1:-1].sum(axis=1)

@@ -26,10 +26,10 @@ against.
 ``simulate_network`` returns two reports, the uncontrolled scenario and the
 controlled one.  At a constant rate ``psi`` the controlled ``w`` is the
 uncontrolled one plus ``psi T`` (common random numbers by construction,
-Glasserman 2004, section 4.2), so each bank is simulated once.  All chunks
-of all banks go out in one fan-out, and each chunk task reduces both
-scenarios of its paths, in draw order, to default counts, sums and M2s
-(summed squared deviations); the calling thread combines them in chunk
+Glasserman 2004, section 4.2), so each bank is simulated once.  The
+chunks run in (bank, chunk) order on the calling thread, and each is
+reduced, both scenarios of its paths in draw order, to default counts,
+sums and M2s (summed squared deviations), which are then combined in chunk
 order, counts as integers, sums by ``math.fsum`` and M2s by Chan, Golub
 and LeVeque's update (1983).  The log-variance is that of ``w``, which the
 shift ``psi T`` leaves alone.
@@ -44,11 +44,11 @@ only row the estimates read, so a partial chunk's draws depend on its path
 count.  Antithetic pairing is the default: a chunk draws one column per
 path pair, taken by the pair's even path and negated for its odd path, and
 ``antithetic=False`` draws one column per path.  The chunk size is part of
-the draw contract, and it fixes which paths share a cost series and a sum,
-but the thread count is not: a fixed seed yields bit-identical reports at
-any parallelism level, within one numpy version (NEP 19).  A worker holds
-three rows of a chunk, and draws into the first as (blocks, columns), the
-draw order: one block of every path, or the drawn block and its negation.
+the draw contract, and it fixes which paths share a cost series and a sum;
+a fixed seed yields bit-identical reports within one numpy version (NEP
+19).  The engine holds three rows of a chunk, and draws into the first as
+(blocks, columns), the draw order: one block of every path, or the drawn
+block and its negation.
 
 The 95% half-widths use the iid formula.  It is conservative under
 pairing: the default indicator, the terminal value and the conditional cost
@@ -73,10 +73,7 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
-import queue
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,8 +85,8 @@ from .network import FinancialNetwork, default_boundary
 __all__ = ["SimConfig", "SimReport", "simulate_network", "estimate_cost",
            "bank_paths"]
 
-# fixed work unit and draw-addressing unit, so chunk boundaries never
-# depend on the thread count; even, so no antithetic pair spans two chunks
+# fixed work unit and draw-addressing unit; even, so no antithetic pair
+# spans two chunks
 _CHUNK = 16_384
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -187,24 +184,6 @@ def _scatter(dst: np.ndarray, src: np.ndarray) -> None:
     for b in range(blocks):
         part = dst[b::blocks]
         part[...] = src[b, :len(part)]
-
-
-def _resolve_threads(threads: int | None) -> int:
-    if threads is not None:
-        if not (is_int(threads) and threads >= 1):
-            raise ValueError(
-                f"threads must be a positive integer, got {threads!r}")
-        return int(threads)
-    env = os.environ.get("LOLRNET_THREADS")
-    if env:
-        count = int(env) if env.strip().isdecimal() else 0
-        if count < 1:
-            raise ValueError(
-                f"LOLRNET_THREADS must be a positive integer, got {env!r}")
-        return count
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _chunks(paths: int):
@@ -319,8 +298,8 @@ def _reduce_chunk(net: FinancialNetwork, i: int, psi: float,
                    buf[0, :blocks * -(-size // blocks)].reshape(blocks, -1))
     # the chunk's paths in draw order, without an odd chunk's unpaired
     # mirror.  Only ufunc reductions: a BLAS call (np.dot, @, vdot, inner)
-    # wakes OpenBLAS's own spinning threads, which doubled a chunk's CPU
-    # time over its wall time on one worker
+    # wakes OpenBLAS's own spinning threads whichever thread calls it,
+    # which doubled a chunk's CPU time over its wall time
     w, x, scratch = buf[:, :size]
 
     def terminal_stats() -> tuple[int, float]:
@@ -343,35 +322,16 @@ def _reduce_chunk(net: FinancialNetwork, i: int, psi: float,
     out[6:8] = _sum_m2(np.multiply(w, x, out=w), scratch)
 
 
-def _fan_out(net: FinancialNetwork, banks: list[tuple], cfg: SimConfig,
-             threads: int | None) -> np.ndarray:
+def _fan_out(net: FinancialNetwork, banks: list[tuple],
+             cfg: SimConfig) -> np.ndarray:
     """``_reduce_chunk``'s statistics, (banks, chunks, 8), of ``banks``,
-    each ``(i, psi, boundary)``.  ``min(threads, banks x chunks)`` workers
-    pull (bank, chunk) jobs in that order from one queue.  The calling
-    thread allocates each worker's three rows of an even chunk width: the
-    allocator keeps a worker thread's buffers in a per-thread arena, and a
-    run whose threads start before the last run's exit opens new arenas,
-    so peak memory would grow over repeated runs.
-    """
+    each ``(i, psi, boundary)``, in (bank, chunk) order through one buffer
+    of three rows of an even chunk width."""
     spans = list(_chunks(cfg.paths))
     stats = np.empty((len(banks), len(spans), 8))
-    jobs = queue.SimpleQueue()
-    for job in np.ndindex(stats.shape[:2]):
-        jobs.put(job)
-
-    def drain(buf: np.ndarray) -> None:
-        try:
-            while True:
-                b, c = jobs.get_nowait()
-                _reduce_chunk(net, *banks[b], cfg, *spans[c], buf, stats[b, c])
-        except queue.Empty:
-            pass
-
-    width = 2 * -(-min(_CHUNK, cfg.paths) // 2)
-    workers = min(_resolve_threads(threads), len(banks) * len(spans))
-    with ThreadPoolExecutor(max_workers=workers) as executor:
-        list(executor.map(drain, [np.empty((3, width))
-                                  for _ in range(workers)]))
+    buf = np.empty((3, 2 * -(-min(_CHUNK, cfg.paths) // 2)))
+    for b, c in np.ndindex(stats.shape[:2]):
+        _reduce_chunk(net, *banks[b], cfg, *spans[c], buf, stats[b, c])
     return stats
 
 
@@ -397,8 +357,7 @@ def _combine(stats: np.ndarray, paths: int
 
 
 def simulate_network(net: FinancialNetwork, decisions: list[ControlDecision],
-                     cfg: SimConfig, threads: int | None = None
-                     ) -> tuple[SimReport, SimReport]:
+                     cfg: SimConfig) -> tuple[SimReport, SimReport]:
     """Simulate every bank uncontrolled and under its decided lending rate.
 
     Returns ``(uncontrolled, controlled)``.  The uncontrolled report runs
@@ -421,10 +380,6 @@ def simulate_network(net: FinancialNetwork, decisions: list[ControlDecision],
     decisions : list[ControlDecision]
         One decision per bank, as produced by ``control.network_decision``.
     cfg : SimConfig
-    threads : int, optional
-        Worker cap; falls back to the LOLRNET_THREADS environment variable,
-        then to the CPUs this process may run on.  Results are bit-identical
-        regardless.
     """
     if len(decisions) != net.n:
         raise ValueError(f"need {net.n} decisions, got {len(decisions)}")
@@ -433,7 +388,7 @@ def simulate_network(net: FinancialNetwork, decisions: list[ControlDecision],
     boundary = default_boundary(net)
     stats = _fan_out(net, [(i, d.psi_star if d.region is Region.ACTION
                             else 0.0, boundary[i])
-                           for i, d in enumerate(decisions)], cfg, threads)
+                           for i, d in enumerate(decisions)], cfg)
     counts, means, m2 = _combine(stats, cfg.paths)
     freq = counts / cfg.paths
     logvar = m2[0] / max(cfg.paths - 1, 1)  # one path has M2 0
@@ -448,14 +403,14 @@ def simulate_network(net: FinancialNetwork, decisions: list[ControlDecision],
         for s in (0, 1))
 
 
-def estimate_cost(net: FinancialNetwork, i: int, psi: float, cfg: SimConfig,
-                  threads: int | None = None) -> tuple[float, float]:
+def estimate_cost(net: FinancialNetwork, i: int, psi: float,
+                  cfg: SimConfig) -> tuple[float, float]:
     """Monte Carlo estimate of the expected lending cost for bank ``i``.
 
     Mean over paths of half the trapezoid integral of the squared loan flow
     at constant rate ``psi`` on the ``cfg.steps`` grid, each path's integral
     taken as its exact expectation given the path's terminal value, with a
-    95% confidence half-width.  The paths, chunk tasks and chunk-order
+    95% confidence half-width.  The paths, chunk reductions and chunk-order
     combination are ``simulate_network``'s, so the mean is bit for bit its
     controlled ``mean_cost`` at rate ``psi``; a partial chunk's draws
     depend on its path count, and hold within one numpy version (NEP 19).
@@ -464,7 +419,7 @@ def estimate_cost(net: FinancialNetwork, i: int, psi: float, cfg: SimConfig,
     """
     _check_bank(net, i, psi)
     # the default count is not read, so any boundary will do
-    stats = _fan_out(net, [(int(i), float(psi), 0.0)], cfg, threads)
+    stats = _fan_out(net, [(int(i), float(psi), 0.0)], cfg)
     _, means, m2 = _combine(stats, cfg.paths)
     halfwidth = (_Z95 * math.sqrt(m2[1, 0] / (cfg.paths - 1))
                  / math.sqrt(cfg.paths) if cfg.paths > 1 else 0.0)

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -146,7 +147,7 @@ class TestCounterAddressing:
                                               uncontrolled):
         reports = [ln.simulate_network(case_network, uncontrolled,
                                        ln.SimConfig(paths=500, steps=4,
-                                                    seed=seed), threads=1)[0]
+                                                    seed=seed))[0]
                    for seed in (0, 2**64 - 1)]
         assert not np.array_equal(reports[0].terminal_mean,
                                   reports[1].terminal_mean)
@@ -154,79 +155,52 @@ class TestCounterAddressing:
     def test_streams_differ_across_banks_and_seeds(self, case_network,
                                                    uncontrolled):
         cfg = ln.SimConfig(paths=500, steps=4, seed=9)
-        report, _ = ln.simulate_network(case_network, uncontrolled, cfg,
-                                        threads=1)
+        report, _ = ln.simulate_network(case_network, uncontrolled, cfg)
         other, _ = ln.simulate_network(
             case_network, uncontrolled,
-            ln.SimConfig(paths=500, steps=4, seed=10), threads=1)
+            ln.SimConfig(paths=500, steps=4, seed=10))
         assert not np.array_equal(report.terminal_mean, other.terminal_mean)
 
 
 class TestDeterminism:
     def test_same_seed_bit_identical(self, case_network, controlled):
         cfg = ln.SimConfig(paths=7_000, steps=16, seed=5)
-        a = ln.simulate_network(case_network, controlled, cfg, threads=1)
-        b = ln.simulate_network(case_network, controlled, cfg, threads=1)
+        a = ln.simulate_network(case_network, controlled, cfg)
+        b = ln.simulate_network(case_network, controlled, cfg)
         assert reports_equal(a, b)
 
-    def test_thread_count_invariance(self, case_network, controlled):
-        cfg = ln.SimConfig(paths=40_000, steps=32, seed=5)
-        reports = [ln.simulate_network(case_network, controlled, cfg,
-                                       threads=k) for k in (1, 2, 8)]
-        assert reports_equal(reports[0], reports[1])
-        assert reports_equal(reports[0], reports[2])
-
-    def test_path_costs_do_not_depend_on_workers(self, case_network,
-                                                 controlled):
+    def test_chunk_stats_do_not_depend_on_the_buffer(self, case_network,
+                                                     controlled):
         # a combined mean can hide a last-bit change in one chunk, so each
-        # chunk's statistics are compared: 40,000 paths are three chunks,
-        # one per worker at three workers, and each chunk's cost series
-        # takes its degree and scale from that chunk alone
+        # chunk's statistics are compared: 40,000 paths are two full chunks
+        # and a 7,232-path one, which reuses the buffer the full chunks left
+        # filled, and each chunk's cost series takes its degree and scale
+        # from that chunk alone
         cfg = ln.SimConfig(paths=40_000, steps=200, seed=5)
         bank = (2, controlled[2].psi_star,
                 ln.default_boundary(case_network)[2])
-        one, three = (engine._fan_out(case_network, [bank], cfg,
-                                      threads=workers)
-                      for workers in (1, 3))
-        assert one.shape == (1, 3, 8)
+        stats = engine._fan_out(case_network, [bank], cfg)
+        assert stats.shape == (1, 3, 8)
         # the controlled row defaults less and costs something
-        assert (one[0, :, 2] < one[0, :, 0]).all()
-        assert (one[0, :, 6:] > 0).all()
-        assert np.array_equal(one, three)
+        assert (stats[0, :, 2] < stats[0, :, 0]).all()
+        assert (stats[0, :, 6:] > 0).all()
+        for c, (lo, hi) in enumerate(engine._chunks(cfg.paths)):
+            alone = np.empty(8)
+            engine._reduce_chunk(case_network, *bank, cfg, lo, hi,
+                                 np.full((3, engine._CHUNK), np.nan), alone)
+            assert np.array_equal(stats[0, c], alone), c
 
-    def test_env_variable_caps_threads(self, case_network, controlled,
-                                       monkeypatch):
-        cfg = ln.SimConfig(paths=5_000, steps=8, seed=5)
-        base = ln.simulate_network(case_network, controlled, cfg, threads=1)
-        monkeypatch.setenv("LOLRNET_THREADS", "3")
+    def test_engine_starts_no_thread(self, case_network, controlled,
+                                     monkeypatch):
+        cfg = ln.SimConfig(paths=40_000, steps=8, seed=5)
+        want = ln.simulate_network(case_network, controlled, cfg)
+
+        def refuse(thread):
+            raise AssertionError(f"started {thread!r}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
         assert reports_equal(
-            base, ln.simulate_network(case_network, controlled, cfg))
-
-    def test_default_threads_follow_cpu_affinity(self, monkeypatch):
-        monkeypatch.delenv("LOLRNET_THREADS", raising=False)
-        monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0},
-                            raising=False)
-        assert engine._resolve_threads(None) == 1
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
-    def test_env_variable_must_be_positive_integer(self, case_network,
-                                                   controlled, monkeypatch,
-                                                   value):
-        monkeypatch.setenv("LOLRNET_THREADS", value)
-        cfg = ln.SimConfig(paths=10, steps=2, seed=5)
-        with pytest.raises(ValueError) as info:
-            ln.simulate_network(case_network, controlled, cfg)
-        assert str(info.value) == (
-            f"LOLRNET_THREADS must be a positive integer, got {value!r}")
-
-    @pytest.mark.parametrize("value", [0, -3, 2.5, True, "2"])
-    def test_explicit_threads_must_be_positive_integer(self, case_network,
-                                                       controlled, value):
-        cfg = ln.SimConfig(paths=10, steps=2, seed=5)
-        with pytest.raises(ValueError) as info:
-            ln.simulate_network(case_network, controlled, cfg, threads=value)
-        assert str(info.value) == (
-            f"threads must be a positive integer, got {value!r}")
+            want, ln.simulate_network(case_network, controlled, cfg))
 
 
 def _dumped(net, i, psi, cfg):
@@ -269,10 +243,12 @@ class TestKernelMatchesReference:
     Both reports are checked: the reference runs every rate at zero for the
     uncontrolled one and the decisions for the controlled one.  The
     reference draws the same per-chunk streams at whatever ``_CHUNK``
-    is set, so every field must agree bit for bit at any chunk size and any
-    thread count.  The shipped chunk is even; the odd chunk 5 checks that
-    both sides pair antithetic paths within a chunk, leaving its last path
-    unpaired, as they do for an odd final chunk.  A single path is a
+    is set, so every field must agree bit for bit at any chunk size.  With
+    ``runs`` at 2 the checked call is the second in a row, whose buffers
+    may reuse the memory the first one freed.  The shipped chunk is even;
+    the odd chunk 5 checks that both sides pair antithetic paths within a
+    chunk, leaving its last path unpaired, as they do for an odd final
+    chunk.  A single path is a
     one-path chunk whose mean cost is its own cost.  Where ``record`` is
     positive, the first ``record`` paths that ``bank_paths`` rebuilds must
     equal ``reference_paths`` too.  That reference reads each chunk's
@@ -286,7 +262,7 @@ class TestKernelMatchesReference:
                      else f"{chunk}-slab{slab}")
         for chunk in (engine._CHUNK, 6, 5, 4)
         for slab in (None, 1, 7, 100)])
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("runs", [1, 2])
     @pytest.mark.parametrize("paths,steps,antithetic,record", [
         (37, 7, False, 0),
         (37, 7, True, 5),
@@ -297,28 +273,29 @@ class TestKernelMatchesReference:
         (1, 60, False, 1),
     ])
     def test_every_field_equal(self, case_network, uncontrolled, controlled,
-                               monkeypatch, chunk, slab, threads, paths,
+                               monkeypatch, chunk, slab, runs, paths,
                                steps, antithetic, record):
         monkeypatch.setattr(engine, "_CHUNK", chunk)
         cfg = ln.SimConfig(paths=paths, steps=steps, seed=17,
                            antithetic=antithetic)
-        got = ln.simulate_network(case_network, controlled, cfg,
-                                  threads=threads)
+        for _ in range(runs):
+            got = ln.simulate_network(case_network, controlled, cfg)
         _assert_pair_matches_reference(got, case_network, uncontrolled,
                                        controlled, cfg, record, slab)
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("runs", [1, 2])
     @pytest.mark.parametrize("paths,steps,antithetic,record", [
         (37, 7, True, 5),
         (31, 13, False, 0),
     ])
     def test_infeasible_bank_differs_only_in_its_flag(
-            self, case_network, uncontrolled, capped, monkeypatch, threads,
+            self, case_network, uncontrolled, capped, monkeypatch, runs,
             paths, steps, antithetic, record):
         monkeypatch.setattr(engine, "_CHUNK", 6)
         cfg = ln.SimConfig(paths=paths, steps=steps, seed=17,
                            antithetic=antithetic)
-        got = ln.simulate_network(case_network, capped, cfg, threads=threads)
+        for _ in range(runs):
+            got = ln.simulate_network(case_network, capped, cfg)
         _assert_pair_matches_reference(got, case_network, uncontrolled,
                                        capped, cfg, record)
         assert got[1].infeasible_fallback.tolist() == [False, False, True,
@@ -336,7 +313,7 @@ class TestKernelMatchesReference:
         # bound with room.  A count is exact; one path has no variance
         cfg = ln.SimConfig(paths=paths, steps=50, seed=29,
                            antithetic=antithetic)
-        got = ln.simulate_network(case_network, controlled, cfg, threads=2)
+        got = ln.simulate_network(case_network, controlled, cfg)
         _assert_pair_matches_reference(got, case_network, uncontrolled,
                                        controlled, cfg, 0)
         for report, decisions in zip(got, (uncontrolled, controlled)):
@@ -351,12 +328,13 @@ class TestKernelMatchesReference:
 
 
 class TestWork:
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_cli_runs_each_bank_once(self, monkeypatch, tmp_path, threads):
+    @pytest.mark.parametrize("runs", [1, 2])
+    def test_cli_runs_each_bank_once(self, monkeypatch, tmp_path, runs):
         # 40,000 paths are 3 chunks.  Each of the 4 banks draws its chunk
         # streams once for both scenarios, the action bank's controlled
         # walk being its uncontrolled one plus psi T: 4 x 3 streams.  Its
-        # cost series runs once per chunk, in the chunk's task
+        # cost series runs once per chunk, where the chunk is reduced.  A
+        # second run in the same process draws and costs as much again
         streams, costs = [], []
 
         def counted(fn, calls):
@@ -369,15 +347,16 @@ class TestWork:
                             counted(engine._generator, streams))
         monkeypatch.setattr(engine, "_cost_series",
                             counted(engine._cost_series, costs))
-        monkeypatch.setenv("LOLRNET_THREADS", str(threads))
-        assert cli.main(["simulate", "--config", "case_study.json",
-                         "--paths", "40000",
-                         "--output", str(tmp_path / "out.csv")]) == 0
-        assert len(streams) == 12
-        assert sorted(args[1:] for args in streams) == [
-            (bank, lo) for bank in range(4) for lo in (0, 16_384, 32_768)]
-        assert sorted(len(args[1]) for args in costs) == [
-            40_000 - 2 * 16_384, 16_384, 16_384]
+        for _ in range(runs):
+            assert cli.main(["simulate", "--config", "case_study.json",
+                             "--paths", "40000",
+                             "--output", str(tmp_path / "out.csv")]) == 0
+        assert len(streams) == 12 * runs
+        assert sorted(args[1:] for args in streams) == sorted(
+            [(bank, lo) for bank in range(4)
+             for lo in (0, 16_384, 32_768)] * runs)
+        assert sorted(len(args[1]) for args in costs) == sorted(
+            [40_000 - 2 * 16_384, 16_384, 16_384] * runs)
 
 
 def _peak_bytes(run):
@@ -392,25 +371,23 @@ def _peak_bytes(run):
 class TestMemory:
     def test_worker_memory_does_not_grow_with_steps(self, case_network,
                                                     controlled):
-        # two chunks, one per worker.  Every path takes one step, so a
-        # worker holds one row of its chunk, where a whole-chunk grid would
-        # hold 16,384 x 4,000 x 8 B = 524 MB per worker at 4,000 steps
+        # two chunks through one buffer.  Every path takes one step, so the
+        # engine holds one row of a chunk, where a whole-chunk grid would
+        # hold 16,384 x 4,000 x 8 B = 524 MB at 4,000 steps
         peaks = [_peak_bytes(lambda: ln.simulate_network(
                      case_network, controlled,
-                     ln.SimConfig(paths=32_768, steps=steps, seed=3),
-                     threads=2))[0]
+                     ln.SimConfig(paths=32_768, steps=steps, seed=3)))[0]
                  for steps in (10, 4_000)]
         assert peaks[1] <= peaks[0] + 2**20
 
     def test_memory_does_not_grow_with_paths(self, case_network,
                                              controlled):
-        # each chunk task reduces its own chunk, so ten times the paths
+        # each chunk is reduced where it is drawn, so ten times the paths
         # add only each chunk's few statistics, where whole-bank arrays
         # would add 3 x 294,912 x 8 B = 7.1 MB for the action bank
         peaks = [_peak_bytes(lambda: ln.simulate_network(
                      case_network, controlled,
-                     ln.SimConfig(paths=paths, steps=200, seed=3),
-                     threads=2))[0]
+                     ln.SimConfig(paths=paths, steps=200, seed=3)))[0]
                  for paths in (32_768, 327_680)]
         assert peaks[1] <= peaks[0] + 2**20
 
@@ -436,8 +413,7 @@ class TestMemory:
 class TestStatisticalAgreement:
     def test_case_study_default_frequencies(self, case_network, controlled):
         cfg = ln.SimConfig(paths=60_000, seed=7)
-        plain, helped = ln.simulate_network(case_network, controlled, cfg,
-                                            threads=1)
+        plain, helped = ln.simulate_network(case_network, controlled, cfg)
         assert abs(plain.default_freq[0] - (1 - B1_SURVIVAL_UNCONTROLLED)) \
             <= plain.default_ci_halfwidth[0] + 1e-12
         assert abs(plain.default_freq[2] - (1 - B3_SURVIVAL_UNCONTROLLED)) \
@@ -458,8 +434,7 @@ class TestStatisticalAgreement:
         hits = 0
         for seed in range(20):
             cfg = ln.SimConfig(paths=2_500, seed=seed, antithetic=antithetic)
-            report, _ = ln.simulate_network(case_network, uncontrolled, cfg,
-                                            threads=1)
+            report, _ = ln.simulate_network(case_network, uncontrolled, cfg)
             ok = True
             for i, survival in ((0, B1_SURVIVAL_UNCONTROLLED),
                                 (2, B3_SURVIVAL_UNCONTROLLED)):
@@ -476,7 +451,7 @@ class TestStatisticalAgreement:
         coarse, fine = (
             ln.simulate_network(case_network, controlled,
                                 ln.SimConfig(paths=40_000, steps=steps,
-                                             seed=11), threads=1)[1]
+                                             seed=11))[1]
             for steps in (1, 200))
         for field in ("default_freq", "terminal_mean", "terminal_logvar"):
             assert np.array_equal(getattr(coarse, field),
@@ -492,10 +467,10 @@ class TestStatisticalAgreement:
         n = 30_000
         _, plain = ln.simulate_network(
             case_network, controlled,
-            ln.SimConfig(paths=n, seed=21, antithetic=False), threads=1)
+            ln.SimConfig(paths=n, seed=21, antithetic=False))
         _, paired = ln.simulate_network(
             case_network, controlled,
-            ln.SimConfig(paths=n, seed=21, antithetic=True), threads=1)
+            ln.SimConfig(paths=n, seed=21, antithetic=True))
         for i in range(4):
             tolerance = (plain.default_ci_halfwidth[i]
                          + paired.default_ci_halfwidth[i] + 1e-12)
@@ -564,7 +539,7 @@ class TestCostEstimation:
         # a one-path run reports its path's own cost and terminal value
         _, report = ln.simulate_network(
             case_network, controlled,
-            ln.SimConfig(paths=1, steps=steps, seed=seed), threads=1)
+            ln.SimConfig(paths=1, steps=steps, seed=seed))
         expected = _term_by_term_cost(
             case_network.cash[2], case_network.vol[2],
             controlled[2].psi_star, case_network.horizon, steps,
@@ -609,8 +584,7 @@ class TestCostEstimation:
         # the bridge has the law of the dynamics given X_N
         n, steps = 4_000, 50
         cfg = ln.SimConfig(paths=n, steps=steps, seed=23)
-        _, report = ln.simulate_network(case_network, controlled, cfg,
-                                        threads=1)
+        _, report = ln.simulate_network(case_network, controlled, cfg)
         x0, sigma = case_network.cash[2], case_network.vol[2]
         psi, horizon = controlled[2].psi_star, case_network.horizon
         paths = _dumped(case_network, 2, psi, cfg)
@@ -672,15 +646,13 @@ class TestCostEstimation:
 
     def test_zero_rate_costs_exactly_zero(self, case_network):
         mean, halfwidth = ln.estimate_cost(case_network, 2, 0.0,
-                                           ln.SimConfig(paths=2_000, seed=1),
-                                           threads=1)
+                                           ln.SimConfig(paths=2_000, seed=1))
         assert mean == 0.0
         assert halfwidth == 0.0
 
     def test_matches_closed_form_within_ci(self, case_network):
         cfg = ln.SimConfig(paths=40_000, steps=200, seed=2)
-        mean, halfwidth = ln.estimate_cost(case_network, 2, B3_PSI_STAR, cfg,
-                                           threads=1)
+        mean, halfwidth = ln.estimate_cost(case_network, 2, B3_PSI_STAR, cfg)
         p = ln.ControlProblem(mu=0.3, sigma=0.2,
                               v_terminal=float(
                                   ln.default_boundary(case_network)[2]),
@@ -705,8 +677,8 @@ class TestCostEstimation:
                                   vol=[1e-12], growth_rate=0.0,
                                   horizon=horizon)
         cfg = ln.SimConfig(paths=64, steps=steps, seed=4)
-        low, _ = ln.estimate_cost(net, 0, 0.2, cfg, threads=1)
-        high, _ = ln.estimate_cost(net, 0, 0.4, cfg, threads=1)
+        low, _ = ln.estimate_cost(net, 0, 0.2, cfg)
+        high, _ = ln.estimate_cost(net, 0, 0.4, cfg)
         ratio = deterministic_cost(0.4) / deterministic_cost(0.2)
         assert high / low == pytest.approx(ratio, rel=1e-6)
 
@@ -752,8 +724,7 @@ class TestEulerOracle:
 class TestInfeasibleFallback:
     def test_flagged_and_simulated_uncontrolled(self, case_network, capped):
         cfg = ln.SimConfig(paths=4_000, seed=13)
-        plain, report = ln.simulate_network(case_network, capped, cfg,
-                                            threads=1)
+        plain, report = ln.simulate_network(case_network, capped, cfg)
         assert report.infeasible_fallback.tolist() == [False, False, True,
                                                        False]
         assert report.default_freq[2] == plain.default_freq[2]
@@ -765,8 +736,7 @@ class TestReportShape:
                                      monkeypatch):
         monkeypatch.setattr(engine, "_CHUNK", 50)
         cfg = ln.SimConfig(paths=120, steps=10, seed=6)
-        for report in ln.simulate_network(case_network, controlled, cfg,
-                                          threads=1):
+        for report in ln.simulate_network(case_network, controlled, cfg):
             assert report.paths_used == 120
             assert report.seed_used == 6
             assert np.all(report.default_ci_halfwidth >= 0)
@@ -781,11 +751,9 @@ class TestReportShape:
 
     def test_ci_shrinks_with_paths(self, case_network, uncontrolled):
         small, _ = ln.simulate_network(case_network, uncontrolled,
-                                       ln.SimConfig(paths=2_000, seed=8),
-                                       threads=1)
+                                       ln.SimConfig(paths=2_000, seed=8))
         large, _ = ln.simulate_network(case_network, uncontrolled,
-                                       ln.SimConfig(paths=32_000, seed=8),
-                                       threads=1)
+                                       ln.SimConfig(paths=32_000, seed=8))
         # quadrupling paths should roughly quarter the squared half-width
         assert large.default_ci_halfwidth[2] < small.default_ci_halfwidth[2] / 2
 
@@ -826,6 +794,6 @@ class TestReportShape:
                                                    uncontrolled, seed):
         reports = [ln.simulate_network(case_network, uncontrolled,
                                        ln.SimConfig(paths=20, steps=3,
-                                                    seed=s), threads=1)
+                                                    seed=s))
                    for s in (seed, 7)]
         assert reports_equal(*reports)

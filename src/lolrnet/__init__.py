@@ -21,8 +21,7 @@ from .ranking import (QPolicy, RankingResult, RankThresholdsPolicy,
                       RankWeights, UniformPolicy,
                       assign_survival_probabilities, edge_weights,
                       google_matrix, net_positions, perron_rank, rank_network)
-from .simulate import (SimConfig, SimReport, bank_paths, estimate_cost,
-                       simulate_network)
+from .simulate import SimConfig, SimReport, bank_paths, simulate_network
 
 __version__ = "0.1.0"
 
@@ -40,8 +39,7 @@ __all__ = [
     "survival_probability", "switching_rate", "no_action_threshold",
     "classify", "value_function", "network_decision",
     # simulate
-    "SimConfig", "SimReport", "simulate_network", "estimate_cost",
-    "bank_paths",
+    "SimConfig", "SimReport", "simulate_network", "bank_paths",
     # config
     "NetworkConfig", "load_config", "case_study_path", "printed_google_path",
     # errors

@@ -225,8 +225,8 @@ def cmd_simulate(cfg: NetworkConfig, args) -> tuple[dict, list[str]]:
                      "infeasible_fallback": bool(rep.infeasible_fallback[i])}
             banks.append(entry)
         sections[scenario] = banks
-    doc = {"command": "simulate", "paths_used": controlled.paths_used,
-           "seed_used": controlled.seed_used, "steps": args.steps,
+    doc = {"command": "simulate", "paths_used": sim_cfg.paths,
+           "seed_used": sim_cfg.seed, "steps": args.steps,
            "antithetic": args.antithetic, **sections}
     return doc, ["bank", "name", "scenario", "psi", "default_freq",
                  "default_ci_halfwidth", "mean_cost", "terminal_mean",

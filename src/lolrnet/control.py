@@ -231,14 +231,15 @@ def network_decision(net: FinancialNetwork, q: np.ndarray, t: float = 0.0,
     the current value.  Banks with a non-positive boundary can never default
     and get a no-action decision with survival probability one.  The total
     expected cost of the network is the plain sum of the per-bank costs.
+    A target outside (0, 1), NaN included, or a time outside ``[0,
+    horizon)`` raises ``InvalidValueError`` naming ``q[i]`` or ``t``.
     """
     q = np.asarray(q, dtype=float)
     if q.shape != (net.n,):
         raise ValueError(f"q must have length {net.n}")
-    if not ((q > 0) & (q < 1)).all():
-        raise ValueError("q entries must lie strictly inside (0, 1)")
-    if not 0.0 <= t < net.horizon:
-        raise ValueError(f"decision time {t} outside [0, {net.horizon})")
+    require((q > 0) & (q < 1), "q", "must lie strictly inside (0, 1)")
+    require(0.0 <= t < net.horizon, "t",
+            f"must lie in [0, {net.horizon}), got {t!r}")
     require(psi_cap > 0, "psi_cap", "must be positive (math.inf for no cap)")
 
     remaining = net.horizon - t

@@ -50,11 +50,6 @@ a fixed seed yields bit-identical reports within one numpy version (NEP
 (blocks, columns), the draw order: one block of every path, or the drawn
 block and its negation.
 
-The 95% half-widths use the iid formula.  It is conservative under
-pairing: the default indicator, the terminal value and the conditional cost
-are each monotone in the draws, so a pair's negated draws never raise their
-variance (Glasserman 2004, section 4.2).
-
 ``bank_paths`` rebuilds a bank's paths on the grid of ``steps`` intervals,
 one chunk at a time.  It reads row 0 of the chunk's stream and adds ``psi
 T`` as the simulation does, then reads rows 1 to ``steps``, and fills the
@@ -82,8 +77,7 @@ from .control import ControlDecision, Region
 from .errors import MUST_BE_FINITE, is_int, require
 from .network import FinancialNetwork, default_boundary
 
-__all__ = ["SimConfig", "SimReport", "simulate_network", "estimate_cost",
-           "bank_paths"]
+__all__ = ["SimConfig", "SimReport", "simulate_network", "bank_paths"]
 
 # fixed work unit and draw-addressing unit; even, so no antithetic pair
 # spans two chunks
@@ -131,22 +125,27 @@ class SimConfig:
 class SimReport:
     """Per-bank Monte Carlo estimates.
 
-    ``default_ci_halfwidth`` holds 95% normal-approximation half-widths for
-    the default frequencies, by the iid formula: conservative for
-    antithetic runs, whose default indicator is monotone in the draws.
     ``mean_cost`` averages each path's expected trapezoid cost on the
-    ``steps`` grid given its terminal value.  ``infeasible_fallback`` flags
-    banks whose control decision was infeasible and that were therefore
-    simulated uncontrolled; it is set only in a controlled report.
+    ``steps`` grid given its terminal value.  ``default_ci_halfwidth`` and
+    ``cost_ci_halfwidth`` hold 95% normal-approximation half-widths of the
+    default frequencies and of ``mean_cost``, by the iid formulas ``z
+    sqrt(p (1 - p) / n)`` and ``z sqrt(M2 / (n - 1)) / sqrt(n)``, ``z`` the
+    two-sided 95% normal quantile, ``n`` the path count and ``M2`` the
+    cost's summed squared deviations; the cost's is 0 at one path and on
+    every zero-rate row.  Both are conservative for antithetic runs: the
+    default indicator and the conditional cost are monotone in the draws,
+    so a pair's negated draws never raise their variance (Glasserman 2004,
+    section 4.2).  ``infeasible_fallback`` flags banks whose control
+    decision was infeasible and that were therefore simulated uncontrolled;
+    it is set only in a controlled report.
     """
 
     default_freq: np.ndarray
     default_ci_halfwidth: np.ndarray
     mean_cost: np.ndarray
+    cost_ci_halfwidth: np.ndarray
     terminal_mean: np.ndarray
     terminal_logvar: np.ndarray
-    paths_used: int
-    seed_used: int
     infeasible_fallback: np.ndarray
 
 
@@ -253,13 +252,11 @@ def _cost_series(coef: np.ndarray, walk: np.ndarray, wmax: float,
         out += c
 
 
-def _check_bank(net: FinancialNetwork, i: int, psi: float) -> None:
-    require(is_int(i) and 0 <= i < net.n, "i",
-            f"must be an integer bank index in [0, {net.n}), got {i!r}")
+def _check_rate(psi, field: str) -> None:
     require(isinstance(psi, numbers.Real) and not isinstance(psi, bool),
-            "psi", f"must be a real number, got {psi!r}")
-    require(math.isfinite(psi), "psi", MUST_BE_FINITE)
-    require(psi >= 0, "psi", "must be non-negative")
+            field, f"must be a real number, got {psi!r}")
+    require(math.isfinite(psi), field, MUST_BE_FINITE)
+    require(psi >= 0, field, "must be non-negative")
 
 
 def _terminal_walk(mu: float, sigma: float, horizon: float, cfg: SimConfig,
@@ -379,10 +376,16 @@ def simulate_network(net: FinancialNetwork, decisions: list[ControlDecision],
     net : FinancialNetwork
     decisions : list[ControlDecision]
         One decision per bank, as produced by ``control.network_decision``.
+        An action decision's ``psi_star`` must be a finite, non-negative
+        real number; otherwise ``InvalidValueError`` names it
+        (``decisions[2].psi_star``) before any path is drawn.
     cfg : SimConfig
     """
     if len(decisions) != net.n:
         raise ValueError(f"need {net.n} decisions, got {len(decisions)}")
+    for i, d in enumerate(decisions):
+        if d.region is Region.ACTION:
+            _check_rate(d.psi_star, f"decisions[{i}].psi_star")
     infeasible = np.array([d.region is Region.INFEASIBLE for d in decisions])
     # row 0 of each estimate is the uncontrolled scenario, row 1 controlled
     boundary = default_boundary(net)
@@ -391,39 +394,18 @@ def simulate_network(net: FinancialNetwork, decisions: list[ControlDecision],
                            for i, d in enumerate(decisions)], cfg)
     counts, means, m2 = _combine(stats, cfg.paths)
     freq = counts / cfg.paths
-    logvar = m2[0] / max(cfg.paths - 1, 1)  # one path has M2 0
+    # rows: log(X_N / x0), then the cost; one path has M2 0
+    var = m2 / max(cfg.paths - 1, 1)
     mean_cost = np.stack([np.zeros_like(means[2]), means[2]])
+    cost_halfwidth = np.stack([np.zeros_like(var[1]), _Z95 * np.sqrt(var[1])
+                               / math.sqrt(cfg.paths)])
     halfwidth = _Z95 * np.sqrt(freq * (1.0 - freq) / cfg.paths)
     return tuple(
         SimReport(default_freq=freq[s], default_ci_halfwidth=halfwidth[s],
-                  mean_cost=mean_cost[s], terminal_mean=means[s],
-                  terminal_logvar=logvar.copy(), paths_used=cfg.paths,
-                  seed_used=cfg.seed,
+                  mean_cost=mean_cost[s], cost_ci_halfwidth=cost_halfwidth[s],
+                  terminal_mean=means[s], terminal_logvar=var[0].copy(),
                   infeasible_fallback=infeasible & bool(s))
         for s in (0, 1))
-
-
-def estimate_cost(net: FinancialNetwork, i: int, psi: float,
-                  cfg: SimConfig) -> tuple[float, float]:
-    """Monte Carlo estimate of the expected lending cost for bank ``i``.
-
-    Mean over paths of half the trapezoid integral of the squared loan flow
-    at constant rate ``psi`` on the ``cfg.steps`` grid, each path's integral
-    taken as its exact expectation given the path's terminal value, with a
-    95% confidence half-width.  The paths, chunk reductions and chunk-order
-    combination are ``simulate_network``'s, so the mean is bit for bit its
-    controlled ``mean_cost`` at rate ``psi``; a partial chunk's draws
-    depend on its path count, and hold within one numpy version (NEP 19).
-    The half-width uses the iid formula, conservative under
-    ``cfg.antithetic`` because the conditional cost is monotone in the draws.
-    """
-    _check_bank(net, i, psi)
-    # the default count is not read, so any boundary will do
-    stats = _fan_out(net, [(int(i), float(psi), 0.0)], cfg)
-    _, means, m2 = _combine(stats, cfg.paths)
-    halfwidth = (_Z95 * math.sqrt(m2[1, 0] / (cfg.paths - 1))
-                 / math.sqrt(cfg.paths) if cfg.paths > 1 else 0.0)
-    return float(means[2, 0]), halfwidth
 
 
 def bank_paths(net: FinancialNetwork, i: int, psi: float,
@@ -434,7 +416,9 @@ def bank_paths(net: FinancialNetwork, i: int, psi: float,
     bank's cash and column ``steps`` bit for bit the terminal value behind
     the estimates for the same bank, rate and ``cfg``; the interior is a
     Brownian bridge between them (see the module docstring)."""
-    _check_bank(net, i, psi)
+    require(is_int(i) and 0 <= i < net.n, "i",
+            f"must be an integer bank index in [0, {net.n}), got {i!r}")
+    _check_rate(psi, "psi")
     return (_chunk_paths(float(net.cash[i]), float(net.drift[i]),
                          float(net.vol[i]), float(psi), net.horizon, cfg,
                          int(i), lo, hi)

@@ -287,17 +287,20 @@ def _chan_m2(values: np.ndarray, cfg: ln.SimConfig) -> float:
     return m2
 
 
-def _report(freq, mean_cost, terminal_mean, logvar, decisions,
+def _report(freq, mean_cost, cost_sd, terminal_mean, logvar, decisions,
             cfg: ln.SimConfig) -> ln.SimReport:
+    """A report from per-bank estimates; ``cost_sd`` is each bank's sample
+    standard deviation of the per-path cost (0 at one path)."""
     freq = np.asarray(freq, dtype=float)
     return ln.SimReport(
         default_freq=freq,
         default_ci_halfwidth=1.959963984540054 * np.sqrt(
             freq * (1.0 - freq) / cfg.paths),
         mean_cost=np.asarray(mean_cost, dtype=float),
+        cost_ci_halfwidth=1.959963984540054 * np.asarray(
+            cost_sd, dtype=float) / math.sqrt(cfg.paths),
         terminal_mean=np.asarray(terminal_mean, dtype=float),
         terminal_logvar=np.asarray(logvar, dtype=float),
-        paths_used=cfg.paths, seed_used=cfg.seed,
         infeasible_fallback=np.array(
             [d.region is ln.Region.INFEASIBLE for d in decisions]))
 
@@ -311,17 +314,23 @@ def reference_simulation(net: ln.FinancialNetwork, decisions,
     are ``chunked_mean``s.  The log-variance is that of the rate-zero walk
     ``w`` in either scenario (a shift by ``psi T`` leaves a variance
     alone), its M2 combined over the chunks in chunk order
-    (``_chan_m2``).  It must agree with the engine bit for bit.
+    (``_chan_m2``), and so is the cost's for its half-width.  It must agree
+    with the engine bit for bit.
     """
     walk, terminal, cost = _reference_arrays(net, decisions, cfg)
     boundary = ln.default_boundary(net)
+
+    def variance(values):
+        return _chan_m2(values, cfg) / (cfg.paths - 1) if cfg.paths > 1 \
+            else 0.0
+
     return _report(
         [int(np.count_nonzero(x < b)) / cfg.paths
          for x, b in zip(terminal, boundary)],
         [chunked_mean(c, cfg) for c in cost],
+        [math.sqrt(variance(c)) for c in cost],
         [chunked_mean(x, cfg) for x in terminal],
-        [_chan_m2(w, cfg) / (cfg.paths - 1) if cfg.paths > 1 else 0.0
-         for w in walk], decisions, cfg)
+        [variance(w) for w in walk], decisions, cfg)
 
 
 def whole_array_simulation(net: ln.FinancialNetwork, decisions,
@@ -330,10 +339,13 @@ def whole_array_simulation(net: ln.FinancialNetwork, decisions,
     draws: each field one numpy reduction over a bank's paths in path
     order, the log-variance that of the rate-zero walk ``w``."""
     walk, terminal, cost = _reference_arrays(net, decisions, cfg)
+    if cfg.paths == 1:
+        cost_sd, logvar = np.zeros(net.n), np.zeros(net.n)
+    else:
+        cost_sd, logvar = cost.std(axis=1, ddof=1), walk.var(axis=1, ddof=1)
     return _report(
         (terminal < ln.default_boundary(net)[:, None]).mean(axis=1),
-        cost.mean(axis=1), terminal.mean(axis=1),
-        (walk.var(axis=1, ddof=1) if cfg.paths > 1 else np.zeros(net.n)),
+        cost.mean(axis=1), cost_sd, terminal.mean(axis=1), logvar,
         decisions, cfg)
 
 

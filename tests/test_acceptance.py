@@ -114,18 +114,20 @@ def test_criterion_5_policy_mapping():
              f"q={q.tolist()}")
 
 
-def test_criterion_6_value_function_oracle(case_network):
-    psi = 0.40837
+def test_criterion_6_value_function_oracle(case_network, decisions):
+    # bank 3's controlled row runs at its decided rate psi*
+    psi = decisions[2].psi_star
     boundary3 = ln.default_boundary(case_network)[2]
     problem = ln.ControlProblem(mu=0.3, sigma=0.2, v_terminal=boundary3,
                                 horizon_remaining=1.0, q=0.99)
     closed = ln.value_function(problem, 13.0, psi)
     cfg = ln.SimConfig(paths=PATHS, steps=200, seed=SEED)
-    estimate, halfwidth = ln.estimate_cost(case_network, 2, psi, cfg)
+    _, report = ln.simulate_network(case_network, decisions, cfg)
+    estimate, halfwidth = report.mean_cost[2], report.cost_ci_halfwidth[2]
     rel_err = abs(estimate - closed) / closed
     _verdict("criterion 6 value-function oracle", rel_err <= 0.02,
-             f"closed={closed:.4f}, monte carlo={estimate:.4f}"
-             f"+-{halfwidth:.4f}, rel err={rel_err:.4%}")
+             f"psi*={psi!r}, closed={closed:.4f}, monte carlo="
+             f"{estimate:.4f}+-{halfwidth:.4f}, rel err={rel_err:.4%}")
 
 
 def test_criterion_7_property_suites(case_network, decisions):

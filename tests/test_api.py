@@ -24,8 +24,7 @@ PUBLIC_NAMES = {
     "survival_probability", "switching_rate", "no_action_threshold",
     "classify", "value_function", "network_decision",
     # simulate
-    "SimConfig", "SimReport", "simulate_network", "estimate_cost",
-    "bank_paths",
+    "SimConfig", "SimReport", "simulate_network", "bank_paths",
     # config
     "NetworkConfig", "load_config", "case_study_path", "printed_google_path",
     # errors
@@ -35,7 +34,7 @@ PUBLIC_NAMES = {
 
 
 def test_package_exports_exactly_the_public_names():
-    assert len(ln.__all__) == len(set(ln.__all__)) == 44
+    assert len(ln.__all__) == len(set(ln.__all__)) == 43
     assert set(ln.__all__) == PUBLIC_NAMES
 
 

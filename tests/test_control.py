@@ -360,6 +360,17 @@ class TestNetworkDecision:
         with pytest.raises(ValueError):
             ln.network_decision(case_network, case_q, t=1.0)
 
+    @pytest.mark.parametrize("q,t,field", [
+        ([0.9, 0.9, math.nan, 0.9], 0.0, "q[2]"),
+        ([0.9, 0.0, 0.99, 0.9], 0.0, "q[1]"),
+        ([0.9, 0.9, 0.99, 0.9], math.nan, "t"),
+        ([0.9, 0.9, 0.99, 0.9], -0.5, "t"),
+    ])
+    def test_bad_entry_is_named(self, case_network, q, t, field):
+        with pytest.raises(ln.InvalidValueError) as info:
+            ln.network_decision(case_network, np.array(q), t=t)
+        assert info.value.field == field
+
     @pytest.mark.parametrize("psi_cap", [math.nan, -1.0, 0.0])
     def test_psi_cap_checked_when_no_bank_can_default(self, psi_cap):
         # nobody owes anything, so no bank builds a ControlProblem

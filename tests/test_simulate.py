@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import threading
 import tracemalloc
@@ -222,7 +223,7 @@ def _assert_pair_matches_reference(reports, net, uncontrolled, decisions,
     assert not plain.infeasible_fallback.any()
     zero_rate = [d.region is not ln.Region.ACTION for d in decisions]
     for field in ("default_freq", "default_ci_halfwidth", "mean_cost",
-                  "terminal_mean", "terminal_logvar"):
+                  "cost_ci_halfwidth", "terminal_mean", "terminal_logvar"):
         a, b = getattr(plain, field), getattr(helped, field)
         assert np.array_equal(a[zero_rate], b[zero_rate]), field
     if record == 0:
@@ -319,12 +320,14 @@ class TestKernelMatchesReference:
         for report, decisions in zip(got, (uncontrolled, controlled)):
             want = whole_array_simulation(case_network, decisions, cfg)
             assert np.array_equal(report.default_freq, want.default_freq)
-            for field in ("mean_cost", "terminal_mean", "terminal_logvar"):
+            for field in ("mean_cost", "cost_ci_halfwidth", "terminal_mean",
+                          "terminal_logvar"):
                 np.testing.assert_allclose(getattr(report, field),
                                            getattr(want, field), rtol=1e-13,
                                            atol=0, err_msg=field)
             if paths == 1:
                 assert not report.terminal_logvar.any()
+                assert not report.cost_ci_halfwidth.any()
 
 
 class TestWork:
@@ -608,12 +611,23 @@ class TestCostEstimation:
     @pytest.mark.parametrize("psi", [math.nan, math.inf, -0.1, True, "0.1",
                                      None])
     def test_rejects_bad_rate(self, case_network, psi):
-        for run in (ln.estimate_cost, ln.bank_paths):
-            with pytest.raises(ln.InvalidValueError) as info:
-                run(case_network, 0, psi, ln.SimConfig(paths=10, steps=2))
-            assert info.value.field == "psi"
+        with pytest.raises(ln.InvalidValueError) as info:
+            ln.bank_paths(case_network, 0, psi,
+                          ln.SimConfig(paths=10, steps=2))
+        assert info.value.field == "psi"
 
-    @pytest.mark.parametrize("run", ["estimate_cost", "bank_paths"])
+    @pytest.mark.parametrize("psi", [-0.3, True, math.nan, math.inf, "0.1",
+                                     None])
+    def test_rejects_bad_decided_rate(self, case_network, controlled, psi):
+        # refused before any path is drawn
+        decisions = list(controlled)
+        decisions[2] = dataclasses.replace(controlled[2], psi_star=psi)
+        with pytest.raises(ln.InvalidValueError) as info:
+            ln.simulate_network(case_network, decisions,
+                                ln.SimConfig(paths=1_000))
+        assert info.value.field == "decisions[2].psi_star"
+
+    @pytest.mark.parametrize("run", ["bank_paths"])
     @pytest.mark.parametrize("i", [True, 2.0, 2.5, "2", -1, 4, None])
     def test_rejects_bad_bank_index(self, case_network, i, run):
         # refused when called, before any path is drawn
@@ -626,39 +640,32 @@ class TestCostEstimation:
 
     def test_accepts_numpy_bank_index(self, case_network):
         cfg = ln.SimConfig(paths=10, steps=2)
-        assert ln.estimate_cost(case_network, np.int64(2), 0.1, cfg) == \
-            ln.estimate_cost(case_network, 2, 0.1, cfg)
         assert np.array_equal(_dumped(case_network, np.uint8(2), 0.1, cfg),
                               _dumped(case_network, 2, 0.1, cfg))
 
-    @pytest.mark.parametrize("antithetic", [True, False],
-                             ids=["antithetic", "iid"])
-    def test_matches_simulated_cost_bit_for_bit(self, case_network,
-                                                controlled, antithetic):
-        # one cost path: 40,000 paths are three chunks, each with its own
-        # series, and estimate_cost runs them as simulate_network does
-        cfg = ln.SimConfig(paths=40_000, steps=50, seed=12,
-                           antithetic=antithetic)
-        _, report = ln.simulate_network(case_network, controlled, cfg)
-        mean, _ = ln.estimate_cost(case_network, 2, controlled[2].psi_star,
-                                   cfg)
-        assert mean == report.mean_cost[2]
+    def test_zero_rate_costs_exactly_zero(self, case_network, controlled,
+                                          capped):
+        # every uncontrolled row, and the no-action and infeasible rows of
+        # a controlled report
+        assert {d.region for d in capped} == {ln.Region.NO_ACTION,
+                                              ln.Region.INFEASIBLE}
+        cfg = ln.SimConfig(paths=2_000, seed=1)
+        plain, _ = ln.simulate_network(case_network, controlled, cfg)
+        _, fallback = ln.simulate_network(case_network, capped, cfg)
+        for report in (plain, fallback):
+            assert not report.mean_cost.any()
+            assert not report.cost_ci_halfwidth.any()
 
-    def test_zero_rate_costs_exactly_zero(self, case_network):
-        mean, halfwidth = ln.estimate_cost(case_network, 2, 0.0,
-                                           ln.SimConfig(paths=2_000, seed=1))
-        assert mean == 0.0
-        assert halfwidth == 0.0
-
-    def test_matches_closed_form_within_ci(self, case_network):
+    def test_matches_closed_form_within_ci(self, case_network, controlled):
         cfg = ln.SimConfig(paths=40_000, steps=200, seed=2)
-        mean, halfwidth = ln.estimate_cost(case_network, 2, B3_PSI_STAR, cfg)
+        _, report = ln.simulate_network(case_network, controlled, cfg)
         p = ln.ControlProblem(mu=0.3, sigma=0.2,
                               v_terminal=float(
                                   ln.default_boundary(case_network)[2]),
                               horizon_remaining=1.0, q=0.99)
-        closed = ln.value_function(p, 13.0, B3_PSI_STAR)
-        assert abs(mean - closed) <= 3 * halfwidth
+        closed = ln.value_function(p, 13.0, controlled[2].psi_star)
+        assert abs(report.mean_cost[2] - closed) <= \
+            3 * report.cost_ci_halfwidth[2]
 
     def test_deterministic_scaling_with_zero_vol(self):
         # sigma -> 0 limit: the path is deterministic and the trapezoid cost
@@ -677,10 +684,18 @@ class TestCostEstimation:
                                   vol=[1e-12], growth_rate=0.0,
                                   horizon=horizon)
         cfg = ln.SimConfig(paths=64, steps=steps, seed=4)
-        low, _ = ln.estimate_cost(net, 0, 0.2, cfg)
-        high, _ = ln.estimate_cost(net, 0, 0.4, cfg)
+
+        def simulated_cost(psi):
+            # the bank owes nothing, so only a hand-built decision lends
+            decision = ln.ControlDecision(
+                region=ln.Region.ACTION, psi_star=psi, expected_cost=0.0,
+                survival_prob_uncontrolled=1.0, threshold_log_x=None)
+            _, report = ln.simulate_network(net, [decision], cfg)
+            return report.mean_cost[0]
+
         ratio = deterministic_cost(0.4) / deterministic_cost(0.2)
-        assert high / low == pytest.approx(ratio, rel=1e-6)
+        assert simulated_cost(0.4) / simulated_cost(0.2) == pytest.approx(
+            ratio, rel=1e-6)
 
 
 class TestEulerOracle:
@@ -732,13 +747,15 @@ class TestInfeasibleFallback:
 
 
 class TestReportShape:
-    def test_fields_and_trajectories(self, case_network, controlled,
-                                     monkeypatch):
+    def test_fields_and_path_chunks(self, case_network, controlled,
+                                    monkeypatch):
         monkeypatch.setattr(engine, "_CHUNK", 50)
         cfg = ln.SimConfig(paths=120, steps=10, seed=6)
-        for report in ln.simulate_network(case_network, controlled, cfg):
-            assert report.paths_used == 120
-            assert report.seed_used == 6
+        plain, helped = ln.simulate_network(case_network, controlled, cfg)
+        assert not plain.cost_ci_halfwidth.any()
+        assert helped.cost_ci_halfwidth[2] > 0
+        for report in (plain, helped):
+            assert np.all(report.cost_ci_halfwidth >= 0)
             assert np.all(report.default_ci_halfwidth >= 0)
             assert np.all((report.default_freq >= 0)
                           & (report.default_freq <= 1))

@@ -16,10 +16,10 @@ import argparse
 import contextlib
 import csv
 import functools
-import itertools
 import math
 import os
 import sys
+from itertools import count, repeat
 from pathlib import Path
 
 import numpy as np
@@ -235,7 +235,7 @@ def cmd_simulate(cfg: NetworkConfig, args) -> tuple[dict, list[str]]:
 
 def _write_path_dump(cfg: NetworkConfig, psi: list[float],
                      sim_cfg: SimConfig, args) -> None:
-    """Write every bank's paths in both scenarios, one chunk at a time."""
+    """Write every bank's paths in both scenarios, one path at a time."""
     if args.dump_paths:
         target = Path(args.dump_paths)
     elif args.output:
@@ -251,13 +251,12 @@ def _write_path_dump(cfg: NetworkConfig, psi: list[float],
         for scenario in _SCENARIOS:
             for i, name in enumerate(cfg.names):
                 rate = 0.0 if scenario == "uncontrolled" else psi[i]
-                paths = itertools.chain.from_iterable(
-                    bank_paths(cfg.network, i, rate, sim_cfg))
-                for p, values in enumerate(paths):
-                    for s, (time, value) in enumerate(zip(times,
-                                                          values.tolist())):
-                        writer.writerow([i + 1, name, scenario, p, s, time,
-                                         _cell(value)])
+                paths = bank_paths(cfg.network, i, rate, sim_cfg)
+                for p, path in enumerate(paths):
+                    writer.writerows(zip(
+                        repeat(i + 1), repeat(name), repeat(scenario),
+                        repeat(p), count(), times,
+                        map(format_number, path.tolist())))
 
 
 _COMMANDS = {

@@ -61,7 +61,8 @@ sqrt(dt) z_k`` over those rows,
 
 a Brownian bridge from 0 to ``W`` whatever the drift.  At ``k = N`` the
 bracket is exactly 0, so every rebuilt terminal value is bit for bit the one
-behind the estimates, and rebuilding paths moves no estimate.
+behind the estimates, and rebuilding paths moves no estimate.  A bank with
+no cash takes ``log x0 = -inf``, so its every value is exactly 0.
 """
 
 from __future__ import annotations
@@ -172,17 +173,8 @@ def _draw(gen: np.random.Generator, z: np.ndarray) -> None:
         np.negative(z[0], out=z[1])
 
 
-def _scatter(dst: np.ndarray, src: np.ndarray) -> None:
-    """Write ``src`` (blocks, columns, ...) into ``dst`` in path order.
-
-    Path ``p`` of the chunk is column ``p // blocks`` of block
-    ``p % blocks``; the columns past ``dst``'s paths (an odd antithetic
-    chunk's unpaired mirror) are dropped.
-    """
-    blocks = len(src)
-    for b in range(blocks):
-        part = dst[b::blocks]
-        part[...] = src[b, :len(part)]
+def _log(x0: float) -> float:
+    return math.log(x0) if x0 else -math.inf  # no cash: every value is 0
 
 
 def _chunks(paths: int):
@@ -300,7 +292,7 @@ def _reduce_chunk(net: FinancialNetwork, i: int, psi: float,
     w, x, scratch = buf[:, :size]
 
     def terminal_stats() -> tuple[int, float]:
-        np.exp(np.add(w, math.log(x0), out=x), out=x)
+        np.exp(np.add(w, _log(x0), out=x), out=x)
         return np.count_nonzero(x < boundary), x.sum()
 
     out[4:6] = _sum_m2(w, scratch)
@@ -411,41 +403,49 @@ def simulate_network(net: FinancialNetwork, decisions: list[ControlDecision],
 def bank_paths(net: FinancialNetwork, i: int, psi: float,
                cfg: SimConfig) -> Iterator[np.ndarray]:
     """Bank ``i``'s paths at constant rate ``psi`` on the ``cfg.steps``
-    grid, one (chunk paths, steps + 1) array per chunk in path order, each
-    built on the calling thread when it is asked for.  Column 0 is the
-    bank's cash and column ``steps`` bit for bit the terminal value behind
-    the estimates for the same bank, rate and ``cfg``; the interior is a
-    Brownian bridge between them (see the module docstring)."""
+    grid in path order, each a (steps + 1,) view of its chunk's array.  A
+    chunk is built on the calling thread when first asked for, and its last
+    path is a copy, so a reader that keeps only the latest path holds one
+    chunk.  Entry 0 is the cash and entry ``steps`` bit for bit the
+    terminal value behind the estimates for the same bank, rate and
+    ``cfg``; the interior is a Brownian bridge (see the module docstring)."""
     require(is_int(i) and 0 <= i < net.n, "i",
             f"must be an integer bank index in [0, {net.n}), got {i!r}")
     _check_rate(psi, "psi")
-    return (_chunk_paths(float(net.cash[i]), float(net.drift[i]),
-                         float(net.vol[i]), float(psi), net.horizon, cfg,
-                         int(i), lo, hi)
-            for lo, hi in _chunks(cfg.paths))
+    return (path for lo, hi in _chunks(cfg.paths)
+            for path in _chunk_paths(net, int(i), float(psi), cfg, lo, hi))
 
 
-def _chunk_paths(x0: float, mu: float, sigma: float, psi: float,
-                 horizon: float, cfg: SimConfig, stream: int, lo: int,
-                 hi: int) -> np.ndarray:
+def _chunk_paths(net: FinancialNetwork, i: int, psi: float, cfg: SimConfig,
+                 lo: int, hi: int) -> Iterator[np.ndarray]:
+    """Paths ``[lo, hi)``, rebuilt in one (blocks, steps + 1, columns)
+    array: path ``p`` of the chunk is column ``p // blocks`` of block ``p %
+    blocks``, and an odd chunk's last column holds an unpaired mirror."""
+    x0, sigma, horizon = float(net.cash[i]), float(net.vol[i]), net.horizon
     blocks = 2 if cfg.antithetic else 1
     cols = -(-(hi - lo) // blocks)
     walk = np.empty((blocks, cols))
-    gen = _terminal_walk(mu, sigma, horizon, cfg, stream, lo, walk)
+    gen = _terminal_walk(float(net.drift[i]), sigma, horizon, cfg, i, lo,
+                         walk)
     # the same shift as the simulation's, so X_N is bit for bit its own
     walk += psi * horizon
-    # (blocks, steps, columns): row k - 1 holds step k
-    z = np.empty((blocks, cfg.steps, cols))
-    _draw(gen, z)
-    z *= sigma * math.sqrt(horizon / cfg.steps)
-    np.cumsum(z, axis=1, out=z)
-    # the bracket S_k - (k/N) S_N first, so it is exactly 0 at k = N
-    frac = (np.arange(1, cfg.steps + 1) / cfg.steps)[:, None]
-    z -= frac * z[:, -1:]
-    z += frac * walk[:, None]
-    z += math.log(x0)
-    np.exp(z, out=z)
-    paths = np.empty((hi - lo, cfg.steps + 1))
-    paths[:, 0] = x0
-    _scatter(paths[:, 1:], z.transpose(0, 2, 1))
-    return paths
+    # row k holds step k; rows 1 to steps of a block are contiguous, so
+    # they take the stream step-major
+    z = np.empty((blocks, cfg.steps + 1, cols))
+    grid = z[:, 1:]
+    _draw(gen, grid)
+    grid *= sigma * math.sqrt(horizon / cfg.steps)
+    np.cumsum(grid, axis=1, out=grid)
+    # the bracket S_k - (k/N) S_N first, so it is exactly 0 at k = N; one
+    # row at a time, as a whole-grid product would be a second chunk
+    end, scaled = z[:, -1].copy(), np.empty_like(walk)
+    for k in range(1, cfg.steps + 1):
+        z[:, k] -= np.multiply(k / cfg.steps, end, out=scaled)
+        z[:, k] += np.multiply(k / cfg.steps, walk, out=scaled)
+    grid += _log(x0)
+    np.exp(grid, out=grid)
+    z[:, 0] = x0
+    last = hi - lo - 1
+    for p in range(last):
+        yield z[p % blocks, :, p // blocks]
+    yield z[last % blocks, :, last // blocks].copy()

@@ -692,6 +692,40 @@ class TestPathDump:
                          str(tmp_path / "paths.csv"))
         assert plain == dumped
 
+    def test_bank_without_cash_simulates_as_a_certain_default(self, capsys,
+                                                              tmp_path):
+        # control finds no feasible rate for a bank with no cash, and its
+        # every path stays at exactly 0, below its positive boundary
+        doc = json.loads(ln.case_study_path().read_text())
+        doc["banks"][2]["cash"] = 0
+        config = tmp_path / "zero_cash.json"
+        config.write_text(json.dumps(doc))
+        dump = tmp_path / "paths.csv"
+        argv = ["simulate", "--config", str(config), "--paths", "1000",
+                "--steps", "5"]
+        code, out, err = run_cli(capsys, *argv, "--format", "doc",
+                                 "--dump-paths", str(dump))
+        assert code == 0
+        assert err == ("warning: control for Bank 3 is infeasible;"
+                       " simulated uncontrolled\n")
+        sim = json.loads(out)
+        for scenario in ("uncontrolled", "controlled"):
+            bank = sim[scenario][2]
+            assert (bank["default_freq"], bank["terminal_mean"],
+                    bank["mean_cost"]) == (1, 0, 0)
+            assert bank["infeasible_fallback"] == (scenario == "controlled")
+        _, rows = parse_csv(dump.read_text())
+        values = {row[6] for row in rows if row[1] == "Bank 3"}
+        assert values == {"0"}
+        assert sum(row[1] == "Bank 3" for row in rows) == 2 * 1000 * 6
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        header, rows = parse_csv(out)
+        third = [dict(zip(header, row)) for row in rows
+                 if row[1] == "Bank 3"]
+        assert [(row["default_freq"], row["terminal_mean"])
+                for row in third] == [("1", "0")] * 2
+
     def test_bare_flag_writes_sibling_of_output(self, capsys, tmp_path):
         target = tmp_path / "report.csv"
         code, _, _ = run_cli(capsys, "simulate", "--config",

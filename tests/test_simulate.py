@@ -205,7 +205,7 @@ class TestDeterminism:
 
 
 def _dumped(net, i, psi, cfg):
-    return np.concatenate(list(ln.bank_paths(net, i, psi, cfg)))
+    return np.stack(list(ln.bank_paths(net, i, psi, cfg)))
 
 
 def _assert_pair_matches_reference(reports, net, uncontrolled, decisions,
@@ -394,8 +394,8 @@ class TestMemory:
                  for paths in (32_768, 327_680)]
         assert peaks[1] <= peaks[0] + 2**20
 
-    def test_recording_holds_one_trajectories_array(self, case_network,
-                                                    controlled, monkeypatch):
+    def test_dump_memory_does_not_grow_with_paths(self, case_network,
+                                                  controlled, monkeypatch):
         # the dump rebuilds one chunk of paths at a time, so its peak is
         # the same over 2 chunks as over 6
         monkeypatch.setattr(engine, "_CHUNK", 1_024)
@@ -403,14 +403,35 @@ class TestMemory:
 
         def dump(chunks):
             cfg = ln.SimConfig(paths=chunks * 1_024, steps=50, seed=3)
-            return sum(len(paths)
-                       for paths in ln.bank_paths(case_network, 2, psi, cfg))
+            return sum(1 for _ in ln.bank_paths(case_network, 2, psi, cfg))
 
         dump(1)  # first-call allocations are not the dump's
         (small, done), (large, total) = (_peak_bytes(lambda: dump(chunks))
                                          for chunks in (2, 6))
         assert (done, total) == (2_048, 6_144)
         assert large <= small + 2**16
+
+    @pytest.mark.parametrize("antithetic", [True, False],
+                             ids=["antithetic", "iid"])
+    @pytest.mark.parametrize("steps", [100, 400])
+    def test_dump_holds_one_chunk_array(self, case_network, controlled,
+                                        steps, antithetic):
+        # each chunk's paths live in one (steps + 1)-row array, rebuilt in
+        # place: no path-major copy and no chunk-sized temporary.  Over two
+        # chunks, a reader that keeps only the latest path frees the first
+        # chunk before the second is built
+        psi = controlled[2].psi_star
+        chunk_bytes = engine._CHUNK * (steps + 1) * 8
+
+        def dump(paths):
+            cfg = ln.SimConfig(paths=paths, steps=steps, seed=3,
+                               antithetic=antithetic)
+            for path in ln.bank_paths(case_network, 2, psi, cfg):
+                assert path.shape == (steps + 1,)
+
+        dump(3)  # first-call allocations are not the dump's
+        peak, _ = _peak_bytes(lambda: dump(2 * engine._CHUNK))
+        assert peak <= chunk_bytes + 2**20
 
 
 class TestStatisticalAgreement:
@@ -518,6 +539,100 @@ class TestStatisticalAgreement:
         np.testing.assert_allclose(
             log_ret.mean(axis=0), (mu - sigma**2 / 2) * times,
             rtol=0, atol=6 * sigma / math.sqrt(n))
+
+
+def _calibration_network(n=20, seed=1):
+    """A seeded network whose net debtors hold between 0.8 and 1.6 times
+    their terminal boundary in cash, under survival targets in [0.6,
+    0.99): about half its banks may default, and about half of those
+    get a lending rate."""
+    rng = np.random.default_rng(seed)
+    liabilities = np.where(rng.random((n, n)) < 0.3,
+                           rng.uniform(1, 10, (n, n)), 0.0)
+    np.fill_diagonal(liabilities, 0.0)
+    drift, vol = rng.uniform(0.0, 0.2, n), rng.uniform(0.1, 0.4, n)
+
+    def network(cash):
+        return ln.FinancialNetwork(liabilities=liabilities, cash=cash,
+                                   drift=drift, vol=vol, growth_rate=0.05,
+                                   horizon=1.0)
+
+    # the boundary does not depend on cash
+    boundary = ln.default_boundary(network(np.ones(n)))
+    net = network(np.where(boundary > 0,
+                           boundary * rng.uniform(0.8, 1.6, n),
+                           rng.uniform(1, 10, n)))
+    q = rng.uniform(0.6, 0.99, n)
+    return net, q, ln.network_decision(net, q)
+
+
+class TestCalibration:
+    """Over 200 fixed seeds at 4,000 paths, each estimate's z-score
+    against its closed form, ``(estimate - exact) / (half-width / z95)``,
+    must have a mean near 0 (no bias) and, with iid draws, an sd near 1
+    (an honest half-width).  With K = 200 the z mean has an sd of about
+    0.07 and the sample sd one of about 0.05, so the bounds are |mean| <=
+    0.25 and sd in [0.85, 1.15].  The paired half-widths use the iid
+    formula, which overstates a pair's error, so there the sd is only
+    bounded above.  The seeds are fixed, so the verdict moves only when
+    numpy moves the stream.
+
+    Case study: banks 1 and 3 uncontrolled, bank 3 controlled and its
+    cost.  A seeded network: every uncontrolled bank whose default
+    probability lies in [0.02, 0.98], and every action bank's controlled
+    default against ``1 - q``, pooled over banks and seeds.
+    """
+
+    @pytest.mark.parametrize("antithetic", [True, False],
+                             ids=["antithetic", "iid"])
+    def test_z_scores_over_seeds(self, case_network, controlled, case_q,
+                                 antithetic):
+        problem = ln.ControlProblem(
+            mu=0.3, sigma=0.2,
+            v_terminal=float(ln.default_boundary(case_network)[2]),
+            horizon_remaining=1.0, q=0.99)
+        cost = ln.value_function(problem, 13.0, controlled[2].psi_star)
+        net, q, decisions = _calibration_network()
+        default = np.array([1 - d.survival_prob_uncontrolled
+                            for d in decisions])
+        free = np.flatnonzero((default >= 0.02) & (default <= 0.98))
+        action = np.flatnonzero([d.region is ln.Region.ACTION
+                                 for d in decisions])
+        assert len(free) >= 8 and len(action) >= 8
+
+        def z(estimate, exact, halfwidth):
+            return (estimate - exact) / (halfwidth / 1.959963984540054)
+
+        scores = {name: [] for name in ("bank 1", "bank 3", "bank 3 helped",
+                                        "bank 3 cost", "network",
+                                        "network helped")}
+        for seed in range(200):
+            cfg = ln.SimConfig(paths=4_000, seed=seed, antithetic=antithetic)
+            plain, helped = ln.simulate_network(case_network, controlled, cfg)
+            scores["bank 1"].append(z(plain.default_freq[0],
+                                      1 - B1_SURVIVAL_UNCONTROLLED,
+                                      plain.default_ci_halfwidth[0]))
+            scores["bank 3"].append(z(plain.default_freq[2],
+                                      1 - B3_SURVIVAL_UNCONTROLLED,
+                                      plain.default_ci_halfwidth[2]))
+            scores["bank 3 helped"].append(z(helped.default_freq[2],
+                                             1 - case_q[2],
+                                             helped.default_ci_halfwidth[2]))
+            scores["bank 3 cost"].append(z(helped.mean_cost[2], cost,
+                                           helped.cost_ci_halfwidth[2]))
+            plain, helped = ln.simulate_network(net, decisions, cfg)
+            scores["network"].extend(z(plain.default_freq[free],
+                                       default[free],
+                                       plain.default_ci_halfwidth[free]))
+            scores["network helped"].extend(z(
+                helped.default_freq[action], 1 - q[action],
+                helped.default_ci_halfwidth[action]))
+        for name, values in scores.items():
+            mean, sd = np.mean(values), np.std(values, ddof=1)
+            assert abs(mean) <= 0.25, (name, mean)
+            assert sd <= 1.15, (name, sd)
+            if not antithetic:
+                assert sd >= 0.85, (name, sd)
 
 
 def _term_by_term_cost(x0, sigma, psi, horizon, steps, terminal):
@@ -760,11 +875,10 @@ class TestReportShape:
             assert np.all((report.default_freq >= 0)
                           & (report.default_freq <= 1))
         for i in range(4):
-            chunks = list(ln.bank_paths(case_network, i, 0.0, cfg))
-            assert [c.shape for c in chunks] == [(50, 11), (50, 11),
-                                                 (20, 11)]
-            assert all(np.all(c[:, 0] == case_network.cash[i])
-                       for c in chunks)
+            paths = list(ln.bank_paths(case_network, i, 0.0, cfg))
+            assert len(paths) == 120
+            assert all(p.shape == (11,) and p[0] == case_network.cash[i]
+                       for p in paths)
 
     def test_ci_shrinks_with_paths(self, case_network, uncontrolled):
         small, _ = ln.simulate_network(case_network, uncontrolled,

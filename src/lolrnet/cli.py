@@ -4,8 +4,9 @@ Five subcommands cover the library surface: ``rank``, ``clearing``,
 ``regions``, ``control``, and ``simulate``.  Each reads a configuration
 document, writes either a CSV table (default) or a JSON document to stdout
 or ``--output`` as it renders them, and exits 0 on success; ``--output`` is
-opened only once the command has succeeded.  Failures, an unwritable
-``--output`` included, print a JSON error object to stderr and exit 1.  A
+opened only once the command has succeeded, and ``simulate``'s path dump is
+written only once it is open.  Failures, an unwritable ``--output``
+included, print a JSON error object to stderr and exit 1.  A
 reader that closes stdout early (``| head``) ends the command quietly with
 exit 0.  Output is byte-identical for identical flags and seed.
 """
@@ -28,7 +29,7 @@ from . import __version__
 from .config import (NetworkConfig, dumps_doc, format_number, load_config,
                      load_matrix, resolve_input_path, write_doc)
 from .control import network_decision
-from .errors import LolrnetError
+from .errors import LolrnetError, require
 from .network import clearing_vector, default_boundary, total_obligations
 from .ranking import (UniformPolicy, assign_survival_probabilities,
                       net_positions, perron_rank, rank_network)
@@ -108,10 +109,9 @@ def cmd_rank(cfg: NetworkConfig, args) -> tuple[dict, list[str]]:
     positions = net_positions(net)
     if args.matrix_override:
         google = load_matrix(args.matrix_override)
-        if google.shape[0] != net.n:
-            raise ValueError(
-                f"override matrix is {google.shape[0]}x{google.shape[1]}, "
-                f"network has {net.n} banks")
+        require(google.shape[0] == net.n, "google",
+                f"must be {net.n}x{net.n}, one row per bank, got "
+                f"{google.shape[0]}x{google.shape[1]}")
         eigenvalue, rank = perron_rank(google)
     else:
         result = rank_network(net, cfg.weights)
@@ -207,9 +207,6 @@ def cmd_simulate(cfg: NetworkConfig, args) -> tuple[dict, list[str]]:
             f"warning: control for {cfg.names[i]} is infeasible; "
             "simulated uncontrolled\n")
     psi = [d.psi_star if d.psi_star is not None else 0.0 for d in decisions]
-    if args.dump_paths is not None:
-        _write_path_dump(cfg, psi, sim_cfg, args)
-
     sections = {}
     for scenario, rep in reports.items():
         banks = []
@@ -233,15 +230,17 @@ def cmd_simulate(cfg: NetworkConfig, args) -> tuple[dict, list[str]]:
                  "terminal_logvar", "infeasible_fallback"]
 
 
-def _write_path_dump(cfg: NetworkConfig, psi: list[float],
-                     sim_cfg: SimConfig, args) -> None:
-    """Write every bank's paths in both scenarios, one path at a time."""
+def _write_path_dump(cfg: NetworkConfig, doc: dict, args) -> None:
+    """Write every bank's paths in both scenarios, one path at a time, at
+    the rates the ``simulate`` doc reports."""
     if args.dump_paths:
         target = Path(args.dump_paths)
     elif args.output:
         target = Path(str(args.output) + ".paths.csv")
     else:
         target = Path(_DEFAULT_DUMP)
+    sim_cfg = SimConfig(paths=args.paths, steps=args.steps, seed=args.seed,
+                        antithetic=args.antithetic)
     with open(target, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["bank", "name", "scenario", "path", "step", "time",
@@ -249,13 +248,13 @@ def _write_path_dump(cfg: NetworkConfig, psi: list[float],
         dt = cfg.network.horizon / sim_cfg.steps
         times = [_cell(s * dt) for s in range(sim_cfg.steps + 1)]
         for scenario in _SCENARIOS:
-            for i, name in enumerate(cfg.names):
-                rate = 0.0 if scenario == "uncontrolled" else psi[i]
-                paths = bank_paths(cfg.network, i, rate, sim_cfg)
+            for bank in doc[scenario]:
+                paths = bank_paths(cfg.network, bank["index"] - 1,
+                                   bank["psi"], sim_cfg)
                 for p, path in enumerate(paths):
                     writer.writerows(zip(
-                        repeat(i + 1), repeat(name), repeat(scenario),
-                        repeat(p), count(), times,
+                        repeat(bank["index"]), repeat(bank["name"]),
+                        repeat(scenario), repeat(p), count(), times,
                         map(format_number, path.tolist())))
 
 
@@ -270,11 +269,9 @@ _COMMANDS = {
 
 def run_command(command: str, cfg: NetworkConfig, args) -> tuple[dict, list[str]]:
     """Dispatch a command name to its implementation."""
-    try:
-        handler = _COMMANDS[command]
-    except KeyError:
-        raise ValueError(f"unknown command {command!r}") from None
-    return handler(cfg, args)
+    require(command in _COMMANDS, "command",
+            f"must be one of {', '.join(_COMMANDS)}, got {command!r}")
+    return _COMMANDS[command](cfg, args)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +343,8 @@ def main(argv: list[str] | None = None) -> int:
         # text mode with the default newline, as stdout, for the same bytes
         with (open(args.output, "w", encoding="utf-8") if args.output
               else contextlib.nullcontext(sys.stdout)) as handle:
+            if args.command == "simulate" and args.dump_paths is not None:
+                _write_path_dump(cfg, doc, args)
             if args.format == "doc":
                 write_doc(doc, handle)
                 handle.write("\n")
@@ -353,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
                 _write_table(doc, header, handle)
             # a closed stdout pipe raises here, not at interpreter exit
             handle.flush()
-    except (LolrnetError, ValueError, IndexError, OSError) as exc:
+    except (LolrnetError, ValueError, OSError) as exc:
         if isinstance(exc, BrokenPipeError) and not args.output:
             # the reader stopped early (``| head``): stop quietly, and send
             # what stdout still buffers to devnull so the exit flush is silent

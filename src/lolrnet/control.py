@@ -21,6 +21,7 @@ AS 241 algorithm (Applied Statistics 37(3), 1988).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from statistics import NormalDist
@@ -109,23 +110,30 @@ def rho(q: float) -> float:
     ``rho(q) == -rho(1 - q)`` is exact whenever ``1 - q`` is.  ``rho(0.5)``
     is ``+0.0``, never ``-0.0``.
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError("q must lie strictly inside (0, 1)")
+    require(0.0 < q < 1.0, "q", "must lie strictly inside (0, 1)")
     if q <= 0.5:
         return -_normal_quantile(q) + 0.0
     return _normal_quantile(1.0 - q) + 0.0
+
+
+def _check_rate(psi, field: str) -> None:
+    """The one lending-rate check: a real, finite, non-negative number."""
+    require(isinstance(psi, numbers.Real) and not isinstance(psi, bool),
+            field, f"must be a real number, got {psi!r}")
+    require(math.isfinite(psi), field, MUST_BE_FINITE)
+    require(psi >= 0, field, "must be non-negative")
 
 
 def survival_probability(p: ControlProblem, x: float, psi: float) -> float:
     """Probability that the bank ends the horizon at or above its threshold.
 
     Closed form for lognormal dynamics with drift ``mu + psi``; strictly
-    increasing in both ``x`` and ``psi``.
+    increasing in both ``x`` and ``psi``.  ``psi`` may not exceed
+    ``p.psi_cap``.
     """
-    if not x > 0:
-        raise ValueError("current value x must be positive")
-    if not 0 <= psi <= p.psi_cap:
-        raise ValueError(f"psi must lie in [0, {p.psi_cap}]")
+    require(x > 0, "x", "must be positive")
+    _check_rate(psi, "psi")
+    require(psi <= p.psi_cap, "psi", f"must not exceed psi_cap {p.psi_cap}")
     tau = p.horizon_remaining
     d = (math.log(p.v_terminal / x) - (p.mu + psi - p.sigma**2 / 2.0) * tau) \
         / math.sqrt(2.0 * p.sigma**2 * tau)
@@ -139,8 +147,7 @@ def switching_rate(p: ControlProblem, x: float) -> float:
     the constraint.  For results inside ``[0, psi_cap]`` the round trip
     ``survival_probability(p, x, switching_rate(p, x)) == q`` holds.
     """
-    if not x > 0:
-        raise ValueError("current value x must be positive")
+    require(x > 0, "x", "must be positive")
     tau = p.horizon_remaining
     return (p.sigma**2 / 2.0 - p.mu) + math.log(p.v_terminal / x) / tau \
         - p.sigma * rho(p.q) / math.sqrt(tau)
@@ -171,10 +178,8 @@ def value_function(p: ControlProblem, x: float, psi: float) -> float:
     so ``x^2 * exp(c * tau)`` is formed in log space there; ``math.inf``
     means the cost itself exceeds the largest float.
     """
-    if not x > 0:
-        raise ValueError("current value x must be positive")
-    if not 0 <= psi < math.inf:
-        raise ValueError("psi must be finite and non-negative")
+    require(x > 0, "x", "must be positive")
+    _check_rate(psi, "psi")
     if psi == 0:
         return 0.0
     tau = p.horizon_remaining
@@ -235,8 +240,7 @@ def network_decision(net: FinancialNetwork, q: np.ndarray, t: float = 0.0,
     horizon)`` raises ``InvalidValueError`` naming ``q[i]`` or ``t``.
     """
     q = np.asarray(q, dtype=float)
-    if q.shape != (net.n,):
-        raise ValueError(f"q must have length {net.n}")
+    require(q.shape == (net.n,), "q", f"must have length {net.n}")
     require((q > 0) & (q < 1), "q", "must lie strictly inside (0, 1)")
     require(0.0 <= t < net.horizon, "t",
             f"must lie in [0, {net.horizon}), got {t!r}")

@@ -85,16 +85,14 @@ class FinancialNetwork:
 
     def __post_init__(self):
         liab = _frozen(self.liabilities)
-        if liab.ndim != 2 or liab.shape[0] != liab.shape[1]:
-            raise ValueError("liabilities must be a square matrix")
+        require(liab.ndim == 2 and liab.shape[0] == liab.shape[1],
+                "liabilities", "must be a square matrix")
         n = liab.shape[0]
-        if n < 1:
-            raise ValueError("network needs at least one bank")
+        require(n >= 1, "liabilities", "must hold at least one bank")
         object.__setattr__(self, "liabilities", liab)
         for name in ("cash", "drift", "vol"):
             vec = _frozen(getattr(self, name))
-            if vec.shape != (n,):
-                raise ValueError(f"{name} must have length {n}")
+            require(vec.shape == (n,), name, f"must have length {n}")
             require(np.isfinite(vec), name, MUST_BE_FINITE)
             object.__setattr__(self, name, vec)
         require(self.cash >= 0, "cash", "must be non-negative")
@@ -150,10 +148,11 @@ def total_obligations(net: FinancialNetwork, t: float) -> np.ndarray:
     """Total nominal obligation of every bank at time ``t``.
 
     Row sums of the liabilities matrix scaled by the common exponential
-    growth factor ``exp(growth_rate * t)``.
+    growth factor ``exp(growth_rate * t)``.  A time outside ``[0,
+    horizon]``, NaN included, raises ``InvalidValueError`` naming ``t``.
     """
-    if not (0.0 <= t <= net.horizon):
-        raise ValueError(f"time {t} outside [0, {net.horizon}]")
+    require(0.0 <= t <= net.horizon, "t",
+            f"must lie in [0, {net.horizon}], got {t!r}")
     return net.liabilities.sum(axis=1) * math.exp(net.growth_rate * t)
 
 

@@ -180,10 +180,10 @@ def google_matrix(gamma_plus: np.ndarray,
     ``damping * tau``, so each entry is at least ``(1 - damping) / n``.
     """
     gamma_plus = np.asarray(gamma_plus, dtype=float)
-    if gamma_plus.ndim != 2 or gamma_plus.shape[0] != gamma_plus.shape[1]:
-        raise ValueError("gamma_plus must be a square matrix")
-    if not 0.0 < damping < 1.0:
-        raise ValueError("damping must lie strictly inside (0, 1)")
+    require(gamma_plus.ndim == 2
+            and gamma_plus.shape[0] == gamma_plus.shape[1],
+            "gamma_plus", "must be a square matrix")
+    require(0.0 < damping < 1.0, "damping", "must lie strictly inside (0, 1)")
     n = gamma_plus.shape[0]
     outdegree = gamma_plus.sum(axis=1)
     tau = np.divide(gamma_plus, outdegree[None, :],
@@ -207,8 +207,8 @@ def perron_rank(google: np.ndarray) -> tuple[float, np.ndarray]:
         slowly mixing matrix.
     """
     google = np.asarray(google, dtype=float)
-    if google.ndim != 2 or google.shape[0] != google.shape[1]:
-        raise ValueError("google matrix must be square")
+    require(google.ndim == 2 and google.shape[0] == google.shape[1],
+            "google", "must be a square matrix")
     require(google > 0, "google", "must be strictly positive")
     n = google.shape[0]
     vec = np.full(n, 1.0 / math.sqrt(n))

@@ -68,14 +68,13 @@ no cash takes ``log x0 = -inf``, so its every value is exactly 0.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .control import ControlDecision, Region
-from .errors import MUST_BE_FINITE, is_int, require
+from .control import ControlDecision, Region, _check_rate
+from .errors import is_int, require
 from .network import FinancialNetwork, default_boundary
 
 __all__ = ["SimConfig", "SimReport", "simulate_network", "bank_paths"]
@@ -108,18 +107,14 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("paths", "steps", "seed"):
-            if not is_int(getattr(self, name)):
-                raise ValueError(
-                    f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.paths < 1:
-            raise ValueError("paths must be at least 1")
-        if self.steps < 1:
-            raise ValueError("steps must be at least 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if not isinstance(self.antithetic, (bool, np.bool_)):
-            raise ValueError(
-                f"antithetic must be a bool, got {self.antithetic!r}")
+            require(is_int(getattr(self, name)), name,
+                    f"must be an integer, got {getattr(self, name)!r}")
+        require(self.paths >= 1, "paths", "must be at least 1")
+        require(self.steps >= 1, "steps", "must be at least 1")
+        require(0 <= self.seed < 2**64, "seed",
+                "must fit in an unsigned 64-bit integer")
+        require(isinstance(self.antithetic, (bool, np.bool_)), "antithetic",
+                f"must be a bool, got {self.antithetic!r}")
 
 
 @dataclass(frozen=True)
@@ -136,9 +131,12 @@ class SimReport:
     every zero-rate row.  Both are conservative for antithetic runs: the
     default indicator and the conditional cost are monotone in the draws,
     so a pair's negated draws never raise their variance (Glasserman 2004,
-    section 4.2).  ``infeasible_fallback`` flags banks whose control
-    decision was infeasible and that were therefore simulated uncontrolled;
-    it is set only in a controlled report.
+    section 4.2).  ``terminal_logvar`` is the variance of the rate-zero
+    walk ``w``, ``log(X_N / x0)`` for a bank with cash; ``w`` does not
+    depend on the cash, so a bank with none still reports it.
+    ``infeasible_fallback`` flags banks whose control decision was
+    infeasible and that were therefore simulated uncontrolled; it is set
+    only in a controlled report.
     """
 
     default_freq: np.ndarray
@@ -242,13 +240,6 @@ def _cost_series(coef: np.ndarray, walk: np.ndarray, wmax: float,
     for c in coef[-2::-1]:
         out *= x
         out += c
-
-
-def _check_rate(psi, field: str) -> None:
-    require(isinstance(psi, numbers.Real) and not isinstance(psi, bool),
-            field, f"must be a real number, got {psi!r}")
-    require(math.isfinite(psi), field, MUST_BE_FINITE)
-    require(psi >= 0, field, "must be non-negative")
 
 
 def _terminal_walk(mu: float, sigma: float, horizon: float, cfg: SimConfig,
@@ -373,8 +364,8 @@ def simulate_network(net: FinancialNetwork, decisions: list[ControlDecision],
         (``decisions[2].psi_star``) before any path is drawn.
     cfg : SimConfig
     """
-    if len(decisions) != net.n:
-        raise ValueError(f"need {net.n} decisions, got {len(decisions)}")
+    require(len(decisions) == net.n, "decisions",
+            f"must hold {net.n} entries, one per bank, got {len(decisions)}")
     for i, d in enumerate(decisions):
         if d.region is Region.ACTION:
             _check_rate(d.psi_star, f"decisions[{i}].psi_star")

@@ -709,6 +709,7 @@ class TestPathDump:
         assert err == ("warning: control for Bank 3 is infeasible;"
                        " simulated uncontrolled\n")
         sim = json.loads(out)
+        jsonschema.validate(sim, load_schema("simulate"))
         for scenario in ("uncontrolled", "controlled"):
             bank = sim[scenario][2]
             assert (bank["default_freq"], bank["terminal_mean"],
@@ -725,6 +726,19 @@ class TestPathDump:
                  if row[1] == "Bank 3"]
         assert [(row["default_freq"], row["terminal_mean"])
                 for row in third] == [("1", "0")] * 2
+
+    def test_unwritable_output_writes_no_dump(self, capsys, tmp_path,
+                                              monkeypatch):
+        # the dump is written only once --output is open
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "simulate", "--config",
+                                 "case_study.json", "--paths", "100",
+                                 "--steps", "4", "--dump-paths", "d.csv",
+                                 "--output", "missing/o.json")
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "FileNotFoundError"
+        assert list(tmp_path.iterdir()) == []
 
     def test_bare_flag_writes_sibling_of_output(self, capsys, tmp_path):
         target = tmp_path / "report.csv"
@@ -871,7 +885,7 @@ class TestErrorHandling:
                                    "case_study.json", "--time", "5",
                                    "--output", str(target))
             assert code == 1
-            assert "outside" in err
+            assert json.loads(err)["error"]["message"].startswith("t: ")
         assert kept.read_text() == "earlier output\n"
         assert not fresh.exists()
 
@@ -910,8 +924,32 @@ class TestErrorHandling:
         assert error["message"] == ("growth_rate: grown obligations must "
                                     "stay below the largest float")
 
+    @pytest.mark.parametrize("argv, field", [
+        (("simulate", "--paths", "0"), "paths"),
+        (("simulate", "--steps", "0"), "steps"),
+        (("simulate", "--seed", "-1"), "seed"),
+        (("clearing", "--time", "5"), "t"),
+        (("clearing", "--time", "nan"), "t"),
+        (("regions", "--time", "5"), "t"),
+        (("rank", "--matrix-override", "three.json"), "google"),
+    ])
+    def test_bad_value_names_its_field(self, capsys, tmp_path, monkeypatch,
+                                       argv, field):
+        monkeypatch.chdir(tmp_path)
+        # a valid Google matrix for three banks; the case study has four
+        (tmp_path / "three.json").write_text(json.dumps([[1 / 3] * 3] * 3))
+        code, out, err = run_cli(capsys, *argv, "--config",
+                                 "case_study.json")
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "InvalidValueError"
+        assert error["message"].startswith(f"{field}: ")
+
     def test_time_outside_horizon(self, capsys):
         code, _, err = run_cli(capsys, "clearing", "--config",
                                "case_study.json", "--time", "5")
         assert code == 1
-        assert "outside" in err
+        assert json.loads(err)["error"] == {
+            "type": "InvalidValueError",
+            "message": "t: must lie in [0, 1.0], got 5.0"}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -120,6 +121,33 @@ class TestSurvivalProbability:
             ln.survival_probability(BANK3, 0.0, 0.0)
         with pytest.raises(ValueError):
             ln.survival_probability(BANK3, 13.0, -0.1)
+
+    def test_rate_above_cap_rejected(self):
+        capped = dataclasses.replace(BANK3, psi_cap=0.5)
+        assert ln.survival_probability(capped, 13.0, 0.5) > 0.0
+        with pytest.raises(ln.InvalidValueError) as info:
+            ln.survival_probability(capped, 13.0, 0.6)
+        assert str(info.value) == "psi: must not exceed psi_cap 0.5"
+
+
+class TestRateCheck:
+    @pytest.mark.parametrize("psi", [-0.1, math.nan, math.inf, True, "0.1",
+                                     None])
+    def test_one_rule_for_every_rate_input(self, case_network, psi):
+        # the closed forms and the path rebuild reject a rate alike; BANK3
+        # is uncapped, so survival_probability refuses inf by this rule
+        assert BANK3.psi_cap == math.inf
+        calls = [lambda: ln.survival_probability(BANK3, 13.0, psi),
+                 lambda: ln.value_function(BANK3, 13.0, psi),
+                 lambda: ln.bank_paths(case_network, 2, psi,
+                                       ln.SimConfig(paths=2))]
+        messages = set()
+        for call in calls:
+            with pytest.raises(ln.InvalidValueError) as info:
+                call()
+            assert info.value.field == "psi"
+            messages.add(info.value.message)
+        assert len(messages) == 1
 
 
 class TestSwitchingRate:

@@ -910,7 +910,7 @@ class TestReportShape:
     def test_config_requires_bool_antithetic(self, value):
         with pytest.raises(ValueError) as info:
             ln.SimConfig(paths=10, antithetic=value)
-        assert str(info.value) == f"antithetic must be a bool, got {value!r}"
+        assert str(info.value) == f"antithetic: must be a bool, got {value!r}"
 
     def test_config_accepts_numpy_bool_antithetic(self):
         assert not ln.SimConfig(paths=10, antithetic=np.bool_(False)).antithetic

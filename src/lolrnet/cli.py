@@ -52,10 +52,10 @@ _SCENARIOS = ("uncontrolled", "controlled")
 def _cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return format_number(float(value))
+    if isinstance(value, float):
+        return format_number(value)
     return str(value)
 
 
@@ -100,18 +100,27 @@ def _decisions(cfg: NetworkConfig, t: float):
     return q, network_decision(cfg.network, q, t=t, psi_cap=cfg.psi_cap)
 
 
+def _banks(cfg: NetworkConfig, **columns) -> list[dict]:
+    """One record per bank: its 1-based ``index``, its ``name``, and its
+    entry of each column, in keyword order.
+
+    A numpy column is read through ``tolist``, so every cell is a Python
+    scalar that renders as the numpy one did.
+    """
+    cells = [col.tolist() if isinstance(col, np.ndarray) else col
+             for col in columns.values()]
+    return [{"index": i, "name": name, **dict(zip(columns, row))}
+            for i, (name, *row) in enumerate(zip(cfg.names, *cells), 1)]
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 def cmd_rank(cfg: NetworkConfig, args) -> tuple[dict, list[str]]:
     net = cfg.network
-    positions = net_positions(net)
     if args.matrix_override:
-        google = load_matrix(args.matrix_override)
-        require(google.shape[0] == net.n, "google",
-                f"must be {net.n}x{net.n}, one row per bank, got "
-                f"{google.shape[0]}x{google.shape[1]}")
+        google = load_matrix(args.matrix_override, net.n)
         eigenvalue, rank = perron_rank(google)
     else:
         result = rank_network(net, cfg.weights)
@@ -123,10 +132,8 @@ def cmd_rank(cfg: NetworkConfig, args) -> tuple[dict, list[str]]:
         "command": "rank",
         "matrix_override": bool(args.matrix_override),
         "eigenvalue": eigenvalue,
-        "banks": [
-            {"index": i + 1, "name": cfg.names[i],
-             "net_position": positions[i], "rank": rank[i], "q": q[i]}
-            for i in range(net.n)],
+        "banks": _banks(cfg, net_position=net_positions(net), rank=rank,
+                        q=q),
         # the matrix whose eigenpair the doc reports; edge_weights and
         # google_matrix rebuild gamma_plus, gamma_minus and tau
         "matrices": {"google": google},
@@ -137,18 +144,14 @@ def cmd_rank(cfg: NetworkConfig, args) -> tuple[dict, list[str]]:
 def cmd_clearing(cfg: NetworkConfig, args) -> tuple[dict, list[str]]:
     net = cfg.network
     result = clearing_vector(net, t=args.time)
-    obligations = total_obligations(net, args.time)
     doc = {
         "command": "clearing",
         "time": args.time,
         "iterations": result.iterations,
         "residual": result.residual,
-        "banks": [
-            {"index": i + 1, "name": cfg.names[i],
-             "obligation": obligations[i], "payment": result.payments[i],
-             "defaulted": bool(result.defaulted[i]),
-             "value": result.values[i]}
-            for i in range(net.n)],
+        "banks": _banks(cfg, obligation=total_obligations(net, args.time),
+                        payment=result.payments, defaulted=result.defaulted,
+                        value=result.values),
     }
     return doc, ["bank", "name", "obligation", "payment", "defaulted",
                  "value"]
@@ -157,17 +160,13 @@ def cmd_clearing(cfg: NetworkConfig, args) -> tuple[dict, list[str]]:
 def cmd_regions(cfg: NetworkConfig, args) -> tuple[dict, list[str]]:
     net = cfg.network
     q, decisions = _decisions(cfg, args.time)
-    banks = []
-    boundaries = default_boundary(net)
-    for i, decision in enumerate(decisions):
-        boundary = float(boundaries[i])
-        log_cash = math.log(net.cash[i]) if net.cash[i] > 0 else None
-        note = NET_CREDITOR_NOTE if decision.threshold_log_x is None else ""
-        banks.append({"index": i + 1, "name": cfg.names[i],
-                      "q": q[i], "v_terminal": boundary,
-                      "threshold_log_x": decision.threshold_log_x,
-                      "log_cash": log_cash,
-                      "region": decision.region.value, "note": note})
+    thresholds = [d.threshold_log_x for d in decisions]
+    banks = _banks(
+        cfg, q=q, v_terminal=default_boundary(net),
+        threshold_log_x=thresholds,
+        log_cash=[math.log(c) if c > 0 else None for c in net.cash.tolist()],
+        region=[d.region.value for d in decisions],
+        note=[NET_CREDITOR_NOTE if x is None else "" for x in thresholds])
     doc = {"command": "regions", "time": args.time, "psi_cap": cfg.psi_cap,
            "banks": banks}
     return doc, ["bank", "name", "q", "v_terminal", "threshold_log_x",
@@ -175,19 +174,15 @@ def cmd_regions(cfg: NetworkConfig, args) -> tuple[dict, list[str]]:
 
 
 def cmd_control(cfg: NetworkConfig, args) -> tuple[dict, list[str]]:
-    net = cfg.network
     q, decisions = _decisions(cfg, args.time)
-    total_cost = sum(d.expected_cost for d in decisions)
-    banks = []
-    for i, decision in enumerate(decisions):
-        banks.append({"index": i + 1, "name": cfg.names[i], "q": q[i],
-                      "region": decision.region.value,
-                      "psi_star": decision.psi_star,
-                      "expected_cost": decision.expected_cost,
-                      "survival_prob_uncontrolled":
-                          decision.survival_prob_uncontrolled})
+    costs = [d.expected_cost for d in decisions]
+    banks = _banks(cfg, q=q, region=[d.region.value for d in decisions],
+                   psi_star=[d.psi_star for d in decisions],
+                   expected_cost=costs,
+                   survival_prob_uncontrolled=[
+                       d.survival_prob_uncontrolled for d in decisions])
     doc = {"command": "control", "time": args.time, "psi_cap": cfg.psi_cap,
-           "total_expected_cost": total_cost, "banks": banks}
+           "total_expected_cost": sum(costs), "banks": banks}
     return doc, ["bank", "name", "q", "region", "psi_star", "expected_cost",
                  "survival_prob_uncontrolled"]
 
@@ -200,28 +195,21 @@ def cmd_simulate(cfg: NetworkConfig, args) -> tuple[dict, list[str]]:
     sim_cfg = SimConfig(paths=args.paths, steps=args.steps, seed=args.seed,
                         antithetic=args.antithetic)
     reports = dict(zip(_SCENARIOS, simulate_network(net, decisions, sim_cfg)))
-    controlled = reports["controlled"]
-
-    for i in np.flatnonzero(controlled.infeasible_fallback):
+    for i in np.flatnonzero(reports["controlled"].infeasible_fallback):
         sys.stderr.write(
             f"warning: control for {cfg.names[i]} is infeasible; "
             "simulated uncontrolled\n")
-    psi = [d.psi_star if d.psi_star is not None else 0.0 for d in decisions]
-    sections = {}
-    for scenario, rep in reports.items():
-        banks = []
-        for i in range(net.n):
-            rate = 0.0 if scenario == "uncontrolled" else psi[i]
-            entry = {"index": i + 1, "name": cfg.names[i],
-                     "psi": rate, "q": q[i],
-                     "default_freq": rep.default_freq[i],
-                     "default_ci_halfwidth": rep.default_ci_halfwidth[i],
-                     "mean_cost": rep.mean_cost[i],
-                     "terminal_mean": rep.terminal_mean[i],
-                     "terminal_logvar": rep.terminal_logvar[i],
-                     "infeasible_fallback": bool(rep.infeasible_fallback[i])}
-            banks.append(entry)
-        sections[scenario] = banks
+    psi = {"uncontrolled": [0.0] * net.n,
+           "controlled": [d.psi_star or 0.0 for d in decisions]}
+    sections = {
+        scenario: _banks(cfg, psi=psi[scenario], q=q,
+                         default_freq=rep.default_freq,
+                         default_ci_halfwidth=rep.default_ci_halfwidth,
+                         mean_cost=rep.mean_cost,
+                         terminal_mean=rep.terminal_mean,
+                         terminal_logvar=rep.terminal_logvar,
+                         infeasible_fallback=rep.infeasible_fallback)
+        for scenario, rep in reports.items()}
     doc = {"command": "simulate", "paths_used": sim_cfg.paths,
            "seed_used": sim_cfg.seed, "steps": args.steps,
            "antithetic": args.antithetic, **sections}
@@ -302,19 +290,13 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="rank a given Google matrix instead of deriving "
                              "one from the network")
 
-    p_clear = sub.add_parser("clearing", help="clearing payments at a time")
-    common(p_clear)
-    p_clear.add_argument("--time", type=float, default=0.0)
-
-    p_regions = sub.add_parser("regions",
-                               help="per-bank action thresholds and regions")
-    common(p_regions)
-    p_regions.add_argument("--time", type=float, default=0.0)
-
-    p_control = sub.add_parser("control",
-                               help="optimal lending rates and expected costs")
-    common(p_control)
-    p_control.add_argument("--time", type=float, default=0.0)
+    for name, summary in (
+            ("clearing", "clearing payments at a time"),
+            ("regions", "per-bank action thresholds and regions"),
+            ("control", "optimal lending rates and expected costs")):
+        p_timed = sub.add_parser(name, help=summary)
+        common(p_timed)
+        p_timed.add_argument("--time", type=float, default=0.0)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo verification run")
     common(p_sim)

@@ -15,7 +15,6 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from importlib import resources
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -56,13 +55,11 @@ class NetworkConfig:
     survival-target policy the document describes.
     """
 
-    schema_version: str
     names: tuple[str, ...]
     network: FinancialNetwork
     weights: RankWeights
     policy: QPolicy
     psi_cap: float
-    comment: str | None = None
 
     def to_network(self) -> FinancialNetwork:
         """The liabilities network of the document."""
@@ -148,7 +145,8 @@ def _number_matrix(raw, n: int, path: str) -> np.ndarray:
         # walk the rows to name the first short row or non-number cell
         for i, row in enumerate(raw):
             _require(isinstance(row, list) and len(row) == n,
-                     f"{path}[{i}]", f"must have {n} entries")
+                     f"{path}[{i}]",
+                     f"must have {n} {'entry' if n == 1 else 'entries'}")
             for j, value in enumerate(row):
                 _require(_is_number(value), f"{path}[{i}][{j}]",
                          "must be a number")
@@ -206,25 +204,19 @@ def _validate_psi_cap(raw) -> float:
 # load
 # ---------------------------------------------------------------------------
 
-def _packaged(name: str) -> Path | None:
-    candidate = resources.files("lolrnet").joinpath("data", name)
-    return Path(str(candidate)) if candidate.is_file() else None
-
-
 def resolve_input_path(path: str | Path) -> Path:
     """Resolve an input path, falling back to the bundled data files.
 
     A bare file name that does not exist in the working directory but
     matches a bundled fixture (``case_study.json``, ``printed_gd.json``)
-    resolves to the packaged copy.
+    resolves to the copy in the package's ``data`` directory.
     """
     path = Path(path)
     if path.exists():
         return path
-    if path.name == str(path):
-        packaged = _packaged(path.name)
-        if packaged is not None:
-            return packaged
+    packaged = Path(__file__).parent / "data" / path.name
+    if path.name == str(path) and packaged.is_file():
+        return packaged
     raise ConfigError(f"input file not found: {path}")
 
 
@@ -285,27 +277,27 @@ def load_config(path: str | Path) -> NetworkConfig:
     _require("psi_cap" in doc, "psi_cap", "missing")
     psi_cap = _validate_psi_cap(doc["psi_cap"])
     comment = doc.get("comment")
-    if comment is not None:
-        _require(isinstance(comment, str), "comment", "must be a string")
+    _require(comment is None or isinstance(comment, str), "comment",
+             "must be a string")
 
-    return NetworkConfig(schema_version=version, names=names,
-                         network=network, weights=weights, policy=policy,
-                         psi_cap=psi_cap, comment=comment)
+    return NetworkConfig(names=names, network=network, weights=weights,
+                         policy=policy, psi_cap=psi_cap)
 
 
-def load_matrix(path: str | Path) -> np.ndarray:
-    """Load a square matrix from JSON: a bare 2D array or ``{"google": ...}``.
+def load_matrix(path: str | Path, n: int) -> np.ndarray:
+    """Load an ``n`` x ``n`` matrix from JSON: a bare 2D array or
+    ``{"google": ...}``.
 
-    Every entry must be a finite number; an error names the file and the
-    0-based cell, e.g. ``google[1][2]``.
+    Every entry must be a finite number.  An error is a
+    :class:`ConfigError` that names the file and then the field: the
+    0-based cell (``google[1][2]``), the row of the wrong length
+    (``google[1]``), or ``google`` for the wrong number of rows.
     """
     resolved, doc = _read_json(path)
     if isinstance(doc, dict):
         doc = doc.get("google")
-    if not (isinstance(doc, list) and doc):
-        raise ConfigError(f"{resolved}: expected a square matrix")
     try:
-        matrix = _number_matrix(doc, len(doc), "google")
+        matrix = _number_matrix(doc, n, "google")
         require(np.isfinite(matrix), "google", MUST_BE_FINITE)
     except InvalidValueError as exc:
         raise ConfigError(f"{resolved}: {exc}") from exc
@@ -329,14 +321,15 @@ def format_number(value: float) -> str:
 
 
 def _write_float_array(value: np.ndarray, write, level: int) -> None:
-    """Write a non-empty, finite float64 array with one %-format per row.
+    """Write a non-empty, finite, 2-D float64 matrix with one %-format and
+    one write per row.
 
     ``"%.17g"`` is :func:`format_number` itself, and its text for a finite
-    float never contains ``%``.  When the array's most frequent value (by bit
-    pattern, which keeps ``-0.0`` apart from ``0.0``) fills more than half
-    of it, as 0 and the teleport term fill the rank matrices, that value is
-    formatted once and enters the templates of the rows that hold it as
-    literal text, so ``%`` converts only the other cells.  Below that
+    float never contains ``%``.  When the matrix's most frequent value (by
+    bit pattern, which keeps ``-0.0`` apart from ``0.0``) fills more than
+    half of it, as 0 and the teleport term fill the Google matrix, that
+    value is formatted once and enters the templates of the rows that hold
+    it as literal text, so ``%`` converts only the other cells.  Below that
     share, building a row's own template costs more than it saves, so
     every row shares one template.
     """
@@ -348,29 +341,21 @@ def _write_float_array(value: np.ndarray, write, level: int) -> None:
         is_mode[...] = False
     pieces = np.array(["%.17g", "%.17g" % distinct[top].view(np.float64)],
                       dtype=object)
-    leaf = level + value.ndim - 1
-    pad = " " * (_INDENT * (leaf + 1))
+    row_pad = " " * (_INDENT * (level + 1))
+    pad = " " * (_INDENT * (level + 2))
     sep = f",\n{pad}"
-    head, tail = f"[\n{pad}", f"\n{' ' * (_INDENT * leaf)}]"
-    plain = head + sep.join(["%.17g"] * value.shape[-1]) + tail
-
-    def rows(sub: np.ndarray, mask: np.ndarray, lvl: int) -> None:
-        if sub.ndim > 1:
-            row_pad = " " * (_INDENT * (lvl + 1))
-            write("[\n")
-            for k in range(len(sub)):
-                write(row_pad)
-                rows(sub[k], mask[k], lvl + 1)
-                write(",\n" if k < len(sub) - 1 else "\n")
-            write(f"{' ' * (_INDENT * lvl)}]")
-        elif mask.any():
+    head, tail = f"{row_pad}[\n{pad}", f"\n{row_pad}]"
+    plain = head + sep.join(["%.17g"] * value.shape[1]) + tail
+    lead = "[\n"
+    for row, mask in zip(value, is_mode):
+        if mask.any():
             cells = pieces[mask.view(np.uint8)].tolist()
             template = head + sep.join(cells) + tail
-            write(template % tuple(sub[~mask].tolist()))
+            write(lead + template % tuple(row[~mask].tolist()))
         else:
-            write(plain % tuple(sub.tolist()))
-
-    rows(value, is_mode, level)
+            write(lead + plain % tuple(row.tolist()))
+        lead = ",\n"
+    write(f"\n{' ' * (_INDENT * level)}]")
 
 
 def _float_text(value: float) -> str:
@@ -419,17 +404,14 @@ def _write_value(value, write, level: int) -> None:
     if isinstance(value, dict):
         heads = [f"{pad}{encode_basestring_ascii(key)}: " for key in value]
         _write_items(heads, value.values(), "{}", write, level)
-    elif (isinstance(value, np.ndarray) and value.ndim and value.size
-          and value.dtype == np.float64 and np.isfinite(value).all()):
-        _write_float_array(value, write, level)
-    elif isinstance(value, (list, tuple, np.ndarray)):
-        if isinstance(value, np.ndarray):
-            # a matrix with a non-finite entry recurses row by row, so each
-            # finite row can still take the float-array path
-            items = list(value) if value.ndim > 1 else value.tolist()
+    elif isinstance(value, np.ndarray):
+        if (value.ndim == 2 and value.size and value.dtype == np.float64
+                and np.isfinite(value).all()):
+            _write_float_array(value, write, level)
         else:
-            items = list(value)
-        _write_items(itertools.repeat(pad), items, "[]", write, level)
+            _write_value(value.tolist(), write, level)
+    elif isinstance(value, (list, tuple)):
+        _write_items(itertools.repeat(pad), value, "[]", write, level)
     elif isinstance(value, (bool, np.bool_)):
         write(_bool_text(value))
     elif isinstance(value, (int, np.integer)):
@@ -448,11 +430,11 @@ def write_doc(doc, handle) -> None:
     Nesting is indented by two spaces per level.  Finite floats use 17
     significant digits; infinities become the strings ``"inf"`` /
     ``"-inf"``.  Key order is preserved, so equal inputs always produce
-    byte-identical text.  A float array's dominant value is formatted once
-    and reused; the text is the same as for its list.  Each row of a float
-    array is one write, and so are the scalar entries of a dict or list
-    between two non-scalar ones, so no more than a row or a record of text
-    is held.
+    byte-identical text.  A float matrix's dominant value is formatted
+    once and reused; every array's text is the same as for its list.  Each
+    row of a float matrix is one write, and so are the scalar entries of a
+    dict or list between two non-scalar ones, so no more than a row or a
+    record of text is held.
     """
     _write_value(doc, handle.write, 0)
 

@@ -16,7 +16,7 @@ import pytest
 import lolrnet as ln
 import lolrnet.simulate as engine
 from lolrnet.cli import main
-from lolrnet.config import dumps_doc, format_number, write_doc
+from lolrnet.config import dumps_doc, format_number, load_matrix, write_doc
 from _support import (CREDITOR_TABLE, FIXTURE_EIGENVALUE, FIXTURE_RANK,
                       chunked_mean, reference_simulation)
 
@@ -28,6 +28,9 @@ COMMAND_ARGV = [
     ("clearing", "--time", "0.5"), ("regions",), ("control",),
     ("simulate", "--paths", "400", "--steps", "8"),
 ]
+
+# the file name mixed_config writes to
+MIXED_CONFIG = "mixed_banks.json"
 
 
 def run_cli(capsys, *argv):
@@ -62,6 +65,20 @@ def sparse_config(path, n, seed):
         "ranking": {"c_plus": 0.7, "c_minus": 0.3},
         "policy": {"kind": "uniform", "q": 0.9}, "psi_cap": "inf"}
     path.write_text(json.dumps(config))
+    return path
+
+
+def mixed_config(path):
+    """Write the case study with the cells it lacks to ``path``.
+
+    Bank 1 holds no cash, the cap leaves bank 3 infeasible (``psi_star``
+    None, ``expected_cost`` inf), and banks 2 and 4 are net creditors
+    (``threshold_log_x`` None and the note).
+    """
+    doc = json.loads(ln.case_study_path().read_text())
+    doc["banks"][0]["cash"] = 0
+    doc["psi_cap"] = 0.1
+    path.write_text(json.dumps(doc))
     return path
 
 
@@ -410,8 +427,13 @@ class TestCommandOutputs:
             # simulate emits one row per bank and scenario
             assert len(rows) == (8 if argv[0] == "simulate" else 4)
 
-    @pytest.mark.parametrize("argv", COMMAND_ARGV, ids=" ".join)
-    def test_table_is_a_view_of_the_doc(self, capsys, argv):
+    @pytest.mark.parametrize("config, argv", [
+        *[pytest.param("case_study.json", argv, id=" ".join(argv))
+          for argv in COMMAND_ARGV],
+        *[pytest.param(MIXED_CONFIG, argv, id=f"mixed {' '.join(argv)}")
+          for argv in COMMAND_ARGV if "--matrix-override" not in argv]])
+    def test_table_is_a_view_of_the_doc(self, capsys, tmp_path, monkeypatch,
+                                        config, argv):
         def cell(value):
             if value is None:
                 return ""
@@ -421,9 +443,12 @@ class TestCommandOutputs:
                 return format_number(value)
             return str(value)
 
-        command = ("--config", "case_study.json", *argv[1:])
+        monkeypatch.chdir(tmp_path)
+        mixed_config(tmp_path / MIXED_CONFIG)
+        command = ("--config", config, *argv[1:])
         _, table, _ = run_cli(capsys, argv[0], *command)
         _, text, _ = run_cli(capsys, argv[0], *command, "--format", "doc")
+        jsonschema.validate(json.loads(text), load_schema(argv[0]))
         # every JSON number is a float so "-0" keeps its sign
         doc = json.loads(text, parse_int=float)
         if argv[0] == "simulate":
@@ -931,13 +956,8 @@ class TestErrorHandling:
         (("clearing", "--time", "5"), "t"),
         (("clearing", "--time", "nan"), "t"),
         (("regions", "--time", "5"), "t"),
-        (("rank", "--matrix-override", "three.json"), "google"),
     ])
-    def test_bad_value_names_its_field(self, capsys, tmp_path, monkeypatch,
-                                       argv, field):
-        monkeypatch.chdir(tmp_path)
-        # a valid Google matrix for three banks; the case study has four
-        (tmp_path / "three.json").write_text(json.dumps([[1 / 3] * 3] * 3))
+    def test_bad_value_names_its_field(self, capsys, argv, field):
         code, out, err = run_cli(capsys, *argv, "--config",
                                  "case_study.json")
         assert code == 1
@@ -945,6 +965,34 @@ class TestErrorHandling:
         error = json.loads(err)["error"]
         assert error["type"] == "InvalidValueError"
         assert error["message"].startswith(f"{field}: ")
+
+    # a valid Google matrix for three banks, and one row of two columns; the
+    # case study has four banks
+    @pytest.mark.parametrize("rows", [[[1 / 3] * 3] * 3, [[1.0, 2.0]]],
+                             ids=["three-banks", "one-row"])
+    def test_matrix_override_of_wrong_size_names_file(self, capsys, tmp_path,
+                                                      rows):
+        target = tmp_path / "override.json"
+        target.write_text(json.dumps(rows))
+        code, out, err = run_cli(capsys, "rank", "--config", "case_study.json",
+                                 "--matrix-override", str(target))
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ConfigError",
+            "message": f"{target}: google: must be a 4x4 array"}
+
+    @pytest.mark.parametrize("rows, n, message", [
+        ([[1.0, 2.0]], 1, "google[0]: must have 1 entry"),
+        ([[0.5, 0.5], [1.0]], 2, "google[1]: must have 2 entries"),
+    ], ids=["one-bank", "two-banks"])
+    def test_matrix_row_of_wrong_length_names_row(self, tmp_path, rows, n,
+                                                  message):
+        target = tmp_path / "matrix.json"
+        target.write_text(json.dumps(rows))
+        with pytest.raises(ln.ConfigError) as info:
+            load_matrix(target, n)
+        assert str(info.value) == f"{target}: {message}"
 
     def test_time_outside_horizon(self, capsys):
         code, _, err = run_cli(capsys, "clearing", "--config",

@@ -17,8 +17,7 @@ from .errors import (ConfigError, ConfigParseError, ConfigValidationError,
 from .network import (ClearingResult, FinancialNetwork, clearing_vector,
                       default_boundary, relative_liabilities,
                       total_obligations)
-from .ranking import (QPolicy, RankingResult, RankThresholdsPolicy,
-                      RankWeights, UniformPolicy,
+from .ranking import (RankingResult, RankThresholdsPolicy, RankWeights,
                       assign_survival_probabilities, edge_weights,
                       google_matrix, net_positions, perron_rank, rank_network)
 from .simulate import SimConfig, SimReport, bank_paths, simulate_network
@@ -31,9 +30,9 @@ __all__ = [
     "FinancialNetwork", "ClearingResult", "total_obligations",
     "relative_liabilities", "clearing_vector", "default_boundary",
     # ranking
-    "RankWeights", "UniformPolicy", "RankThresholdsPolicy", "QPolicy",
-    "RankingResult", "net_positions", "edge_weights", "google_matrix",
-    "perron_rank", "assign_survival_probabilities", "rank_network",
+    "RankWeights", "RankThresholdsPolicy", "RankingResult", "net_positions",
+    "edge_weights", "google_matrix", "perron_rank",
+    "assign_survival_probabilities", "rank_network",
     # control
     "Region", "ControlProblem", "ControlDecision", "rho",
     "survival_probability", "switching_rate", "no_action_threshold",

@@ -27,12 +27,12 @@ import numpy as np
 
 from . import __version__
 from .config import (NetworkConfig, dumps_doc, format_number, load_config,
-                     load_matrix, resolve_input_path, write_doc)
+                     load_matrix, write_doc)
 from .control import network_decision
 from .errors import LolrnetError, require
 from .network import clearing_vector, default_boundary, total_obligations
-from .ranking import (UniformPolicy, assign_survival_probabilities,
-                      net_positions, perron_rank, rank_network)
+from .ranking import (assign_survival_probabilities, net_positions,
+                      perron_rank, rank_network)
 from .simulate import SimConfig, bank_paths, simulate_network
 
 __all__ = ["main", "run_command"]
@@ -83,20 +83,17 @@ def _write_table(doc: dict, header: list[str], handle) -> None:
 # shared pieces
 # ---------------------------------------------------------------------------
 
-def _q_targets(cfg: NetworkConfig) -> np.ndarray:
-    """Survival targets from the configured policy.
-
-    A uniform policy needs no rank; threshold policies run the full rank
-    pipeline on the network.
-    """
-    if isinstance(cfg.policy, UniformPolicy):
-        return np.full(cfg.network.n, cfg.policy.q)
-    ranking = rank_network(cfg.network, cfg.weights)
-    return assign_survival_probabilities(ranking.rank, cfg.policy)
-
-
 def _decisions(cfg: NetworkConfig, t: float):
-    q = _q_targets(cfg)
+    """Survival targets from the configured policy, and the decisions at them.
+
+    A policy without steps gives every bank its base and needs no rank;
+    one with steps runs the full rank pipeline on the network.
+    """
+    if cfg.policy.steps:
+        q = assign_survival_probabilities(
+            rank_network(cfg.network, cfg.weights).rank, cfg.policy)
+    else:
+        q = np.full(cfg.network.n, cfg.policy.base)
     return q, network_decision(cfg.network, q, t=t, psi_cap=cfg.psi_cap)
 
 
@@ -218,15 +215,23 @@ def cmd_simulate(cfg: NetworkConfig, args) -> tuple[dict, list[str]]:
                  "terminal_logvar", "infeasible_fallback"]
 
 
-def _write_path_dump(cfg: NetworkConfig, doc: dict, args) -> None:
+def _dump_target(args) -> Path | None:
+    """Where ``simulate --dump-paths`` writes, never onto ``--output``;
+    None without the flag."""
+    if getattr(args, "dump_paths", None) is None:
+        return None
+    target = Path(args.dump_paths
+                  or (args.output and f"{args.output}.paths.csv")
+                  or _DEFAULT_DUMP)
+    require(not args.output
+            or target.resolve() != Path(args.output).resolve(),
+            "dump_paths", "must not be the --output file")
+    return target
+
+
+def _write_path_dump(cfg: NetworkConfig, doc: dict, args, target) -> None:
     """Write every bank's paths in both scenarios, one path at a time, at
     the rates the ``simulate`` doc reports."""
-    if args.dump_paths:
-        target = Path(args.dump_paths)
-    elif args.output:
-        target = Path(str(args.output) + ".paths.csv")
-    else:
-        target = Path(_DEFAULT_DUMP)
     sim_cfg = SimConfig(paths=args.paths, steps=args.steps, seed=args.seed,
                         antithetic=args.antithetic)
     with open(target, "w", encoding="utf-8", newline="") as handle:
@@ -318,15 +323,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "rank" and args.matrix_override:
-            args.matrix_override = resolve_input_path(args.matrix_override)
+        dump = _dump_target(args)
         cfg = load_config(args.config)
         doc, header = run_command(args.command, cfg, args)
         # text mode with the default newline, as stdout, for the same bytes
         with (open(args.output, "w", encoding="utf-8") if args.output
               else contextlib.nullcontext(sys.stdout)) as handle:
-            if args.command == "simulate" and args.dump_paths is not None:
-                _write_path_dump(cfg, doc, args)
+            if dump is not None:
+                _write_path_dump(cfg, doc, args, dump)
             if args.format == "doc":
                 write_doc(doc, handle)
                 handle.write("\n")

@@ -24,7 +24,7 @@ from .errors import (MUST_BE_FINITE, ConfigError, ConfigParseError,
                      ConfigValidationError, InvalidValueError,
                      SchemaVersionError, require)
 from .network import FinancialNetwork
-from .ranking import QPolicy, RankThresholdsPolicy, RankWeights, UniformPolicy
+from .ranking import RankThresholdsPolicy, RankWeights
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -58,7 +58,7 @@ class NetworkConfig:
     names: tuple[str, ...]
     network: FinancialNetwork
     weights: RankWeights
-    policy: QPolicy
+    policy: RankThresholdsPolicy
     psi_cap: float
 
     def to_network(self) -> FinancialNetwork:
@@ -165,12 +165,12 @@ def _validate_ranking(raw) -> RankWeights:
         for field in ("c_plus", "c_minus", *optional)})
 
 
-def _validate_policy(raw) -> QPolicy:
+def _validate_policy(raw) -> RankThresholdsPolicy:
     _require(isinstance(raw, dict), "policy", "must be an object")
     kind = raw.get("kind")
-    if kind == "uniform":
-        return _build("policy.{}".format, UniformPolicy,
-                      q=_number(raw, "q", "policy"))
+    if kind == "uniform":  # a policy without steps; its base is q
+        return _build(lambda _: "policy.q", RankThresholdsPolicy,
+                      base=_number(raw, "q", "policy"))
     if kind == "rank_thresholds":
         base = _number(raw, "base", "policy")
         steps_raw = raw.get("steps")
@@ -234,7 +234,7 @@ def _read_json(path: str | Path) -> tuple[Path, object]:
     resolved = resolve_input_path(path)
     try:
         return resolved, json.loads(resolved.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigParseError(f"{resolved}: {exc}") from exc
 
 
@@ -244,7 +244,7 @@ def load_config(path: str | Path) -> NetworkConfig:
     Raises
     ------
     ConfigParseError
-        The file is not well-formed JSON.
+        The file is not UTF-8 or not well-formed JSON.
     SchemaVersionError
         The declared schema version is missing or unsupported.
     ConfigValidationError
@@ -288,7 +288,7 @@ def load_matrix(path: str | Path, n: int) -> np.ndarray:
     """Load an ``n`` x ``n`` matrix from JSON: a bare 2D array or
     ``{"google": ...}``.
 
-    Every entry must be a finite number.  An error is a
+    Every entry must be a finite, strictly positive number.  An error is a
     :class:`ConfigError` that names the file and then the field: the
     0-based cell (``google[1][2]``), the row of the wrong length
     (``google[1]``), or ``google`` for the wrong number of rows.
@@ -299,6 +299,7 @@ def load_matrix(path: str | Path, n: int) -> np.ndarray:
     try:
         matrix = _number_matrix(doc, n, "google")
         require(np.isfinite(matrix), "google", MUST_BE_FINITE)
+        require(matrix > 0, "google", "must be strictly positive")
     except InvalidValueError as exc:
         raise ConfigError(f"{resolved}: {exc}") from exc
     return matrix

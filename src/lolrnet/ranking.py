@@ -7,8 +7,9 @@ eigenvector by power iteration with fixed limits.  A bank with zero outgoing
 weight (a pure lender under debt weighting, or an isolated bank) gets the
 uniform transition column 1/n, the standard dangling-node patch, so every
 network ranks.  Survival-probability targets are then assigned from the
-rank, either uniformly (max-liquidity style) or through increasing rank
-thresholds (systemic-importance-driven style).
+rank through increasing rank thresholds (systemic-importance-driven style);
+a policy without thresholds gives every bank the same target (max-liquidity
+style).
 """
 
 from __future__ import annotations
@@ -23,9 +24,7 @@ from .network import FinancialNetwork
 
 __all__ = [
     "RankWeights",
-    "UniformPolicy",
     "RankThresholdsPolicy",
-    "QPolicy",
     "RankingResult",
     "net_positions",
     "edge_weights",
@@ -73,27 +72,17 @@ class RankWeights:
 
 
 @dataclass(frozen=True)
-class UniformPolicy:
-    """Identical survival-probability target for every bank."""
-
-    q: float
-
-    def __post_init__(self):
-        require(math.isfinite(self.q), "q", MUST_BE_FINITE)
-        require(0.0 < self.q < 1.0, "q", "must lie strictly inside (0, 1)")
-
-
-@dataclass(frozen=True)
 class RankThresholdsPolicy:
     """Survival target increasing in rank through step increments.
 
     ``steps`` is an ascending sequence of ``(threshold, increment)`` pairs;
     a bank's target is ``base`` plus every increment whose threshold its rank
     exceeds.  The ceiling ``base + sum(increments)`` must stay below 1.
+    With no steps, every bank gets ``base``: the uniform target.
     """
 
     base: float
-    steps: tuple[tuple[float, float], ...]
+    steps: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
         steps = tuple((float(t), float(inc)) for t, inc in self.steps)
@@ -114,9 +103,6 @@ class RankThresholdsPolicy:
             ceiling += increment
         require(ceiling < 1.0, "steps",
                 "base plus all increments must stay below 1")
-
-
-QPolicy = UniformPolicy | RankThresholdsPolicy
 
 
 @dataclass(frozen=True)
@@ -224,7 +210,8 @@ def perron_rank(google: np.ndarray) -> tuple[float, np.ndarray]:
     raise ConvergenceError("power iteration did not converge", vec, residual)
 
 
-def assign_survival_probabilities(rank: np.ndarray, policy: QPolicy) -> np.ndarray:
+def assign_survival_probabilities(rank: np.ndarray,
+                                  policy: RankThresholdsPolicy) -> np.ndarray:
     """Per-bank survival-probability targets from the rank vector.
 
     Non-decreasing in rank by construction; every target lies strictly
@@ -233,14 +220,10 @@ def assign_survival_probabilities(rank: np.ndarray, policy: QPolicy) -> np.ndarr
     """
     rank = np.asarray(rank, dtype=float)
     require(np.isfinite(rank), "rank", MUST_BE_FINITE)
-    if isinstance(policy, UniformPolicy):
-        return np.full(rank.shape, policy.q)
-    if isinstance(policy, RankThresholdsPolicy):
-        q = np.full(rank.shape, policy.base)
-        for threshold, increment in policy.steps:
-            q = q + increment * (rank > threshold)
-        return q
-    raise TypeError(f"unsupported policy type {type(policy).__name__}")
+    q = np.full(rank.shape, policy.base)
+    for threshold, increment in policy.steps:
+        q = q + increment * (rank > threshold)
+    return q
 
 
 def rank_network(net: FinancialNetwork, w: RankWeights) -> RankingResult:

@@ -18,9 +18,9 @@ PUBLIC_NAMES = {
     "FinancialNetwork", "ClearingResult", "total_obligations",
     "relative_liabilities", "clearing_vector", "default_boundary",
     # ranking
-    "RankWeights", "UniformPolicy", "RankThresholdsPolicy", "QPolicy",
-    "RankingResult", "net_positions", "edge_weights", "google_matrix",
-    "perron_rank", "assign_survival_probabilities", "rank_network",
+    "RankWeights", "RankThresholdsPolicy", "RankingResult", "net_positions",
+    "edge_weights", "google_matrix", "perron_rank",
+    "assign_survival_probabilities", "rank_network",
     # control
     "Region", "ControlProblem", "ControlDecision", "rho",
     "survival_probability", "switching_rate", "no_action_threshold",
@@ -36,7 +36,7 @@ PUBLIC_NAMES = {
 
 
 def test_package_exports_exactly_the_public_names():
-    assert len(ln.__all__) == len(set(ln.__all__)) == 43
+    assert len(ln.__all__) == len(set(ln.__all__)) == 41
     assert set(ln.__all__) == PUBLIC_NAMES
 
 

@@ -309,6 +309,8 @@ class TestCommandOutputs:
         (math.nan, "google[1][2]: must be a finite number"),
         ("a", "google[1][2]: must be a number"),
         (True, "google[1][2]: must be a number"),
+        (0.0, "google[1][2]: must be strictly positive"),
+        (-0.5, "google[1][2]: must be strictly positive"),
     ])
     def test_rank_matrix_override_bad_entry(self, capsys, tmp_path, value,
                                             message):
@@ -322,6 +324,31 @@ class TestCommandOutputs:
         assert out == ""
         assert json.loads(err)["error"] == {
             "type": "ConfigError", "message": f"{target}: {message}"}
+
+    def test_policy_without_steps_never_ranks(self, capsys, tmp_path,
+                                              monkeypatch):
+        # a uniform policy and a rank_thresholds one without steps both give
+        # every bank the same target, so neither runs the rank pipeline
+        def no_rank(*_):
+            raise AssertionError("rank_network called")
+
+        monkeypatch.setattr("lolrnet.cli.rank_network", no_rank)
+        doc = json.loads(ln.case_study_path().read_text())
+        docs = {}
+        for name, policy in (
+                ("uniform", {"kind": "uniform", "q": 0.9}),
+                ("nosteps", {"kind": "rank_thresholds", "base": 0.9,
+                             "steps": []})):
+            target = tmp_path / f"{name}.json"
+            target.write_text(json.dumps({**doc, "policy": policy}))
+            for argv in (("regions",), ("control",),
+                         ("simulate", "--paths", "100")):
+                code, out, err = run_cli(capsys, *argv, "--config",
+                                         str(target), "--format", "doc")
+                assert code == 0, err
+                docs[name, argv[0]] = json.loads(out)
+        for command in ("regions", "control", "simulate"):
+            assert docs["uniform", command] == docs["nosteps", command]
 
     def test_clearing_doc_schema(self, capsys):
         code, out, _ = run_cli(capsys, "clearing", "--config",
@@ -765,6 +792,21 @@ class TestPathDump:
         assert json.loads(err)["error"]["type"] == "FileNotFoundError"
         assert list(tmp_path.iterdir()) == []
 
+    def test_dump_onto_output_is_rejected(self, capsys, tmp_path,
+                                          monkeypatch):
+        # the table would overwrite the head of the dump
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "simulate", "--config",
+                                 "case_study.json", "--paths", "10",
+                                 "--steps", "2", "--dump-paths", "./x.csv",
+                                 "--output", "x.csv")
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == {
+            "type": "InvalidValueError",
+            "message": "dump_paths: must not be the --output file"}
+        assert list(tmp_path.iterdir()) == []
+
     def test_bare_flag_writes_sibling_of_output(self, capsys, tmp_path):
         target = tmp_path / "report.csv"
         code, _, _ = run_cli(capsys, "simulate", "--config",
@@ -981,6 +1023,30 @@ class TestErrorHandling:
         assert json.loads(err)["error"] == {
             "type": "ConfigError",
             "message": f"{target}: google: must be a 4x4 array"}
+
+    @pytest.mark.parametrize("flag", ["--config", "--matrix-override"])
+    def test_non_utf8_file_is_a_parse_error_naming_it(self, capsys, tmp_path,
+                                                      flag):
+        doc = json.loads(ln.case_study_path().read_text())
+        target = tmp_path / "latin1.json"
+        target.write_bytes(json.dumps({**doc, "comment": "caf\u00e9"},
+                                      ensure_ascii=False).encode("latin-1"))
+        argv = (["--config", str(target)] if flag == "--config" else
+                ["--config", "case_study.json", flag, str(target)])
+        code, out, err = run_cli(capsys, "rank", *argv)
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ConfigParseError"
+        assert error["message"].startswith(f"{target}: 'utf-8' codec")
+
+    def test_bad_config_is_reported_before_bad_override(self, capsys):
+        code, _, err = run_cli(capsys, "rank", "--config", "/missing.json",
+                               "--matrix-override", "/missing-gd.json")
+        assert code == 1
+        assert json.loads(err)["error"] == {
+            "type": "ConfigError",
+            "message": "input file not found: /missing.json"}
 
     @pytest.mark.parametrize("rows, n, message", [
         ([[1.0, 2.0]], 1, "google[0]: must have 1 entry"),

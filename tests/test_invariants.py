@@ -12,7 +12,6 @@ VALID = {
                               cash=[1.0, 1.0], drift=[0.1, 0.1],
                               vol=[0.2, 0.2], growth_rate=0.0, horizon=1.0),
     ln.RankWeights: dict(c_plus=1.0, c_minus=0.0, damping=0.85, epsilon=0.0),
-    ln.UniformPolicy: dict(q=0.9),
     ln.RankThresholdsPolicy: dict(base=0.9,
                                   steps=((0.5, 0.05), (0.75, 0.04))),
     ln.ControlProblem: dict(mu=0.1, sigma=0.2, v_terminal=1.0,
@@ -29,7 +28,6 @@ NAN_CASES = [
     (ln.FinancialNetwork, "horizon", NAN, "horizon"),
     *[(ln.RankWeights, name, NAN, name)
       for name in ("c_plus", "c_minus", "damping", "epsilon")],
-    (ln.UniformPolicy, "q", NAN, "q"),
     (ln.RankThresholdsPolicy, "base", NAN, "base"),
     (ln.RankThresholdsPolicy, "steps", ((0.5, 0.05), (NAN, 0.04)),
      "steps[1].threshold"),

@@ -262,7 +262,7 @@ class TestAssignSurvivalProbabilities:
 
     def test_uniform_policy_ignores_rank(self):
         q = ln.assign_survival_probabilities(np.array(FIXTURE_RANK),
-                                             ln.UniformPolicy(q=0.9))
+                                             ln.RankThresholdsPolicy(base=0.9))
         assert np.array_equal(q, np.full(4, 0.9))
 
     def test_nan_rank_rejected(self):

@@ -5,10 +5,11 @@ Five subcommands cover the library surface: ``rank``, ``clearing``,
 document, writes either a CSV table (default) or a JSON document to stdout
 or ``--output`` as it renders them, and exits 0 on success; ``--output`` is
 opened only once the command has succeeded, and ``simulate``'s path dump is
-written only once it is open.  Failures, an unwritable ``--output``
-included, print a JSON error object to stderr and exit 1.  A
-reader that closes stdout early (``| head``) ends the command quietly with
-exit 0.  Output is byte-identical for identical flags and seed.
+opened only once it is open; either file failing to open leaves both as
+they were.  Failures, an unwritable ``--output`` included, print a JSON
+error object to stderr and exit 1.  A reader that closes stdout early
+(``| head``) ends the command quietly with exit 0.  Output is
+byte-identical for identical flags and seed.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import csv
 import functools
 import math
 import os
+import stat
 import sys
 from itertools import count, repeat
 from pathlib import Path
@@ -229,26 +231,57 @@ def _dump_target(args) -> Path | None:
     return target
 
 
-def _write_path_dump(cfg: NetworkConfig, doc: dict, args, target) -> None:
+def _write_path_dump(cfg: NetworkConfig, doc: dict, args, handle) -> None:
     """Write every bank's paths in both scenarios, one path at a time, at
     the rates the ``simulate`` doc reports."""
     sim_cfg = SimConfig(paths=args.paths, steps=args.steps, seed=args.seed,
                         antithetic=args.antithetic)
-    with open(target, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["bank", "name", "scenario", "path", "step", "time",
-                         "value"])
-        dt = cfg.network.horizon / sim_cfg.steps
-        times = [_cell(s * dt) for s in range(sim_cfg.steps + 1)]
-        for scenario in _SCENARIOS:
-            for bank in doc[scenario]:
-                paths = bank_paths(cfg.network, bank["index"] - 1,
-                                   bank["psi"], sim_cfg)
-                for p, path in enumerate(paths):
-                    writer.writerows(zip(
-                        repeat(bank["index"]), repeat(bank["name"]),
-                        repeat(scenario), repeat(p), count(), times,
-                        map(format_number, path.tolist())))
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(["bank", "name", "scenario", "path", "step", "time",
+                     "value"])
+    dt = cfg.network.horizon / sim_cfg.steps
+    times = [_cell(s * dt) for s in range(sim_cfg.steps + 1)]
+    for scenario in _SCENARIOS:
+        for bank in doc[scenario]:
+            paths = bank_paths(cfg.network, bank["index"] - 1,
+                               bank["psi"], sim_cfg)
+            for p, path in enumerate(paths):
+                writer.writerows(zip(
+                    repeat(bank["index"]), repeat(bank["name"]),
+                    repeat(scenario), repeat(p), count(), times,
+                    map(format_number, path.tolist())))
+
+
+@contextlib.contextmanager
+def _open_outputs(output: str | None, dump: Path | None):
+    """Yield the ``--output`` handle (stdout without the flag) and the path
+    dump's handle (None without a dump), both in text mode.
+
+    ``--output`` opens first but keeps its bytes until the dump has opened
+    too, so a file that cannot be opened leaves both as they were.
+    """
+    with contextlib.ExitStack() as stack:
+        handle, dump_handle, created = sys.stdout, None, False
+        if output:
+            created = not os.path.lexists(output)
+            # no O_TRUNC yet; text mode with the default newline, as stdout,
+            # for the same bytes
+            handle = stack.enter_context(open(
+                os.open(output, os.O_WRONLY | os.O_CREAT, 0o666), "w",
+                encoding="utf-8"))
+        try:
+            if dump is not None:
+                dump_handle = stack.enter_context(
+                    open(dump, "w", encoding="utf-8", newline=""))
+        except OSError:
+            stack.close()
+            if created:
+                os.unlink(output)
+            raise
+        # what open(output, "w") does: O_TRUNC leaves a FIFO or device be
+        if output and stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+            handle.truncate()
+        yield handle, dump_handle
 
 
 _COMMANDS = {
@@ -326,11 +359,9 @@ def main(argv: list[str] | None = None) -> int:
         dump = _dump_target(args)
         cfg = load_config(args.config)
         doc, header = run_command(args.command, cfg, args)
-        # text mode with the default newline, as stdout, for the same bytes
-        with (open(args.output, "w", encoding="utf-8") if args.output
-              else contextlib.nullcontext(sys.stdout)) as handle:
-            if dump is not None:
-                _write_path_dump(cfg, doc, args, dump)
+        with _open_outputs(args.output, dump) as (handle, dump_handle):
+            if dump_handle is not None:
+                _write_path_dump(cfg, doc, args, dump_handle)
             if args.format == "doc":
                 write_doc(doc, handle)
                 handle.write("\n")

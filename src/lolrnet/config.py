@@ -1,11 +1,15 @@
 """Configuration documents: loading, validation, and deterministic output.
 
 A network configuration is a JSON document with a declared schema version.
-Validation reports the path of every offending field (``banks[2].vol``).
-Serialization writes floats with 17 significant digits so that documents
-round-trip bit-exactly; infinities appear as the strings ``"inf"`` and
-``"-inf"`` because JSON has no literal for them.  :func:`write_doc` streams
-a document to an open handle; :func:`dumps_doc` returns the same text.
+Strict JSON is parsed by ``orjson``; any other document (NaN or Infinity
+literals, a BOM, a malformed one, or one ``orjson`` would read differently)
+is parsed by the standard library, so every document gives the values and
+errors it always has.  Validation reports the path of every offending field
+(``banks[2].vol``).  Serialization writes floats with 17 significant digits
+so that documents round-trip bit-exactly; infinities appear as the strings
+``"inf"`` and ``"-inf"`` because JSON has no literal for them.
+:func:`write_doc` streams a document to an open handle; :func:`dumps_doc`
+returns the same text.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .errors import (MUST_BE_FINITE, ConfigError, ConfigParseError,
                      ConfigValidationError, InvalidValueError,
@@ -230,8 +235,34 @@ def printed_google_path() -> Path:
     return resolve_input_path("printed_gd.json")
 
 
+# orjson reads an integer literal beyond 64 bits as a float where json reads
+# an int, and it builds nested containers by recursing on the C stack, which a
+# deep enough document overflows (a 100,000-deep object crashed the process on
+# an 8 MiB stack).  A document that may hold either goes to json: one with a
+# run of 19 or more digits led by neither a digit nor a '.', or one whose
+# count of '[' and '{' bytes, a bound on its depth, exceeds _MAX_OPENERS
+_MAX_OPENERS = 10_000
+# a digit becomes '0', a '.' stays, and every other byte becomes ' '
+_DIGIT_RUNS = bytes(48 if 48 <= c <= 57 else c if c == 46 else 32
+                    for c in range(256))
+_LONG_INTEGER = b" " + b"0" * 19
+
+
+def _orjson_reads_as_json(data: bytes) -> bool:
+    """Whether ``orjson.loads(data)`` gives what ``json.loads`` would, or
+    rejects ``data``."""
+    return (data.count(b"[") + data.count(b"{") <= _MAX_OPENERS
+            and _LONG_INTEGER not in (b" " + data).translate(_DIGIT_RUNS))
+
+
 def _read_json(path: str | Path) -> tuple[Path, object]:
     resolved = resolve_input_path(path)
+    data = resolved.read_bytes()
+    if _orjson_reads_as_json(data):
+        try:
+            return resolved, orjson.loads(data)
+        except orjson.JSONDecodeError:
+            pass  # json reads it, or names the fault in its own words
     try:
         return resolved, json.loads(resolved.read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -82,6 +82,38 @@ def mixed_config(path):
     return path
 
 
+# numbers written in forms a parser may read differently: 17 to 25
+# significant digits, subnormals, signed zeros, exponents, and integers past
+# 2**53; none is zero but the two zeros
+NUMBER_FORMS = [
+    "0.30000000000000004", "0.1000000000000000055511151",
+    "1.000000000000000111022302", "123456789.01234567890123",
+    "4.9406564584124654e-324", "2.2250738585072009e-308", "1.5e-320",
+    "-0.0", "0.0", "1E5", "2.5e-3", "9007199254740993",
+]
+# integers past 2**64, which orjson would read as floats
+LONG_INTEGERS = ["18446744073709551617", "123456789012345678901234567890"]
+
+
+def numbers_config(path, forms):
+    """Write a config whose liabilities, cash, drift and vol are ``forms``
+    as written, and return its text; vol skips the zeros."""
+    n = len(forms)
+    positive = [form for form in forms if float(form) != 0]
+    banks = ",".join(
+        f'{{"name": "B{i}", "cash": {forms[i]}, "drift": {forms[-1 - i]},'
+        f' "vol": {positive[i % len(positive)]}}}' for i in range(n))
+    rows = ",".join(
+        "[" + ",".join("0" if i == j else forms[(i + j) % n]
+                       for j in range(n)) + "]" for i in range(n))
+    text = (f'{{"schema_version": "1", "banks": [{banks}],'
+            f' "liabilities": [{rows}], "growth_rate": 0.05, "horizon": 1,'
+            ' "ranking": {"c_plus": 1, "c_minus": 0},'
+            ' "policy": {"kind": "uniform", "q": 0.9}, "psi_cap": "inf"}')
+    path.write_text(text)
+    return text
+
+
 class TestConfigLoading:
     def test_fixture_is_the_transposed_creditor_table(self, case_config):
         net = case_config.network
@@ -112,6 +144,64 @@ class TestConfigLoading:
         target.write_text(json.dumps(doc))
         with pytest.raises(ln.SchemaVersionError):
             ln.load_config(target)
+
+    @pytest.mark.parametrize("version", ["18446744073709551616",
+                                         "-9223372036854775809"])
+    def test_schema_version_past_64_bits_is_named_as_written(self, tmp_path,
+                                                             version):
+        # orjson would read these integers as floats
+        target = tmp_path / "versioned.json"
+        target.write_text(ln.case_study_path().read_text().replace(
+            '"schema_version": "1"', f'"schema_version": {version}'))
+        with pytest.raises(ln.SchemaVersionError) as info:
+            ln.load_config(target)
+        assert str(info.value) == (
+            f"unsupported schema_version {version}; expected '1'")
+
+    @pytest.mark.parametrize("forms", [
+        NUMBER_FORMS, NUMBER_FORMS + LONG_INTEGERS,
+    ], ids=["within-64-bits", "past-64-bits"])
+    def test_parsers_read_the_same_numbers(self, tmp_path, forms):
+        target = tmp_path / "numbers.json"
+        text = numbers_config(target, forms)
+        reference = json.loads(text)
+        net = ln.load_config(target).network
+
+        def bits(values):
+            floats = np.array(values, dtype=object).astype(float)
+            return floats.view(np.uint64).tolist()
+
+        assert bits(net.liabilities) == bits(reference["liabilities"])
+        for field in ("cash", "drift", "vol"):
+            assert bits(getattr(net, field)) == bits(
+                [bank[field] for bank in reference["banks"]]), field
+
+    def test_strict_json_skips_the_stdlib_parser(self, tmp_path,
+                                                 monkeypatch):
+        target = tmp_path / "numbers.json"
+        numbers_config(target, NUMBER_FORMS)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("strict JSON reached json.loads")
+
+        monkeypatch.setattr(json, "loads", refuse)
+        ln.load_config(target)
+        ln.load_config(ln.case_study_path())
+        load_matrix(ln.printed_google_path(), 4)
+
+    def test_deeply_nested_document_exits_without_a_crash(self, tmp_path):
+        # orjson builds containers on the C stack, which 100,000 nested
+        # objects overflowed; json stops at its recursion limit instead
+        target = tmp_path / "deep.json"
+        depth = 100_000
+        target.write_text('{"a": ' * depth + "1" + "}" * depth)
+        src = Path(ln.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, lolrnet; lolrnet.load_config(sys.argv[1])",
+             str(target)], cwd=src, capture_output=True, text=True)
+        assert result.returncode == 1, result.returncode
+        assert "RecursionError" in result.stderr
 
     def test_invariant_violation_names_field(self, tmp_path):
         # one row per value invariant: (keys to the value, value, error);
@@ -553,6 +643,12 @@ class TestDeterministicOutput:
                 assert out2 == "", command
                 assert target.read_bytes() == out.encode("utf-8"), command
 
+    def test_output_to_a_device_is_not_truncated(self, capsys):
+        # ftruncate fails on a device, where O_TRUNC is ignored
+        code, out, err = run_cli(capsys, "control", "--config",
+                                 "case_study.json", "--output", "/dev/null")
+        assert (code, out, err) == (0, "", "")
+
     def test_float_arrays_render_like_lists(self):
         rng = np.random.default_rng(5)
         special = [-0.0, 5e-324, 2.2250738585072009e-308, 1e308,
@@ -792,6 +888,32 @@ class TestPathDump:
         assert json.loads(err)["error"]["type"] == "FileNotFoundError"
         assert list(tmp_path.iterdir()) == []
 
+    # a longer earlier file than the table, so a missed truncation shows
+    @pytest.mark.parametrize("earlier", [None, "earlier output\n" * 1000],
+                             ids=["new-output", "existing-output"])
+    def test_unopenable_dump_leaves_output_untouched(self, capsys, tmp_path,
+                                                     monkeypatch, earlier):
+        monkeypatch.chdir(tmp_path)
+        output = tmp_path / "o.json"
+        if earlier is not None:
+            output.write_text(earlier)
+        argv = ("simulate", "--config", "case_study.json", "--paths", "100",
+                "--steps", "4", "--output", "o.json")
+        code, out, err = run_cli(capsys, *argv, "--dump-paths",
+                                 "missing/d.csv")
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "FileNotFoundError"
+        if earlier is None:
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert output.read_text() == earlier
+        # once both open, --output holds exactly what stdout would
+        code, _, _ = run_cli(capsys, *argv, "--dump-paths", "d.csv")
+        assert code == 0
+        code, out, _ = run_cli(capsys, *argv[:-2])
+        assert output.read_text() == out
+
     def test_dump_onto_output_is_rejected(self, capsys, tmp_path,
                                           monkeypatch):
         # the table would overwrite the head of the dump
@@ -877,6 +999,9 @@ class TestErrorHandling:
         (("liabilities", 1, 0), math.nan),
         pytest.param(("liabilities", 3, 2), 10**400,
                      id="('liabilities', 3, 2)-10**400"),
+        # a str is JSON text that json.dumps cannot write
+        pytest.param(("banks", 3, "vol"), "1e400",
+                     id="('banks', 3, 'vol')-1e400"),
     ], ids=str)
     def test_non_finite_number_names_field(self, capsys, tmp_path, keys,
                                            value):
@@ -884,9 +1009,9 @@ class TestErrorHandling:
         parent = doc
         for key in keys[:-1]:
             parent = parent[key]
-        parent[keys[-1]] = value
+        parent[keys[-1]] = "<value>" if isinstance(value, str) else value
         target = tmp_path / "nonfinite.json"
-        target.write_text(json.dumps(doc))
+        target.write_text(json.dumps(doc).replace('"<value>"', str(value)))
         code, out, err = run_cli(capsys, "control", "--config", str(target))
         assert code == 1
         assert out == ""
@@ -1039,6 +1164,39 @@ class TestErrorHandling:
         error = json.loads(err)["error"]
         assert error["type"] == "ConfigParseError"
         assert error["message"].startswith(f"{target}: 'utf-8' codec")
+
+    # each is malformed both as a config and as a matrix
+    @pytest.mark.parametrize("text", [
+        "[[0.25, 0.25],]", "[[0.25, 0.25], [0.5", "[[01]]", "",
+        "\ufeff[[1]]", "[[1]] [[1]]",
+    ], ids=["trailing-comma", "truncated-array", "leading-zero", "empty",
+            "utf8-bom", "extra-data"])
+    @pytest.mark.parametrize("flag", ["--config", "--matrix-override"])
+    def test_malformed_json_keeps_the_stdlib_message(self, capsys, tmp_path,
+                                                     flag, text):
+        target = tmp_path / "malformed.json"
+        target.write_bytes(text.encode("utf-8"))
+        with pytest.raises(json.JSONDecodeError) as info:
+            json.loads(target.read_text(encoding="utf-8"))
+        argv = (["--config", str(target)] if flag == "--config" else
+                ["--config", "case_study.json", flag, str(target)])
+        code, out, err = run_cli(capsys, "rank", *argv)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ConfigParseError",
+            "message": f"{target}: {info.value}"}
+
+    @pytest.mark.parametrize("argv", COMMAND_ARGV, ids=" ".join)
+    def test_crlf_config_gives_the_lf_docs(self, capsys, tmp_path, argv):
+        lf = ln.case_study_path().read_bytes()
+        assert b"\r" not in lf and b"\n" in lf
+        crlf = tmp_path / "crlf.json"
+        crlf.write_bytes(lf.replace(b"\n", b"\r\n"))
+        docs = [run_cli(capsys, *argv, "--config", config, "--format", "doc")
+                for config in ("case_study.json", str(crlf))]
+        assert docs[0][0] == 0
+        assert docs[1] == docs[0]
 
     def test_bad_config_is_reported_before_bad_override(self, capsys):
         code, _, err = run_cli(capsys, "rank", "--config", "/missing.json",

@@ -99,15 +99,22 @@ def _decisions(cfg: NetworkConfig, t: float):
     return q, network_decision(cfg.network, q, t=t, psi_cap=cfg.psi_cap)
 
 
+def _inf_text(value):
+    """``value``, or ``"inf"`` / ``"-inf"``, as JSON has no infinity."""
+    return format_number(value) if value in (math.inf, -math.inf) else value
+
+
 def _banks(cfg: NetworkConfig, **columns) -> list[dict]:
     """One record per bank: its 1-based ``index``, its ``name``, and its
     entry of each column, in keyword order.
 
     A numpy column is read through ``tolist``, so every cell is a Python
-    scalar that renders as the numpy one did.
+    scalar, and an infinite cell is the string :func:`_inf_text` gives.
     """
     cells = [col.tolist() if isinstance(col, np.ndarray) else col
              for col in columns.values()]
+    cells = [list(map(_inf_text, col)) if math.inf in col or -math.inf in col
+             else col for col in cells]
     return [{"index": i, "name": name, **dict(zip(columns, row))}
             for i, (name, *row) in enumerate(zip(cfg.names, *cells), 1)]
 
@@ -166,8 +173,8 @@ def cmd_regions(cfg: NetworkConfig, args) -> tuple[dict, list[str]]:
         log_cash=[math.log(c) if c > 0 else None for c in net.cash.tolist()],
         region=[d.region.value for d in decisions],
         note=[NET_CREDITOR_NOTE if x is None else "" for x in thresholds])
-    doc = {"command": "regions", "time": args.time, "psi_cap": cfg.psi_cap,
-           "banks": banks}
+    doc = {"command": "regions", "time": args.time,
+           "psi_cap": _inf_text(cfg.psi_cap), "banks": banks}
     return doc, ["bank", "name", "q", "v_terminal", "threshold_log_x",
                  "log_cash", "region", "note"]
 
@@ -180,8 +187,9 @@ def cmd_control(cfg: NetworkConfig, args) -> tuple[dict, list[str]]:
                    expected_cost=costs,
                    survival_prob_uncontrolled=[
                        d.survival_prob_uncontrolled for d in decisions])
-    doc = {"command": "control", "time": args.time, "psi_cap": cfg.psi_cap,
-           "total_expected_cost": sum(costs), "banks": banks}
+    doc = {"command": "control", "time": args.time,
+           "psi_cap": _inf_text(cfg.psi_cap),
+           "total_expected_cost": _inf_text(sum(costs)), "banks": banks}
     return doc, ["bank", "name", "q", "region", "psi_star", "expected_cost",
                  "survival_prob_uncontrolled"]
 
@@ -375,7 +383,10 @@ def main(argv: list[str] | None = None) -> int:
             # what stdout still buffers to devnull so the exit flush is silent
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return 0
-        error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        # a path from argv may hold undecodable bytes, which UTF-8 cannot
+        # encode as they are
+        message = str(exc).encode("utf-8", "backslashreplace").decode()
+        error = {"error": {"type": type(exc).__name__, "message": message}}
         sys.stderr.write(dumps_doc(error) + "\n")
         return 1
     return 0

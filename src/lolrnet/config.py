@@ -5,11 +5,11 @@ Strict JSON is parsed by ``orjson``; any other document (NaN or Infinity
 literals, a BOM, a malformed one, or one ``orjson`` would read differently)
 is parsed by the standard library, so every document gives the values and
 errors it always has.  Validation reports the path of every offending field
-(``banks[2].vol``).  Serialization writes floats with 17 significant digits
-so that documents round-trip bit-exactly; infinities appear as the strings
-``"inf"`` and ``"-inf"`` because JSON has no literal for them.
-:func:`write_doc` streams a document to an open handle; :func:`dumps_doc`
-returns the same text.
+(``banks[2].vol``).  Documents are written by ``orjson``, whose shortest
+round-trip floats parse back bit-exactly; JSON has no infinity, so the
+commands spell one as the string ``"inf"`` or ``"-inf"``.
+:func:`write_doc` streams a document to an open handle one dict entry or
+matrix row at a time; :func:`dumps_doc` returns the same text.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +128,9 @@ def _validate_banks(raw) -> tuple[tuple[str, ...], dict[str, list[float]]]:
         _require(isinstance(entry, dict), path, "must be an object")
         _require(isinstance(entry.get("name"), str) and entry["name"],
                  f"{path}.name", "must be a non-empty string")
+        # documents are UTF-8, which cannot encode a lone surrogate
+        _require(not re.search("[\ud800-\udfff]", entry["name"]),
+                 f"{path}.name", "must not contain a lone surrogate")
         names.append(entry["name"])
         for field, column in columns.items():
             column.append(_number(entry, field, path))
@@ -265,7 +267,8 @@ def _read_json(path: str | Path) -> tuple[Path, object]:
             pass  # json reads it, or names the fault in its own words
     try:
         return resolved, json.loads(resolved.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # json stops a deep enough document at the recursion limit
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigParseError(f"{resolved}: {exc}") from exc
 
 
@@ -340,8 +343,9 @@ def load_matrix(path: str | Path, n: int) -> np.ndarray:
 # deterministic document serialization
 # ---------------------------------------------------------------------------
 
-# spaces per nesting level of a serialized document
-_INDENT = 2
+# orjson's layout; ndarray.tolist renders the arrays it does not write
+# natively, such as a non-contiguous view
+_OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY
 
 
 def format_number(value: float) -> str:
@@ -352,127 +356,41 @@ def format_number(value: float) -> str:
     return "%.17g" % value
 
 
-def _write_float_array(value: np.ndarray, write, level: int) -> None:
-    """Write a non-empty, finite, 2-D float64 matrix with one %-format and
-    one write per row.
-
-    ``"%.17g"`` is :func:`format_number` itself, and its text for a finite
-    float never contains ``%``.  When the matrix's most frequent value (by
-    bit pattern, which keeps ``-0.0`` apart from ``0.0``) fills more than
-    half of it, as 0 and the teleport term fill the Google matrix, that
-    value is formatted once and enters the templates of the rows that hold
-    it as literal text, so ``%`` converts only the other cells.  Below that
-    share, building a row's own template costs more than it saves, so
-    every row shares one template.
-    """
-    bits = value.view(np.uint64)
-    distinct, counts = np.unique(bits, return_counts=True)
-    top = np.argmax(counts)
-    is_mode = bits == distinct[top]
-    if 2 * counts[top] <= bits.size:
-        is_mode[...] = False
-    pieces = np.array(["%.17g", "%.17g" % distinct[top].view(np.float64)],
-                      dtype=object)
-    row_pad = " " * (_INDENT * (level + 1))
-    pad = " " * (_INDENT * (level + 2))
-    sep = f",\n{pad}"
-    head, tail = f"{row_pad}[\n{pad}", f"\n{row_pad}]"
-    plain = head + sep.join(["%.17g"] * value.shape[1]) + tail
-    lead = "[\n"
-    for row, mask in zip(value, is_mode):
-        if mask.any():
-            cells = pieces[mask.view(np.uint8)].tolist()
-            template = head + sep.join(cells) + tail
-            write(lead + template % tuple(row[~mask].tolist()))
-        else:
-            write(lead + plain % tuple(row.tolist()))
-        lead = ",\n"
-    write(f"\n{' ' * (_INDENT * level)}]")
-
-
-def _float_text(value: float) -> str:
-    # format_number inlined: "%.17g" is its whole body
-    if math.isfinite(value):
-        return "%.17g" % value
-    return "null" if math.isnan(value) else f'"{format_number(value)}"'
-
-
-def _bool_text(value) -> str:
-    return "true" if value else "false"
-
-
-# the text of a scalar by its exact type; any other type takes the
-# isinstance tests of _write_value
-_SCALAR_TEXT = {float: _float_text, np.float64: _float_text, int: str,
-                np.int64: str, bool: _bool_text, np.bool_: _bool_text,
-                str: encode_basestring_ascii, type(None): lambda _: "null"}
-
-
-def _write_items(heads, items, brackets: str, write, level: int) -> None:
-    """Write each of ``items`` after its ``head`` between ``brackets``; the
-    text of consecutive scalar items goes out in one write."""
-    parts = [brackets[0]]
-    sep = "\n"
-    for head, item in zip(heads, items):
-        parts += (sep, head)
-        text = _SCALAR_TEXT.get(type(item))
-        if text is None:
-            write("".join(parts))
-            parts = []
-            _write_value(item, write, level + 1)
-        else:
-            parts.append(text(item))
-        sep = ",\n"
-    close = f"\n{' ' * (_INDENT * level)}" if sep != "\n" else ""
-    write("".join(parts) + close + brackets[1])
-
-
-def _write_value(value, write, level: int) -> None:
-    text = _SCALAR_TEXT.get(type(value))
-    if text is not None:
-        write(text(value))
-        return
-    pad = " " * (_INDENT * (level + 1))
-    if isinstance(value, dict):
-        heads = [f"{pad}{encode_basestring_ascii(key)}: " for key in value]
-        _write_items(heads, value.values(), "{}", write, level)
-    elif isinstance(value, np.ndarray):
-        if (value.ndim == 2 and value.size and value.dtype == np.float64
-                and np.isfinite(value).all()):
-            _write_float_array(value, write, level)
-        else:
-            _write_value(value.tolist(), write, level)
-    elif isinstance(value, (list, tuple)):
-        _write_items(itertools.repeat(pad), value, "[]", write, level)
-    elif isinstance(value, (bool, np.bool_)):
-        write(_bool_text(value))
-    elif isinstance(value, (int, np.integer)):
-        write(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        write(_float_text(float(value)))
-    elif isinstance(value, str):
-        write(encode_basestring_ascii(value))
+def _write_value(value, write, pad: str) -> None:
+    """Write orjson's text for ``value`` as it reads at indentation ``pad``,
+    one entry of a non-empty dict or row of a 2-D array at a time."""
+    if isinstance(value, dict) and value:
+        brackets, items = "{}", ((orjson.dumps(key).decode() + ": ", item)
+                                 for key, item in value.items())
+    elif isinstance(value, np.ndarray) and value.ndim == 2 and len(value):
+        brackets, items = "[]", (("", row) for row in value)
     else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
+        text = orjson.dumps(value, default=np.ndarray.tolist, option=_OPTIONS)
+        write(text.decode().replace("\n", "\n" + pad))
+        return
+    inner = pad + "  "
+    lead = brackets[0] + "\n"
+    for head, item in items:
+        write(lead + inner + head)
+        _write_value(item, write, inner)
+        lead = ",\n"
+    write("\n" + pad + brackets[1])
 
 
 def write_doc(doc, handle) -> None:
-    """Write ``doc`` as JSON text to the text ``handle``, piece by piece.
+    """Write ``doc`` to the text ``handle`` as orjson's JSON text, holding
+    no more than one dict entry or 2-D array row of it at a time.
 
-    Nesting is indented by two spaces per level.  Finite floats use 17
-    significant digits; infinities become the strings ``"inf"`` /
-    ``"-inf"``.  Key order is preserved, so equal inputs always produce
-    byte-identical text.  A float matrix's dominant value is formatted
-    once and reused; every array's text is the same as for its list.  Each
-    row of a float matrix is one write, and so are the scalar entries of a
-    dict or list between two non-scalar ones, so no more than a row or a
-    record of text is held.
+    Nesting is indented by two spaces per level and key order is kept, so
+    equal inputs give byte-identical text.  Floats are written in shortest
+    round-trip form (a ``float32`` in float32's), text as UTF-8, and NaN
+    and infinities as ``null``.
     """
-    _write_value(doc, handle.write, 0)
+    _write_value(doc, handle.write, "")
 
 
 def dumps_doc(doc) -> str:
     """The text :func:`write_doc` writes for ``doc``, as one string."""
     out: list[str] = []
-    _write_value(doc, out.append, 0)
+    _write_value(doc, out.append, "")
     return "".join(out)

@@ -11,9 +11,11 @@ from pathlib import Path
 
 import jsonschema
 import numpy as np
+import orjson
 import pytest
 
 import lolrnet as ln
+import lolrnet.cli
 import lolrnet.simulate as engine
 from lolrnet.cli import main
 from lolrnet.config import dumps_doc, format_number, load_matrix, write_doc
@@ -46,6 +48,33 @@ def load_schema(name):
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
+
+
+def assert_parses_to(parsed, value, where="doc"):
+    """``parsed`` is ``value`` read back from its JSON text: every float bit
+    for bit and still a float, NaN as null, and no infinity left for JSON
+    to write as null."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, dict):
+        assert list(parsed) == list(value), where
+        for key, item in value.items():
+            assert_parses_to(parsed[key], item, f"{where}.{key}")
+    elif isinstance(value, (list, tuple)):
+        assert len(parsed) == len(value), where
+        for k, (got, item) in enumerate(zip(parsed, value)):
+            assert_parses_to(got, item, f"{where}[{k}]")
+    elif isinstance(value, (float, np.floating)):
+        assert not math.isinf(value), where
+        if math.isnan(value):
+            assert parsed is None, where
+        else:
+            assert type(parsed) is float, where
+            assert parsed.hex() == float(value).hex(), where
+    else:
+        assert type(parsed) is type(value.item() if isinstance(
+            value, np.generic) else value), where
+        assert parsed == value, where
 
 
 def sparse_config(path, n, seed):
@@ -189,19 +218,19 @@ class TestConfigLoading:
         ln.load_config(ln.case_study_path())
         load_matrix(ln.printed_google_path(), 4)
 
-    def test_deeply_nested_document_exits_without_a_crash(self, tmp_path):
+    def test_deeply_nested_document_exits_without_a_crash(self, capsys,
+                                                          tmp_path):
         # orjson builds containers on the C stack, which 100,000 nested
-        # objects overflowed; json stops at its recursion limit instead
+        # objects overflowed; json stops at its recursion limit instead,
+        # which is reported as a parse error led by the file
         target = tmp_path / "deep.json"
         depth = 100_000
         target.write_text('{"a": ' * depth + "1" + "}" * depth)
-        src = Path(ln.__file__).resolve().parents[1]
-        result = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, lolrnet; lolrnet.load_config(sys.argv[1])",
-             str(target)], cwd=src, capture_output=True, text=True)
-        assert result.returncode == 1, result.returncode
-        assert "RecursionError" in result.stderr
+        code, out, err = run_cli(capsys, "control", "--config", str(target))
+        assert (code, out) == (1, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "ConfigParseError"
+        assert error["message"].startswith(f"{target}: maximum recursion")
 
     def test_invariant_violation_names_field(self, tmp_path):
         # one row per value invariant: (keys to the value, value, error);
@@ -675,9 +704,9 @@ class TestDeterministicOutput:
             assert dumps_doc(doc) == dumps_doc(plain)
 
     def test_records_render_to_golden_text(self):
-        # every scalar type the renderer looks up by exact type, two numpy
-        # types it does not (int32, float32), and a record whose ndarray and
-        # nested dict sit between scalar items
+        # Python and numpy scalars, non-ASCII text, the infinities and NaN
+        # orjson writes as null, and the values write_doc descends into: a
+        # non-empty dict, and a 2-D array, here a non-contiguous view
         doc = {"banks": [
             {"float": 0.1, "np_float64": np.float64(-0.0), "int": 7,
              "np_int64": np.int64(-3), "bool": True, "np_bool": np.False_,
@@ -685,30 +714,32 @@ class TestDeterministicOutput:
             {"tiny": 5e-324, "inf": math.inf, "neg_inf": np.float64(-math.inf),
              "nan": math.nan, "np_int32": np.int32(12),
              "np_float32": np.float32(0.1), "array": np.array([1.5, 2.0]),
-             "nested": {"a": 1, "b": [True, None]}, "after": "x"}]}
+             "nested": {"a": 1, "b": [True, None]}, "after": "x"}],
+            "matrix": np.array([[1.0, 0.25], [-0.0, 3e300]]).T,
+            "empty": {}}
         expected = textwrap.dedent('''\
             {
               "banks": [
                 {
-                  "float": 0.10000000000000001,
-                  "np_float64": -0,
+                  "float": 0.1,
+                  "np_float64": -0.0,
                   "int": 7,
                   "np_int64": -3,
                   "bool": true,
                   "np_bool": false,
-                  "str": "say \\"hi\\" caf\\u00e9",
+                  "str": "say \\"hi\\" café",
                   "none": null
                 },
                 {
-                  "tiny": 4.9406564584124654e-324,
-                  "inf": "inf",
-                  "neg_inf": "-inf",
+                  "tiny": 5e-324,
+                  "inf": null,
+                  "neg_inf": null,
                   "nan": null,
                   "np_int32": 12,
-                  "np_float32": 0.10000000149011612,
+                  "np_float32": 0.1,
                   "array": [
                     1.5,
-                    2
+                    2.0
                   ],
                   "nested": {
                     "a": 1,
@@ -719,14 +750,25 @@ class TestDeterministicOutput:
                   },
                   "after": "x"
                 }
-              ]
+              ],
+              "matrix": [
+                [
+                  1.0,
+                  -0.0
+                ],
+                [
+                  0.25,
+                  3e300
+                ]
+              ],
+              "empty": {}
             }''')
         pieces: list[str] = []
         write_doc(doc, types.SimpleNamespace(write=pieces.append))
         assert "".join(pieces) == dumps_doc(doc) == expected
-        # a record of exact-type scalars is written in one piece
-        start = expected.index("{", 1)
-        assert expected[start:expected.index("}", start) + 1] in pieces
+        # the matrix is written one row at a time
+        assert any(piece.endswith("[\n      1.0,\n      -0.0\n    ]")
+                   for piece in pieces)
 
     def test_rank_doc_matrices_render_like_lists(self, capsys, tmp_path):
         path = sparse_config(tmp_path / "sparse.json", 60, seed=11)
@@ -761,6 +803,47 @@ class TestDeterministicOutput:
             finally:
                 tracemalloc.stop()
         assert peak < target.stat().st_size
+
+    @pytest.mark.parametrize("config, argv", [
+        *[pytest.param("case_study.json", argv, id=" ".join(argv))
+          for argv in COMMAND_ARGV],
+        *[pytest.param(MIXED_CONFIG, argv, id=f"mixed {' '.join(argv)}")
+          for argv in COMMAND_ARGV if "--matrix-override" not in argv]])
+    def test_doc_is_orjson_text_of_the_computed_values(
+            self, capsys, tmp_path, monkeypatch, config, argv):
+        docs = []
+
+        def capture(doc, handle):
+            docs.append(doc)
+            write_doc(doc, handle)
+
+        monkeypatch.chdir(tmp_path)
+        mixed_config(tmp_path / MIXED_CONFIG)
+        monkeypatch.setattr(lolrnet.cli, "write_doc", capture)
+        code, out, _ = run_cli(capsys, argv[0], "--config", config, *argv[1:],
+                               "--format", "doc")
+        assert code == 0
+        [doc] = docs
+        text = orjson.dumps(doc, default=np.ndarray.tolist,
+                            option=orjson.OPT_INDENT_2
+                            | orjson.OPT_SERIALIZE_NUMPY).decode()
+        assert out == dumps_doc(doc) + "\n" == text + "\n"
+        parsed = json.loads(out)
+        assert_parses_to(parsed, doc)
+        # an infinity is the string "inf", never orjson's null
+        if argv[0] in ("regions", "control"):
+            cfg = ln.load_config(config)
+            assert parsed["psi_cap"] == (
+                "inf" if cfg.psi_cap == math.inf else cfg.psi_cap)
+        if argv[0] == "control":
+            _, decisions = lolrnet.cli._decisions(cfg, 0.0)
+            costs = [d.expected_cost for d in decisions]
+            assert [bank["expected_cost"] for bank in parsed["banks"]] == [
+                "inf" if cost == math.inf else cost for cost in costs]
+            assert ("inf" in [b["expected_cost"] for b in parsed["banks"]]
+                    ) == (config == MIXED_CONFIG)
+            assert parsed["total_expected_cost"] == (
+                "inf" if config == MIXED_CONFIG else sum(costs))
 
     def test_numbers_round_trip_through_17_digits(self, capsys):
         _, out, _ = run_cli(capsys, "regions", "--config", "case_study.json",
@@ -976,6 +1059,34 @@ class TestErrorHandling:
         doc = json.loads(err)
         jsonschema.validate(doc, load_schema("error"))
         assert doc["error"]["type"] == "ConfigError"
+
+    def test_lone_surrogate_bank_name_is_rejected(self, capsys, tmp_path):
+        # UTF-8 cannot encode a lone surrogate, so no output could hold the
+        # name: it is refused at load, before anything is written
+        doc = json.loads(ln.case_study_path().read_text())
+        doc["banks"][1]["name"] = "\ud800"
+        target = tmp_path / "surrogate.json"
+        target.write_text(json.dumps(doc))
+        with pytest.raises(ln.ConfigValidationError) as info:
+            ln.load_config(target)
+        assert info.value.field == "banks[1].name"
+        for fmt in ("table", "doc"):
+            code, out, err = run_cli(capsys, "control", "--config",
+                                     str(target), "--format", fmt)
+            assert (code, out) == (1, ""), fmt
+            error = json.loads(err)["error"]
+            assert error["type"] == "ConfigValidationError"
+            assert error["message"].startswith("banks[1].name: ")
+
+    def test_undecodable_config_path_renders_its_error(self, capsys):
+        # a path byte that is not UTF-8 reaches argv as a lone surrogate,
+        # which the error object writes backslash-escaped
+        code, out, err = run_cli(capsys, "control", "--config",
+                                 "/nonexistent/\udcff.json")
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == {
+            "type": "ConfigError",
+            "message": "input file not found: /nonexistent/\\udcff.json"}
 
     def test_validation_error_reports_field(self, capsys, tmp_path):
         doc = json.loads(ln.case_study_path().read_text())

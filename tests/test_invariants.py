@@ -1,8 +1,10 @@
+import json
 import math
 
 import pytest
 
 import lolrnet as ln
+from lolrnet.cli import main
 
 NAN = math.nan
 
@@ -53,3 +55,94 @@ def test_constructor_rejects_nan(cls, name, value, field):
         cls(**{**VALID[cls], name: value})
     assert info.value.field == field
     assert str(info.value) == f"{field}: {info.value.message}"
+
+
+# ---------------------------------------------------------------------------
+# metamorphic relations of the commands, which need no reference output
+# ---------------------------------------------------------------------------
+
+DECISION_COMMANDS = ("rank", "clearing", "regions", "control")
+
+
+def run_doc(capsys, tmp_path, command, config):
+    """The doc ``command`` writes for the config document ``config``."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path), "--format", "doc"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def case_study():
+    return json.loads(ln.case_study_path().read_text())
+
+
+def rows(doc):
+    """Each bank's entry of ``doc`` without its 1-based index."""
+    return [{k: v for k, v in bank.items() if k != "index"}
+            for bank in doc["banks"]]
+
+
+def scaled_money(config, factor):
+    """``config`` with every cash and liability entry times ``factor``."""
+    return {**config,
+            "banks": [{**bank, "cash": bank["cash"] * factor}
+                      for bank in config["banks"]],
+            "liabilities": [[v * factor for v in row]
+                            for row in config["liabilities"]]}
+
+
+@pytest.mark.parametrize("command", DECISION_COMMANDS)
+def test_bank_order_permutes_every_row(capsys, tmp_path, command):
+    config = case_study()
+    order = [2, 0, 3, 1]
+    permuted = {**config,
+                "banks": [config["banks"][i] for i in order],
+                "liabilities": [[config["liabilities"][i][j] for j in order]
+                                for i in order]}
+    plain = run_doc(capsys, tmp_path, command, config)
+    moved = run_doc(capsys, tmp_path, command, permuted)
+    expected = [rows(plain)[i] for i in order]
+    if command == "rank":
+        # the power iteration sums in bank order, so rank may move by an ulp
+        for got, want in zip(rows(moved), expected):
+            assert got == {**want, "rank": pytest.approx(want["rank"],
+                                                         rel=1e-15)}
+        assert moved["eigenvalue"] == pytest.approx(plain["eigenvalue"],
+                                                    rel=1e-15)
+    else:
+        assert rows(moved) == expected
+
+
+def test_money_unit_scales_amounts_and_keeps_decisions(capsys, tmp_path):
+    config = {**case_study(), "policy": {"kind": "uniform", "q": 0.9}}
+    doubled = scaled_money(config, 2)
+    docs = {command: (run_doc(capsys, tmp_path, command, config),
+                      run_doc(capsys, tmp_path, command, doubled))
+            for command in ("clearing", "regions", "control")}
+    plain, scaled = map(rows, docs["clearing"])
+    for a, b in zip(plain, scaled):
+        for field in ("obligation", "payment", "value"):
+            assert b[field] == 2 * a[field], field
+        assert b["defaulted"] == a["defaulted"]
+    plain, scaled = map(rows, docs["regions"])
+    for a, b in zip(plain, scaled):
+        assert b["v_terminal"] == 2 * a["v_terminal"]
+        assert (b["q"], b["region"], b["note"]) == (a["q"], a["region"],
+                                                    a["note"])
+    plain, scaled = map(rows, docs["control"])
+    for a, b in zip(plain, scaled):
+        assert b["expected_cost"] == 4 * a["expected_cost"]
+        for field in ("q", "region", "psi_star",
+                      "survival_prob_uncontrolled"):
+            assert b[field] == a[field], field
+
+
+def test_rank_depends_on_the_money_unit(capsys, tmp_path):
+    # the + 1 in the rank weights' denominator N_j - min(N) + 1 is in money
+    # units, so a rank_thresholds policy's targets depend on the currency
+    config = case_study()
+    plain = run_doc(capsys, tmp_path, "rank", config)
+    doubled = run_doc(capsys, tmp_path, "rank", scaled_money(config, 2))
+    ratios = [b["rank"] / a["rank"]
+              for a, b in zip(plain["banks"], doubled["banks"])]
+    assert max(abs(ratio - 1) for ratio in ratios) > 0.01

@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import io
 import math
 import os
 import stat
@@ -262,8 +263,8 @@ def _write_path_dump(cfg: NetworkConfig, doc: dict, args, handle) -> None:
 
 @contextlib.contextmanager
 def _open_outputs(output: str | None, dump: Path | None):
-    """Yield the ``--output`` handle (stdout without the flag) and the path
-    dump's handle (None without a dump), both in text mode.
+    """Yield the ``--output`` handle (stdout without the flag, written as
+    UTF-8) and the path dump's handle (None without a dump), in text mode.
 
     ``--output`` opens first but keeps its bytes until the dump has opened
     too, so a file that cannot be opened leaves both as they were.
@@ -277,6 +278,10 @@ def _open_outputs(output: str | None, dump: Path | None):
             handle = stack.enter_context(open(
                 os.open(output, os.O_WRONLY | os.O_CREAT, 0o666), "w",
                 encoding="utf-8"))
+        elif hasattr(sys.stdout, "buffer"):  # UTF-8 too, whatever the locale
+            sys.stdout.flush()
+            handle = io.TextIOWrapper(sys.stdout.buffer, encoding="utf-8")
+            stack.callback(handle.detach)  # not close: stdout stays open
         try:
             if dump is not None:
                 dump_handle = stack.enter_context(

@@ -4,7 +4,9 @@ A network configuration is a JSON document with a declared schema version.
 Strict JSON is parsed by ``orjson``; any other document (NaN or Infinity
 literals, a BOM, a malformed one, or one ``orjson`` would read differently)
 is parsed by the standard library, so every document gives the values and
-errors it always has.  Validation reports the path of every offending field
+errors it always has.  A matrix's cells are type-checked one by one only in
+a document holding ``true`` or ``false``; in any other, a ``sum`` per row
+rejects a non-number.  Validation reports the path of every offending field
 (``banks[2].vol``).  Documents are written by ``orjson``, whose shortest
 round-trip floats parse back bit-exactly; JSON has no infinity, so the
 commands spell one as the string ``"inf"`` or ``"-inf"``.
@@ -142,13 +144,17 @@ def _validate_banks(raw) -> tuple[tuple[str, ...], dict[str, list[float]]]:
     return tuple(names), columns
 
 
-def _number_matrix(raw, n: int, path: str) -> np.ndarray:
+def _number_matrix(raw, n: int, path: str, bools: bool) -> np.ndarray:
     """An ``n`` x ``n`` JSON array of numbers as a float array."""
     _require(isinstance(raw, list) and len(raw) == n, path,
              f"must be a {n}x{n} array")
     cells = itertools.chain.from_iterable
-    if not (all(isinstance(row, list) and len(row) == n for row in raw)
-            and set(map(type, cells(raw))) <= {int, float}):
+    rows = all(isinstance(row, list) and len(row) == n for row in raw)
+    try:  # with no bool, which numpy takes, sum raises on any non-number
+        numbers = rows and not bools and len(list(map(sum, raw))) == n
+    except (TypeError, OverflowError):  # or on an int past float's range
+        numbers = False
+    if not (numbers or rows and set(map(type, cells(raw))) <= {int, float}):
         # walk the rows to name the first short row or non-number cell
         for i, row in enumerate(raw):
             _require(isinstance(row, list) and len(row) == n,
@@ -257,16 +263,17 @@ def _orjson_reads_as_json(data: bytes) -> bool:
             and _LONG_INTEGER not in (b" " + data).translate(_DIGIT_RUNS))
 
 
-def _read_json(path: str | Path) -> tuple[Path, object]:
+def _read_json(path: str | Path) -> tuple[Path, object, bool]:
     resolved = resolve_input_path(path)
     data = resolved.read_bytes()
+    bools = b"true" in data or b"false" in data  # no bool without them
     if _orjson_reads_as_json(data):
         try:
-            return resolved, orjson.loads(data)
+            return resolved, orjson.loads(data), bools
         except orjson.JSONDecodeError:
             pass  # json reads it, or names the fault in its own words
     try:
-        return resolved, json.loads(resolved.read_text(encoding="utf-8"))
+        return resolved, json.loads(resolved.read_text("utf-8")), bools
     # json stops a deep enough document at the recursion limit
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigParseError(f"{resolved}: {exc}") from exc
@@ -284,7 +291,7 @@ def load_config(path: str | Path) -> NetworkConfig:
     ConfigValidationError
         A field violates an invariant; the error names the field path.
     """
-    resolved, doc = _read_json(path)
+    resolved, doc, bools = _read_json(path)
     if not isinstance(doc, dict):
         raise ConfigParseError(f"{resolved}: top level must be an object")
 
@@ -297,7 +304,7 @@ def load_config(path: str | Path) -> NetworkConfig:
 
     names, columns = _validate_banks(doc.get("banks"))
     liabilities = _number_matrix(doc.get("liabilities"), len(names),
-                                 "liabilities")
+                                 "liabilities", bools)
     _require("growth_rate" in doc and _is_number(doc["growth_rate"]),
              "growth_rate", "must be a number")
     _require("horizon" in doc and _is_number(doc["horizon"]), "horizon",
@@ -327,11 +334,11 @@ def load_matrix(path: str | Path, n: int) -> np.ndarray:
     0-based cell (``google[1][2]``), the row of the wrong length
     (``google[1]``), or ``google`` for the wrong number of rows.
     """
-    resolved, doc = _read_json(path)
+    resolved, doc, bools = _read_json(path)
     if isinstance(doc, dict):
         doc = doc.get("google")
     try:
-        matrix = _number_matrix(doc, n, "google")
+        matrix = _number_matrix(doc, n, "google", bools)
         require(np.isfinite(matrix), "google", MUST_BE_FINITE)
         require(matrix > 0, "google", "must be strictly positive")
     except InvalidValueError as exc:
@@ -356,8 +363,8 @@ def format_number(value: float) -> str:
     return "%.17g" % value
 
 
-def _write_value(value, write, pad: str) -> None:
-    """Write orjson's text for ``value`` as it reads at indentation ``pad``,
+def _write_value(value, write, depth: int) -> None:
+    """Write orjson's text for ``value`` as it reads ``depth`` levels deep,
     one entry of a non-empty dict or row of a 2-D array at a time."""
     if isinstance(value, dict) and value:
         brackets, items = "{}", ((orjson.dumps(key).decode() + ": ", item)
@@ -365,14 +372,17 @@ def _write_value(value, write, pad: str) -> None:
     elif isinstance(value, np.ndarray) and value.ndim == 2 and len(value):
         brackets, items = "[]", (("", row) for row in value)
     else:
-        text = orjson.dumps(value, default=np.ndarray.tolist, option=_OPTIONS)
-        write(text.decode().replace("\n", "\n" + pad))
+        # in depth one-item lists, orjson indents it as here; cut them off
+        for _ in range(depth):
+            value = [value]
+        out = orjson.dumps(value, default=np.ndarray.tolist, option=_OPTIONS)
+        write(out[depth * (depth + 3):len(out) - depth * (depth + 1)].decode())
         return
-    inner = pad + "  "
+    pad = "  " * depth
     lead = brackets[0] + "\n"
     for head, item in items:
-        write(lead + inner + head)
-        _write_value(item, write, inner)
+        write(lead + pad + "  " + head)
+        _write_value(item, write, depth + 1)
         lead = ",\n"
     write("\n" + pad + brackets[1])
 
@@ -386,11 +396,11 @@ def write_doc(doc, handle) -> None:
     round-trip form (a ``float32`` in float32's), text as UTF-8, and NaN
     and infinities as ``null``.
     """
-    _write_value(doc, handle.write, "")
+    _write_value(doc, handle.write, 0)
 
 
 def dumps_doc(doc) -> str:
     """The text :func:`write_doc` writes for ``doc``, as one string."""
     out: list[str] = []
-    _write_value(doc, out.append, "")
+    _write_value(doc, out.append, 0)
     return "".join(out)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import textwrap
@@ -13,12 +14,15 @@ import jsonschema
 import numpy as np
 import orjson
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lolrnet as ln
 import lolrnet.cli
 import lolrnet.simulate as engine
 from lolrnet.cli import main
 from lolrnet.config import dumps_doc, format_number, load_matrix, write_doc
+from lolrnet.errors import MUST_BE_FINITE, require
 from _support import (CREDITOR_TABLE, FIXTURE_EIGENVALUE, FIXTURE_RANK,
                       chunked_mean, reference_simulation)
 
@@ -95,6 +99,37 @@ def sparse_config(path, n, seed):
         "policy": {"kind": "uniform", "q": 0.9}, "psi_cap": "inf"}
     path.write_text(json.dumps(config))
     return path
+
+
+# JSON cells of every kind a liabilities or override matrix may hold: floats,
+# ints, a signed zero, the bools numpy would read as numbers, strings, null,
+# containers, and an integer past float's range
+MATRIX_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-10**6, 10**6),
+    st.sampled_from([-0.0, True, False, "3", "x", None, [], {}, 10**400]))
+
+
+def reference_matrix(rows, path):
+    """The load rule walked cell by cell: the error naming the first cell
+    that is not a JSON number, else every cell as a float, an int past
+    float's range as an infinity."""
+    for i, row in enumerate(rows):
+        for j, value in enumerate(row):
+            if not lolrnet.config._is_number(value):
+                return f"{path}[{i}][{j}]: must be a number"
+    return np.array([[float(v) if abs(v) < 2**1024 else
+                      math.inf if v > 0 else -math.inf for v in row]
+                     for row in rows])
+
+
+def load_outcome(load, target):
+    """What ``load(target)`` gives: its array's bytes, or its error's type
+    and message without the file name."""
+    try:
+        return load(target).tobytes()
+    except ln.ConfigError as exc:
+        return type(exc).__name__, str(exc).removeprefix(f"{target}: ")
 
 
 def mixed_config(path):
@@ -309,6 +344,61 @@ class TestConfigLoading:
                 ln.load_config(target)
             assert info.value.field == field
             assert str(info.value) == f"{field}: {message}"
+
+    @given(st.integers(1, 3).flatmap(
+        lambda n: st.lists(st.lists(MATRIX_CELLS, min_size=n, max_size=n),
+                           min_size=n, max_size=n)))
+    @settings(max_examples=150, deadline=None)
+    def test_matrix_load_rule_holds_with_and_without_bools(
+            self, tmp_path_factory, rows):
+        # a document without true or false skips the cell-by-cell type
+        # check; a comment holding "true" forces it, and both must give the
+        # reference's array bit for bit, or its error
+        n = len(rows)
+        config = {"schema_version": "1",
+                  "banks": [{"name": f"B{i}", "cash": 10.0, "drift": 0.1,
+                             "vol": 0.2} for i in range(n)],
+                  "liabilities": rows, "growth_rate": 0.05, "horizon": 1.0,
+                  "ranking": {"c_plus": 0.7, "c_minus": 0.3},
+                  "policy": {"kind": "uniform", "q": 0.9}, "psi_cap": "inf"}
+        folder = tmp_path_factory.mktemp("load-rule")
+        configs, overrides = [], []
+        for tag, comment in (("bare", {}), ("typed", {"comment": "true"})):
+            configs.append(folder / f"config-{tag}.json")
+            configs[-1].write_text(json.dumps({**config, **comment}))
+            overrides.append(folder / f"override-{tag}.json")
+            overrides[-1].write_text(json.dumps(
+                {"google": rows, **comment} if comment else rows))
+
+        reference = reference_matrix(rows, "liabilities")
+        if isinstance(reference, str):
+            reference = "ConfigValidationError", reference
+        else:
+            try:
+                ln.FinancialNetwork(liabilities=reference, cash=[10.0] * n,
+                                    drift=[0.1] * n, vol=[0.2] * n,
+                                    growth_rate=0.05, horizon=1.0)
+                reference = reference.tobytes()
+            except ln.InvalidValueError as exc:
+                reference = "ConfigValidationError", str(exc)
+        for target in configs:
+            assert load_outcome(
+                lambda path: ln.load_config(path).network.liabilities,
+                target) == reference, target.name
+
+        reference = reference_matrix(rows, "google")
+        if isinstance(reference, str):
+            reference = "ConfigError", reference
+        else:
+            try:
+                require(np.isfinite(reference), "google", MUST_BE_FINITE)
+                require(reference > 0, "google", "must be strictly positive")
+                reference = reference.tobytes()
+            except ln.InvalidValueError as exc:
+                reference = "ConfigError", str(exc)
+        for target in overrides:
+            assert load_outcome(lambda path: load_matrix(path, n),
+                                target) == reference, target.name
 
     def test_psi_cap_inf_sentinel(self, case_config):
         assert case_config.psi_cap is math.inf or math.isinf(
@@ -684,8 +774,9 @@ class TestDeterministicOutput:
                    0.30000000000000004, 1.2345678901234567e-5, 3.0]
         finite = np.vstack([special, rng.normal(size=(3, len(special)))])
         nonfinite = np.array(special + [math.inf, -math.inf, math.nan])
-        # a value filling more than half of an array is written once, as
-        # literal text; -0.0 and 0.0 count apart, and `tie` has no such value
+        # a 2-D array is streamed row by row and every other array is
+        # written by orjson whole; mostly-zero arrays, signed zeros and
+        # repeated values must read exactly as the list's text
         sparse = np.where(rng.random((6, 5)) < 0.8, 0.0,
                           rng.normal(size=(6, 5)))
         signed_zeros = np.full((3, 4), -0.0)
@@ -702,6 +793,31 @@ class TestDeterministicOutput:
             doc = {"matrix": arr, "nested": [arr]}
             plain = {"matrix": arr.tolist(), "nested": [arr.tolist()]}
             assert dumps_doc(doc) == dumps_doc(plain)
+
+    def test_nested_values_render_as_orjson_at_every_depth(self):
+        # every leaf is written by orjson nested in one-item lists and cut
+        # out of their text, so each depth needs its own cut
+        rng = np.random.default_rng(7)
+        matrix = rng.normal(size=(3, 4))
+        matrix[1, 2] = -0.0
+        leaves = {"matrix": matrix, "transposed": matrix.T,
+                  "strided": matrix[::2, ::3], "row": matrix[1],
+                  "column": matrix[:, 2], "one_by_one": matrix[:1, :1],
+                  "no_columns": np.zeros((2, 0)), "no_rows": np.zeros((0, 3)),
+                  "empty_dict": {}, "empty_list": [], "float": 0.1,
+                  "np_float": np.float64(-2.5), "int": -7,
+                  "np_int": np.int64(3), "text": 'é "quoted"', "none": None,
+                  "bool": True, "inf": math.inf,
+                  "list": [matrix.T, {"inner": matrix[:, ::2]}, [], {}, 1.5]}
+        doc = dict(leaves)
+        for depth in range(6):
+            for value in (doc, [doc], matrix, matrix.T, 0.25, "x", [], {}):
+                assert dumps_doc(value) == orjson.dumps(
+                    value, default=np.ndarray.tolist,
+                    option=orjson.OPT_INDENT_2
+                    | orjson.OPT_SERIALIZE_NUMPY).decode(), depth
+            doc = {"scalar": depth, "leaves": dict(leaves), "next": doc,
+                   "after": [depth, {}]}
 
     def test_records_render_to_golden_text(self):
         # Python and numpy scalars, non-ASCII text, the infinities and NaN
@@ -1191,6 +1307,28 @@ class TestErrorHandling:
             assert json.loads(err)["error"]["message"].startswith("t: ")
         assert kept.read_text() == "earlier output\n"
         assert not fresh.exists()
+
+    @pytest.mark.parametrize("fmt", ["doc", "table"])
+    def test_stdout_is_utf8_whatever_the_locale(self, tmp_path, fmt):
+        # JSON text is UTF-8 (RFC 8259), so stdout carries what --output
+        # does even where the locale's encoding cannot hold a bank's name
+        doc = json.loads(ln.case_study_path().read_text())
+        doc["banks"][0]["name"] = "Banco Ñ"
+        config = tmp_path / "named.json"
+        config.write_text(json.dumps(doc))
+        target = tmp_path / "out"
+        argv = [sys.executable, "-m", "lolrnet", "control", "--config",
+                str(config), "--format", fmt]
+        src = Path(ln.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONIOENCODING": "ascii",
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        subprocess.run([*argv, "--output", str(target)], env=env, check=True,
+                       timeout=60)
+        assert proc.stdout == target.read_bytes()
+        assert "Banco Ñ".encode() in proc.stdout
 
     def test_closed_stdout_pipe_exits_quietly(self, tmp_path):
         # the doc is megabytes, far more than a pipe buffer holds, so the
